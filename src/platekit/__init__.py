@@ -20,7 +20,7 @@ from .geometry import (
     unit_to_spherical,
     unit_vector,
 )
-from .link import LinkScenario, power_sweep, received_power
+from .link import LinkScenario, power_sweep, received_dbm, received_power
 from .measure import (
     ComparisonReport,
     ExperimentConfig,
@@ -67,6 +67,7 @@ from .rcs import (
     rcs_perpendicular,
     rcs_perpendicular_cut,
     rcs_xy_plate,
+    sigma,
     sigma_max,
     sinc,
     specular_direction,

@@ -4,10 +4,6 @@ Subcommands: rcs, sweep, validate, coverage, optimize, compare.  All angles
 on the command line and in files are degrees; CSV and JSON are the data
 contract, SVG plots are conveniences.  Exit codes: 0 success, 2 usage or
 input error, 3 validation failure, 4 I/O error.
-
-The environment variable PLATEKIT_THREADS caps internal parallelism; grid
-evaluation is vectorized in a single thread, so any cap of at least one is
-honored as-is.
 """
 
 from __future__ import annotations
@@ -15,13 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import geometry, link, measure, planner, svgplot, validate
-from .rcs import PlateGeometry, Wavelength, dbsm
+from .rcs import PlateGeometry, Wavelength, dbsm, sigma
 from .rcs import rcs as rcs_breakdown
 from .measure import POLARIZATION_CASES
 
@@ -61,19 +56,6 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("PLATEKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"PLATEKIT_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"PLATEKIT_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +161,25 @@ def _link_from_args(args, wl: Wavelength) -> link.LinkScenario | None:
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("--theta-r-start, --theta-r-stop and --theta-r-step must be finite")
     if step <= 0.0:
         raise ValueError("--theta-r-step must be positive")
     if stop < start:
         raise ValueError("--theta-r-stop must not be below --theta-r-start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(n)
+
+
+def _observation_directions(theta_deg: np.ndarray, phi_deg: float) -> np.ndarray:
+    """(N, 3) observation unit vectors for an increasing zenith grid (degrees)."""
+    theta, phi = np.radians(theta_deg), math.radians(phi_deg)
+    # SphericalAngles holds the range rule.  On an increasing grid only the
+    # first point and the first point past pi/2 can be the first to break it.
+    for t in theta[:1].tolist() + theta[theta > math.pi / 2][:1].tolist():
+        geometry.SphericalAngles(t, phi)
+    st = np.sin(theta)
+    return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=-1)
 
 
 def _cmd_sweep(args) -> int:
@@ -194,14 +189,8 @@ def _cmd_sweep(args) -> int:
     grid = _sweep_grid(args.theta_r_start, args.theta_r_stop, args.theta_r_step)
     scenario = _link_from_args(args, wl)
 
-    sigmas = []
-    for theta_r in grid:
-        obs = geometry.observation_direction(
-            geometry.SphericalAngles.from_degrees(theta_r, args.phi_r_deg)
-        )
-        sigmas.append(rcs_breakdown(plate, a_inc, h_dir, obs, wl).sigma_m2)
-    sigmas = np.array(sigmas)
-    dbsm_vals = np.array([dbsm(s) for s in sigmas])
+    sigmas = sigma(plate, a_inc, h_dir, _observation_directions(grid, args.phi_r_deg), wl)
+    dbsm_vals = dbsm(sigmas)
 
     header = "theta_r_deg,sigma_m2,sigma_dbsm"
     columns = [grid, sigmas, dbsm_vals]
@@ -302,8 +291,8 @@ def _region_from_config(cfg: dict, path: str) -> planner.TargetRegion:
         corner=_vec3(_need(cfg, "corner_m", path), f"{path}.corner_m"),
         edge_u=_vec3(_need(cfg, "edge_u_m", path), f"{path}.edge_u_m"),
         edge_v=_vec3(_need(cfg, "edge_v_m", path), f"{path}.edge_v_m"),
-        nu=int(_need(cfg, "nu", path)),
-        nv=int(_need(cfg, "nv", path)),
+        nu=_need(cfg, "nu", path),
+        nv=_need(cfg, "nv", path),
     )
 
 
@@ -322,13 +311,23 @@ _SCENE_KEYS = {
 }
 
 
+def _finite_number(token: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are rejected."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, str]:
-    """Parse a scene/region JSON config; unknown keys are rejected."""
+    """Parse a scene/region JSON config; unknown keys and non-finite numbers are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: top-level config must be an object")
     _reject_unknown(cfg, _SCENE_KEYS, path)
@@ -361,7 +360,6 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
 
 
 def _cmd_coverage(args) -> int:
-    _thread_cap()
     scene, region, _ = load_scene_config(args.config)
     cov = planner.coverage_map(scene, region)
     rows = ["index_u,index_v,x_m,y_m,z_m,p_r_dbm"]
@@ -387,7 +385,6 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _thread_cap()
     scene, region, objective = load_scene_config(args.config)
     initial = planner.orientation_objective(scene, region, objective)
     result = planner.optimize_orientation(scene, region, objective)

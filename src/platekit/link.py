@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rcs import Wavelength
+from .rcs import Wavelength, dbsm
 
 
 def db_to_linear(db: float) -> float:
@@ -43,9 +43,11 @@ def mw_to_dbm(mw: float) -> float:
 class LinkScenario:
     """Transmit side, receive side, and geometry of a reflected link.
 
-    Distances are transmitter-to-plate and plate-to-receiver in meters.
-    ``amp_gain_db`` models an external power amplifier after the source,
-    so the effective transmit power is tx_power_dbm + amp_gain_db.
+    Distances are transmitter-to-plate and plate-to-receiver in meters;
+    either may be an array that broadcasts with the RCS values given to
+    received_dbm (one receiver per value).  ``amp_gain_db`` models an
+    external power amplifier after the source, so the effective transmit
+    power is tx_power_dbm + amp_gain_db.
     """
 
     tx_power_dbm: float
@@ -57,25 +59,23 @@ class LinkScenario:
     amp_gain_db: float = 0.0
 
     def __post_init__(self):
-        if not (self.tx_distance_m > 0.0 and self.rx_distance_m > 0.0):
+        distances = (self.tx_distance_m, self.rx_distance_m)
+        if not all(np.all(np.greater(d, 0.0)) for d in distances):
             raise ValueError("link distances must be positive")
 
 
-def received_power(scenario: LinkScenario, sigma_m2: float) -> float:
-    """Received power in dBm for a given plate RCS.
+def received_dbm(scenario: LinkScenario, sigma_m2):
+    """Received power in dBm for plate RCS values (the radar equation).
 
-    A zero RCS returns -inf (no reflected signal); negative RCS is
+    Broadcasts over an array of RCS values and the scenario's distances.
+    A zero RCS gives -inf (no reflected signal); a negative RCS is
     rejected.
     """
-    if sigma_m2 < 0.0:
-        raise ValueError(f"RCS cannot be negative: {sigma_m2}")
-    if sigma_m2 == 0.0:
-        return float("-inf")
     path_db = (
-        10.0 * math.log10(sigma_m2)
-        + 20.0 * math.log10(scenario.wavelength.meters)
-        - 10.0 * math.log10(4.0 * math.pi)
-        - 20.0 * math.log10(4.0 * math.pi * scenario.tx_distance_m * scenario.rx_distance_m)
+        dbsm(sigma_m2)
+        + 20.0 * np.log10(scenario.wavelength.meters)
+        - 10.0 * np.log10(4.0 * math.pi)
+        - 20.0 * np.log10(4.0 * math.pi * scenario.tx_distance_m * scenario.rx_distance_m)
     )
     return (
         scenario.tx_power_dbm
@@ -84,6 +84,11 @@ def received_power(scenario: LinkScenario, sigma_m2: float) -> float:
         + scenario.rx_gain_dbi
         + path_db
     )
+
+
+def received_power(scenario: LinkScenario, sigma_m2: float) -> float:
+    """Received power in dBm for a single plate RCS (see received_dbm)."""
+    return float(received_dbm(scenario, float(sigma_m2)))
 
 
 def power_sweep(scenario: LinkScenario, grid, rcs_curve) -> tuple[np.ndarray, np.ndarray]:
@@ -105,5 +110,4 @@ def power_sweep(scenario: LinkScenario, grid, rcs_curve) -> tuple[np.ndarray, np
         sigmas = np.asarray(rcs_curve, dtype=float)
         if sigmas.shape != grid.shape:
             raise ValueError("rcs_curve array must match the grid shape")
-    power = np.array([received_power(scenario, s) for s in sigmas])
-    return grid.copy(), power
+    return grid.copy(), received_dbm(scenario, sigmas)

@@ -15,13 +15,15 @@ reproducible and keeps the search two-dimensional.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import PolarizationAngle, unit
+from .link import LinkScenario, received_dbm
 from .po_oracle import IncidentWave
-from .rcs import PlateGeometry, Wavelength, sinc
+from .rcs import PlateGeometry, Wavelength, f_js, sigma, sigma_max, sinc
 
 OBJECTIVES = ("max-min-dbm", "max-mean-mw")
 
@@ -64,6 +66,9 @@ class Scene:
         object.__setattr__(self, "plate_position", np.asarray(self.plate_position, dtype=float))
         if self.tx_position.shape != (3,) or self.plate_position.shape != (3,):
             raise ValueError("positions must be 3-vectors")
+        levels = [self.tx_power_dbm, self.tx_gain_dbi, self.rx_gain_dbi, self.amp_gain_db]
+        if not np.all(np.isfinite(np.concatenate([self.tx_position, self.plate_position, levels]))):
+            raise ValueError("scene positions, powers and gains must be finite")
         if not isinstance(self.polarization, PolarizationAngle):
             object.__setattr__(self, "polarization", PolarizationAngle(float(self.polarization)))
         if float(np.linalg.norm(self.plate_position - self.tx_position)) < 1e-12:
@@ -81,6 +86,11 @@ class Scene:
         return IncidentWave.from_direction(
             self.incident_direction(), self.polarization, self.wavelength
         )
+
+    def link_scenario(self, rx_distance_m) -> LinkScenario:
+        """Link budget to receivers at ``rx_distance_m`` (scalar or array) from the plate."""
+        return LinkScenario(self.tx_power_dbm, self.tx_gain_dbi, self.rx_gain_dbi, self.tx_distance(),
+                            rx_distance_m, self.wavelength, self.amp_gain_db)
 
     def with_orientation(self, normal, edge1, edge2) -> "Scene":
         plate = PlateGeometry(self.plate.length1, self.plate.length2, normal, edge1, edge2)
@@ -106,8 +116,11 @@ class TargetRegion:
         object.__setattr__(self, "edge_u", np.asarray(self.edge_u, dtype=float))
         object.__setattr__(self, "edge_v", np.asarray(self.edge_v, dtype=float))
         for name in ("corner", "edge_u", "edge_v"):
-            if getattr(self, name).shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
+            if getattr(self, name).shape != (3,) or not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be a finite 3-vector")
+        for name, count in (("nu", self.nu), ("nv", self.nv)):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.nu < 1 or self.nv < 1:
             raise ValueError("region grid must be nonempty")
 
@@ -145,19 +158,6 @@ class CoverageMap:
 
     def shadow_grid(self) -> np.ndarray:
         return self.shadow.reshape(self.shape)
-
-
-def _link_const_db(scene: Scene) -> float:
-    """dB terms of the radar equation that do not depend on the receiver."""
-    return (
-        scene.tx_power_dbm
-        + scene.amp_gain_db
-        + scene.tx_gain_dbi
-        + scene.rx_gain_dbi
-        + 20.0 * math.log10(scene.wavelength.meters)
-        - 10.0 * math.log10(4.0 * math.pi)
-        - 20.0 * math.log10(4.0 * math.pi * scene.tx_distance())
-    )
 
 
 def _horizontal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,26 +217,12 @@ def coverage_map_points(scene: Scene, points) -> CoverageMap:
     a_obs = rel / safe_dist[:, None]
 
     wave = scene.incident_wave()
-    n = scene.plate.normal
-    shadow = coincident | ((a_obs @ n) <= 0.0)
-
-    u = np.cross(n, wave.h_dir)
-    w = np.cross(np.broadcast_to(u, a_obs.shape), a_obs)
-    js = np.sum(w * w, axis=1)
-    d = a_obs - wave.direction
-    k = scene.wavelength.k
-    x1 = 0.5 * k * scene.plate.length1 * (d @ scene.plate.edge1)
-    x2 = 0.5 * k * scene.plate.length2 * (d @ scene.plate.edge2)
-    af = sinc(x1) ** 2 * sinc(x2) ** 2
-    smax = 4.0 * math.pi * scene.plate.length1**2 * scene.plate.length2**2 / scene.wavelength.meters**2
-    sigma = smax * js * af
-
-    const = _link_const_db(scene)
-    with np.errstate(divide="ignore"):
-        power = const + 10.0 * np.log10(sigma) - 20.0 * np.log10(safe_dist)
-    sigma = np.where(shadow, np.nan, sigma)
+    shadow = coincident | ((a_obs @ scene.plate.normal) <= 0.0)
+    sig = sigma(scene.plate, wave.direction, wave.h_dir, a_obs, scene.wavelength)
+    power = received_dbm(scene.link_scenario(safe_dist), sig)
+    sig = np.where(shadow, np.nan, sig)
     power = np.where(shadow, np.nan, power)
-    return CoverageMap(pts, sigma, power, shadow, (pts.shape[0], 1))
+    return CoverageMap(pts, sig, power, shadow, (pts.shape[0], 1))
 
 
 def coverage_map(scene: Scene, region: TargetRegion) -> CoverageMap:
@@ -270,20 +256,13 @@ def _objective_values(
         raise ValueError("region contains the plate position")
     a_obs = rel / dist[:, None]
 
-    u = np.cross(normals, wave.h_dir)
-    w = np.cross(u[:, None, :], a_obs[None, :, :])
-    js = np.sum(w * w, axis=2)
+    js = f_js(normals[:, None, :], wave.h_dir, a_obs)
     d = a_obs - a_inc
     k = scene.wavelength.k
     x1 = 0.5 * k * scene.plate.length1 * (edge1s @ d.T)
     x2 = 0.5 * k * scene.plate.length2 * (edge2s @ d.T)
     af = sinc(x1) ** 2 * sinc(x2) ** 2
-    smax = 4.0 * math.pi * scene.plate.length1**2 * scene.plate.length2**2 / scene.wavelength.meters**2
-    sigma = smax * js * af
-
-    const = _link_const_db(scene)
-    with np.errstate(divide="ignore"):
-        power = const + 10.0 * np.log10(sigma) - 20.0 * np.log10(dist)[None, :]
+    power = received_dbm(scene.link_scenario(dist), sigma_max(scene.plate, scene.wavelength) * js * af)
 
     shadow = (normals @ a_obs.T) <= 0.0
     faces_tx = (normals @ a_inc) < 0.0
@@ -344,11 +323,14 @@ def optimize_orientation(
 ) -> OrientationResult:
     """Coarse-to-fine grid search over the plate normal's tilt angles.
 
-    Starts from a global 5-degree grid, then refines around the incumbent
-    with steps of 1, 0.2, and 0.04 degrees (factor 5 per level), keeping
-    the incumbent at every level so the objective never decreases.  Beyond
-    the scheduled levels, refinement continues only while a level still
-    improves the objective by at least 0.01 dB.
+    Starts from a global 5-degree grid plus the scene's own normal, then
+    refines around the incumbent with steps of 1, 0.2, and 0.04 degrees
+    (factor 5 per level), keeping the incumbent at every level so the
+    objective never decreases.  Beyond the scheduled levels, refinement
+    continues only while a level still improves the objective by at least
+    0.01 dB.  If the result still scores below the scene's own frame (whose
+    edges need not follow the horizontal-edge convention), that frame is
+    returned instead.
     """
     points = region.points()
     if objective not in OBJECTIVES:
@@ -361,7 +343,11 @@ def optimize_orientation(
     cand_z, cand_a = zz.ravel(), aa.ravel()
     # Poles: azimuth is degenerate, keep a single representative.
     keep = ~(((cand_z == 0.0) | (cand_z == 180.0)) & (cand_a != 0.0))
-    cand_z, cand_a = cand_z[keep], cand_a[keep]
+    n0 = scene.plate.normal
+    own_z = math.degrees(math.acos(min(1.0, max(-1.0, float(n0[2])))))
+    own_a = math.degrees(math.atan2(float(n0[1]), float(n0[0]))) % 360.0
+    cand_z = np.append(cand_z[keep], own_z)
+    cand_a = np.append(cand_a[keep], own_a)
 
     values = _evaluate_angle_grid(scene, points, cand_z, cand_a, objective)
     best = int(np.argmax(values))
@@ -385,5 +371,9 @@ def optimize_orientation(
         if level >= SCHEDULED_REFINE_LEVELS and improvement < MIN_IMPROVEMENT_DB:
             break
 
+    own_v = orientation_objective(scene, region, objective)
+    if own_v > best_v:
+        p = scene.plate
+        return OrientationResult(p.normal, p.edge1, p.edge2, own_z, own_a, objective, own_v, evaluations + 1)
     n, e1, e2 = orientation_from_angles(math.radians(best_z), math.radians(best_a))
-    return OrientationResult(n, e1, e2, best_z, best_a, objective, best_v, evaluations)
+    return OrientationResult(n, e1, e2, best_z, best_a, objective, best_v, evaluations + 1)

@@ -131,13 +131,22 @@ class RcsBreakdown:
         return dbsm(self.sigma_m2)
 
 
-def dbsm(sigma_m2: float) -> float:
-    """RCS in decibels relative to one square meter; 0 maps to -inf."""
-    if sigma_m2 < 0.0:
-        raise ValueError(f"RCS cannot be negative: {sigma_m2}")
-    if sigma_m2 == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(sigma_m2)
+def _scalar_or_array(out):
+    """Plain float for a 0-d result, so scalar inputs give scalar outputs."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def dbsm(sigma_m2):
+    """RCS in decibels relative to one square meter; 0 maps to -inf.
+
+    Accepts scalars or arrays; any negative value is rejected.
+    """
+    arr = np.asarray(sigma_m2, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError(f"RCS cannot be negative: {arr[arr < 0.0].flat[0]}")
+    with np.errstate(divide="ignore"):
+        out = 10.0 * np.log10(arr)
+    return _scalar_or_array(out)
 
 
 def sinc(x):
@@ -151,9 +160,7 @@ def sinc(x):
     small = np.abs(arr) < 1e-6
     safe = np.where(small, 1.0, arr)
     out = np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def sigma_max(plate: PlateGeometry, wl: Wavelength) -> float:
@@ -169,9 +176,7 @@ def f_js(normal, h_dir, a_obs):
     u = np.cross(np.asarray(normal, dtype=float), np.asarray(h_dir, dtype=float))
     w = np.cross(u, np.asarray(a_obs, dtype=float))
     out = np.sum(w * w, axis=-1)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
@@ -183,9 +188,16 @@ def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
     x1 = 0.5 * wl.k * plate.length1 * np.sum(d * plate.edge1, axis=-1)
     x2 = 0.5 * wl.k * plate.length2 * np.sum(d * plate.edge2, axis=-1)
     out = sinc(x1) ** 2 * sinc(x2) ** 2
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
+
+
+def sigma(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength):
+    """Closed-form RCS sigma_max * f_js * f_af in m^2.
+
+    Broadcasts over a trailing (..., 3) stack of observation directions.
+    Inputs are not checked; rcs() is the checked single-point query.
+    """
+    return sigma_max(plate, wl) * f_js(plate.normal, h_dir, a_obs) * f_af(plate, a_inc, a_obs, wl)
 
 
 def rcs(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength) -> RcsBreakdown:
@@ -281,9 +293,7 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     x1 = 0.5 * wl.k * length1 * (sr * np.cos(phi_r) + st * np.cos(phi_t))
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) + st * np.sin(phi_t))
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
@@ -303,9 +313,7 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
@@ -320,9 +328,7 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
@@ -342,9 +348,7 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
@@ -362,6 +366,4 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)

@@ -1,11 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from platekit import ExperimentConfig, MeasurementSeries, save_series, theoretical_curve
-from platekit.cli import main
+from platekit import (
+    ExperimentConfig,
+    MeasurementSeries,
+    orientation_objective,
+    save_series,
+    theoretical_curve,
+)
+from platekit.cli import load_scene_config, main
 
 RCS_BASE = [
     "rcs",
@@ -168,6 +175,64 @@ def test_sweep_deterministic(capsys):
     assert out1 == out2
 
 
+SWEEP_BASE = [
+    "sweep", "--xy-plane", "--l1-wl", "5", "--l2-wl", "5", "--freq-hz", "3e9",
+    "--theta-t-deg", "45", "--pol-deg", "90",
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta-r-stop", "inf"], "must be finite"),
+        (["--theta-r-start", "nan"], "must be finite"),
+        (["--theta-r-step", "inf"], "must be finite"),
+        (["--theta-r-stop", "95"], f"zenith angle out of range [0, pi/2]: {math.radians(95.0)}"),
+        # the first point past 90 degrees is reported, as a per-point check would
+        (["--theta-r-stop", "95", "--theta-r-step", "1"], f"[0, pi/2]: {math.radians(91.0)}"),
+        (["--theta-r-start", "-1", "--theta-r-step", "1"], f"[0, pi/2]: {math.radians(-1.0)}"),
+        (["--phi-r-deg", "360"], "azimuth angle out of range"),
+    ],
+)
+def test_sweep_rejects_bad_range(capsys, flags, message):
+    code, out, err = run(capsys, SWEEP_BASE + flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "sweep_golden"
+GOLDEN_XY = [
+    "--xy-plane", "--freq-hz", "3e9", "--l1-wl", "5", "--l2-wl", "3.5",
+    "--theta-t-deg", "30", "--pol-deg", "90",
+    "--theta-r-start", "0", "--theta-r-stop", "90", "--theta-r-step", "0.0625",
+]
+GOLDEN_EULER = [
+    "--euler-deg", "20", "35", "-10", "--freq-hz", "2.4e9", "--l1-wl", "4.5", "--l2-wl", "7",
+    "--theta-t-deg", "50", "--phi-t-deg", "250", "--pol-deg", "30", "--phi-r-deg", "75",
+    "--theta-r-start", "10.5", "--theta-r-stop", "80.5", "--theta-r-step", "0.07",
+]
+GOLDEN_SWEEPS = {
+    "xy": GOLDEN_XY,
+    "xy_link": GOLDEN_XY + [
+        "--p-t-dbm", "0", "--amp-db", "38.861", "--g-t-dbi", "16", "--g-r-dbi", "16",
+        "--d-t-m", "8", "--d-r-m", "8",
+    ],
+    "euler": GOLDEN_EULER,
+    "euler_link": GOLDEN_EULER + [
+        "--p-t-dbm", "5", "--g-t-dbi", "12.5", "--g-r-dbi", "9", "--d-t-m", "3.5", "--d-r-m", "11",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_matches_golden(capsys, tmp_path, name):
+    """Sweep CSVs are byte-identical to those written by the per-row scalar loop."""
+    out_path = tmp_path / f"{name}.csv"
+    code, _, _ = run(capsys, ["sweep", *GOLDEN_SWEEPS[name], "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
 def test_validate_pass_and_fail(capsys):
     code, out, _ = run(capsys, ["validate", "--trials", "20", "--seed", "1"])
     assert code == 0
@@ -320,6 +385,84 @@ def test_config_missing_file_is_io_error(capsys, tmp_path):
     assert code == 4
 
 
+def test_config_rejects_non_finite_numbers(capsys, tmp_path):
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["tx_position_m"] = [float("nan"), -8.0, 0.0]
+    path = write_config(tmp_path, cfg)
+    code, out, err = run(capsys, ["coverage", str(path), "--out-csv", str(tmp_path / "c.csv")])
+    assert code == 2 and out == "" and "non-finite number NaN" in err
+    assert not (tmp_path / "c.csv").exists()
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["region"]["corner_m"][0] = float("inf")
+    code, _, err = run(capsys, ["optimize", str(write_config(tmp_path, cfg))])
+    assert code == 2 and "non-finite number Infinity" in err
+    path.write_text(json.dumps(SCENE_CONFIG).replace("38.861", "1e999"))
+    code, _, err = run(capsys, ["coverage", str(path), "--out-csv", str(tmp_path / "c.csv")])
+    assert code == 2 and "non-finite number 1e999" in err
+
+
+@pytest.mark.parametrize("count", [2.7, 3.0, True, "3"])
+def test_config_rejects_non_integer_counts(capsys, tmp_path, count):
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["region"]["nu"] = count
+    path = write_config(tmp_path, cfg)
+    code, out, err = run(capsys, ["coverage", str(path), "--out-csv", str(tmp_path / "c.csv")])
+    assert code == 2 and out == ""
+    assert f"nu must be an integer, got {count!r}" in err
+
+
+# Scenes drawn by the benchmark's optimize workload (seed 1, jobs 26 and 37)
+# on which the search used to end below the starting orientation.
+OPTIMIZE_REGRESSION_SCENES = [
+    {
+        "frequency_hz": 3593525584.0, "tx_position_m": [1.663, -6.603, 3.979],
+        "plate_position_m": [0.0, 0.0, 3.554],
+        "plate": {
+            "length1_m": 0.2118, "length2_m": 0.7653,
+            "normal": [-0.3262634559783436, -0.9392070481228628, -0.10696858440404793],
+            "edge1": [-0.9446269387455389, 0.3281462274600027, 0.0],
+        },
+        "polarization_deg": 149.77, "tx_power_dbm": 4.273, "amp_gain_db": 37.415,
+        "tx_gain_dbi": 15.584, "rx_gain_dbi": 6.986,
+        "region": {
+            "corner_m": [-8.127, -8.943, 1.154], "edge_u_m": [3.168, 4.312, 0.0],
+            "edge_v_m": [-2.637, 1.938, 0.0], "nu": 14, "nv": 14,
+        },
+        "objective": "max-min-dbm",
+    },
+    {
+        "frequency_hz": 5385680468.0, "tx_position_m": [3.101, 11.381, 0.465],
+        "plate_position_m": [0.0, 0.0, 3.02],
+        "plate": {
+            "length1_m": 0.2977, "length2_m": 0.379,
+            "normal": [-0.37857394394795163, 0.8900816973928957, -0.2538431423731494],
+            "edge1": [0.9202232439181707, 0.3913938953953154, -0.0],
+        },
+        "polarization_deg": 85.899, "tx_power_dbm": -7.012, "amp_gain_db": 33.399,
+        "tx_gain_dbi": 14.518, "rx_gain_dbi": 11.966,
+        "region": {
+            "corner_m": [-4.196, 3.344, 1.118], "edge_u_m": [-3.827, 5.823, 0.0],
+            "edge_v_m": [-4.781, -3.142, 0.0], "nu": 14, "nv": 14,
+        },
+        "objective": "max-min-dbm",
+    },
+]
+
+
+@pytest.mark.parametrize("index", range(len(OPTIMIZE_REGRESSION_SCENES)))
+def test_optimize_never_reports_below_initial(capsys, tmp_path, index):
+    path = write_config(tmp_path, OPTIMIZE_REGRESSION_SCENES[index])
+    out_json = tmp_path / "best.json"
+    code, _, _ = run(capsys, ["optimize", str(path), "--out-json", str(out_json)])
+    assert code == 0
+    payload = json.loads(out_json.read_text())
+    assert payload["best_objective_dbm"] >= payload["initial_objective_dbm"]
+    scene, region, objective = load_scene_config(str(path))
+    frame = [np.array(payload[k]) for k in ("normal", "edge1", "edge2")]
+    value = orientation_objective(scene.with_orientation(*frame), region, objective)
+    assert value == pytest.approx(payload["best_objective_dbm"], abs=1e-9)
+
+
 def test_optimize_single_target(capsys, tmp_path):
     cfg = dict(SCENE_CONFIG)
     cfg["region"] = {
@@ -405,12 +548,3 @@ def test_compare_missing_file(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
-
-def test_thread_cap_env_validation(capsys, tmp_path, monkeypatch):
-    path = write_config(tmp_path, SCENE_CONFIG)
-    monkeypatch.setenv("PLATEKIT_THREADS", "not-a-number")
-    code, _, err = run(capsys, ["coverage", str(path), "--out-csv", str(tmp_path / "c.csv")])
-    assert code == 2 and "PLATEKIT_THREADS" in err
-    monkeypatch.setenv("PLATEKIT_THREADS", "2")
-    code, _, _ = run(capsys, ["coverage", str(path), "--out-csv", str(tmp_path / "c.csv")])
-    assert code == 0

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import deg
-from platekit import LinkScenario, Wavelength, power_sweep, received_power, rcs_perpendicular_cut
+from platekit import (
+    LinkScenario,
+    Wavelength,
+    power_sweep,
+    received_dbm,
+    received_power,
+    rcs_perpendicular_cut,
+)
 from platekit.link import db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm
 
 
@@ -27,6 +34,32 @@ def test_zero_rcs_is_no_signal():
     assert received_power(s, 0.0) == float("-inf")
     with pytest.raises(ValueError):
         received_power(s, -1.0)
+
+
+def test_received_dbm_matches_scalar():
+    s = table_scenario()
+    sigmas = np.concatenate([[0.0], np.geomspace(1e-9, 1e4, 999)])
+    power = received_dbm(s, sigmas)
+    assert power.shape == sigmas.shape
+    assert power[0] == float("-inf") and received_power(s, 0.0) == float("-inf")
+    scalar = np.array([received_power(s, x) for x in sigmas])
+    assert np.all(np.abs(power[1:] - scalar[1:]) <= 1e-12)
+    # the radar equation written out term by term with math.log10
+    reference = [
+        38.861 + 16.0 + 16.0 + 10 * math.log10(x) + 20 * math.log10(s.wavelength.meters)
+        - 10 * math.log10(4 * math.pi) - 20 * math.log10(4 * math.pi * 64.0)
+        for x in sigmas[1:]
+    ]
+    assert np.all(np.abs(power[1:] - reference) <= 1e-12)
+    with pytest.raises(ValueError):
+        received_dbm(s, np.array([1.0, -1e-30, 2.0]))
+    # per-receiver distances broadcast with the RCS values
+    dists = np.array([2.0, 8.0, 30.0])
+    per_rx = received_dbm(table_scenario(rx_distance_m=dists), np.array([0.5, 2.0, 0.0]))
+    for d, x, p in zip(dists, [0.5, 2.0, 0.0], per_rx):
+        assert p == pytest.approx(received_power(table_scenario(rx_distance_m=d), x), abs=1e-12)
+    with pytest.raises(ValueError):
+        table_scenario(rx_distance_m=np.array([1.0, 0.0]))
 
 
 def test_distance_doubling():

@@ -19,6 +19,7 @@ from platekit import (
     rcs_perpendicular,
     rcs_perpendicular_cut,
     rcs_xy_plate,
+    sigma,
     sigma_max,
     sinc,
     specular_direction,
@@ -117,6 +118,33 @@ def test_rcs_factorization_and_flag(wl_3ghz, plate_5wl):
         assert b.front_side_valid == (
             float(np.dot(plate_5wl.normal, a_inc)) < 0 < float(np.dot(plate_5wl.normal, a_obs))
         )
+
+
+def test_sigma_stack_matches_scalar_rcs(wl_3ghz):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        r = random_rotation(rng)
+        plate = PlateGeometry(
+            rng.uniform(0.5, 10.0) * wl_3ghz.meters, rng.uniform(0.5, 10.0) * wl_3ghz.meters,
+            r @ EZ, r @ EX, r @ EY,
+        )
+        a_inc = random_unit(rng)
+        h = np.cross(a_inc, random_unit(rng))
+        h /= np.linalg.norm(h)
+        a_obs = rng.normal(size=(200, 3))
+        a_obs /= np.linalg.norm(a_obs, axis=1, keepdims=True)
+        a_obs[0] = a_inc - 2.0 * float(np.dot(plate.normal, a_inc)) * plate.normal
+        stacked = sigma(plate, a_inc, h, a_obs, wl_3ghz)
+        scalar = [rcs(plate, a_inc, h, o, wl_3ghz).sigma_m2 for o in a_obs]
+        assert stacked.shape == (200,)
+        assert rel_close(stacked, scalar, 1e-14)
+    # h along x on an x-y plate: f_js vanishes exactly toward +y
+    plate = PlateGeometry.xy_plane(0.5, 0.3)
+    a_obs = np.array([EY, EZ, -EY])
+    stacked = sigma(plate, -EZ, EX, a_obs, wl_3ghz)
+    scalar = [rcs(plate, -EZ, EX, o, wl_3ghz).sigma_m2 for o in a_obs]
+    assert stacked[0] == scalar[0] == 0.0 and stacked[2] == scalar[2] == 0.0
+    assert rel_close(stacked, scalar, 1e-14)
 
 
 def test_rcs_rejects_nonorthogonal_h(wl_3ghz, plate_5wl):
