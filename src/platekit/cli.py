@@ -9,6 +9,7 @@ input error, 3 validation failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -24,6 +25,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+
+# Rows formatted and written per chunk of a CSV table; bounds the text held at once.
+_CHUNK_ROWS = 4096
+# Largest sweep grid; about 11x the rows of a 0.001-degree step over 0..90 degrees.
+_MAX_SWEEP_ROWS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -58,6 +64,31 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
+def _write_table(path: str | None, header: str, columns: list, shadow=None) -> None:
+    """Write equal-length numeric columns as CSV to ``path`` (stdout if None).
+
+    Integer columns print as %d and the others as _fmt does.  Where the
+    boolean ``shadow`` array is set, the last column reads ``shadow``.  Rows
+    are formatted and written _CHUNK_ROWS at a time.
+    """
+    columns = [np.asarray(c) for c in columns]
+    # "%.9g" % x gives the bytes of _fmt(x); "%.0s" consumes a value and prints nothing.
+    fields = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.9g" for c in columns]
+    row = ",".join(fields) + "\n"
+    shadow_row = ",".join(fields[:-1] + ["shadow%.0s"]) + "\n"
+    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    with out as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
+            if shadow is None:
+                template = row * len(chunk)
+            else:
+                marks = shadow[start : start + _CHUNK_ROWS]
+                template = "".join(np.where(marks, shadow_row, row).tolist())
+            fh.write(template % tuple(chunk.ravel().tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Shared flag groups
 
@@ -86,16 +117,28 @@ def _add_plate_wave_flags(p: argparse.ArgumentParser, observation: bool = True) 
     p.add_argument("--phi-r-deg", type=float, default=90.0, help="observation azimuth (default 90)")
 
 
+def _check_finite(args, flags: tuple[str, ...], positive: bool = False) -> None:
+    """Reject given flags that are non-finite (or, with ``positive``, not above zero)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not (math.isfinite(value) and (value > 0.0 or not positive)):
+            rule = "positive and finite" if positive else "finite"
+            raise ValueError(f"--{flag.replace('_', '-')} must be {rule}, got {value}")
+
+
 def _plate_from_args(args, wl: Wavelength) -> PlateGeometry:
     if (args.l1_wl is None) == (args.l1_m is None):
         raise ValueError("specify exactly one of --l1-wl and --l1-m")
     if (args.l2_wl is None) == (args.l2_m is None):
         raise ValueError("specify exactly one of --l2-wl and --l2-m")
+    _check_finite(args, ("l1_wl", "l2_wl", "l1_m", "l2_m"), positive=True)
     l1 = args.l1_m if args.l1_m is not None else args.l1_wl * wl.meters
     l2 = args.l2_m if args.l2_m is not None else args.l2_wl * wl.meters
     if args.xy_plane and args.euler_deg is not None:
         raise ValueError("--xy-plane conflicts with --euler-deg")
     if args.euler_deg is not None:
+        if not all(math.isfinite(v) for v in args.euler_deg):
+            raise ValueError(f"--euler-deg angles must be finite, got {args.euler_deg}")
         a, b, g = (math.radians(v) for v in args.euler_deg)
         return PlateGeometry.from_euler_zyz(l1, l2, a, b, g)
     return PlateGeometry.xy_plane(l1, l2)
@@ -168,6 +211,8 @@ def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     if stop < start:
         raise ValueError("--theta-r-stop must not be below --theta-r-start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if n > _MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep grid has {n} rows, more than {_MAX_SWEEP_ROWS}; increase --theta-r-step")
     return start + step * np.arange(n)
 
 
@@ -198,10 +243,7 @@ def _cmd_sweep(args) -> int:
         _, power = link.power_sweep(scenario, grid, sigmas)
         header += ",p_r_dbm"
         columns.append(power)
-    rows = [header]
-    for i in range(len(grid)):
-        rows.append(",".join(_fmt(col[i]) for col in columns))
-    _write_text(args.out, "\n".join(rows) + "\n")
+    _write_table(args.out, header, columns)
 
     if args.svg is not None:
         series = [dbsm_vals]
@@ -360,15 +402,16 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
 
 
 def _cmd_coverage(args) -> int:
+    _check_finite(args, ("db_min", "db_max"))
     scene, region, _ = load_scene_config(args.config)
     cov = planner.coverage_map(scene, region)
-    rows = ["index_u,index_v,x_m,y_m,z_m,p_r_dbm"]
-    for idx in range(cov.points.shape[0]):
-        iu, iv = divmod(idx, region.nv)
-        x, y, z = cov.points[idx]
-        power = "shadow" if cov.shadow[idx] else _fmt(cov.power_dbm[idx])
-        rows.append(f"{iu},{iv},{_fmt(x)},{_fmt(y)},{_fmt(z)},{power}")
-    _write_text(args.out_csv, "\n".join(rows) + "\n")
+    iu, iv = np.indices(cov.shape).reshape(2, -1)
+    _write_table(
+        args.out_csv,
+        "index_u,index_v,x_m,y_m,z_m,p_r_dbm",
+        [iu, iv, *cov.points.T, cov.power_dbm],
+        shadow=cov.shadow,
+    )
     if args.out_svg is not None:
         svg = svgplot.heatmap(
             cov.power_grid(),

@@ -44,7 +44,8 @@ def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndar
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > tol:
+    # Written so that a NaN norm fails too.
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= tol:
         raise ValueError(f"{name} is not unit length: |v| = {np.linalg.norm(v)!r}")
     return v
 

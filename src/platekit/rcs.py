@@ -38,8 +38,8 @@ class Wavelength:
     meters: float
 
     def __post_init__(self):
-        if not self.meters > 0.0:
-            raise ValueError(f"wavelength must be positive: {self.meters}")
+        if not 0.0 < self.meters < math.inf:
+            raise ValueError(f"wavelength must be positive and finite: {self.meters}")
 
     @property
     def k(self) -> float:
@@ -48,8 +48,8 @@ class Wavelength:
 
     @classmethod
     def from_frequency(cls, hz: float) -> "Wavelength":
-        if not hz > 0.0:
-            raise ValueError(f"frequency must be positive: {hz}")
+        if not 0.0 < hz < math.inf:
+            raise ValueError(f"frequency must be positive and finite: {hz}")
         return cls(SPEED_OF_LIGHT_M_S / hz)
 
 
@@ -68,8 +68,10 @@ class PlateGeometry:
     edge2: np.ndarray
 
     def __post_init__(self):
-        if not (self.length1 > 0.0 and self.length2 > 0.0):
-            raise ValueError("plate edge lengths must be positive")
+        if not (0.0 < self.length1 < math.inf and 0.0 < self.length2 < math.inf):
+            raise ValueError(
+                f"plate edge lengths must be positive and finite, got {self.length1} and {self.length2}"
+            )
         n = check_unit(self.normal, "normal")
         e1 = check_unit(self.edge1, "edge1")
         e2 = check_unit(self.edge2, "edge2")

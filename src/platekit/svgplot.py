@@ -14,6 +14,7 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 36, 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 SHADOW_COLOR = "#9e9e9e"
+_SHADOW_CODE = int(SHADOW_COLOR[1:], 16)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -40,6 +41,12 @@ def _finite_range(values) -> tuple[float, float]:
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
+
+
+def _fmt_each(fmt: str, values) -> list[str]:
+    """``fmt % v`` for every value, formatted in one call."""
+    values = np.asarray(values).ravel().tolist()
+    return ("\0".join([fmt] * len(values)) % tuple(values)).split("\0")
 
 
 def line_plot(
@@ -103,20 +110,19 @@ def line_plot(
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{ylabel}</text>'
     )
+    px = _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * px_w
     for idx, y in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        run: list[str] = []
-        for xi, yi in zip(x, y):
-            if math.isfinite(yi):
-                run.append(f"{sx(xi):.2f},{sy(yi):.2f}")
-            elif run:
-                parts.append(
-                    f'<polyline points="{" ".join(run)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-                )
-                run = []
-        if run:
+        y = y[: len(x)]
+        py = _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * px_h
+        # Each maximal run of finite y is one polyline.
+        finite = np.concatenate(([0], np.isfinite(y), [0])).astype(np.int8)
+        bounds = np.flatnonzero(np.diff(finite)).tolist()
+        for start, stop in zip(bounds[::2], bounds[1::2]):
+            xy = np.column_stack([px[start:stop], py[start:stop]])
+            points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
             parts.append(
-                f'<polyline points="{" ".join(run)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
         if idx < len(labels) and labels[idx]:
             ly = _MARGIN_T + 14 + 16 * idx
@@ -129,13 +135,36 @@ def line_plot(
     return "\n".join(parts)
 
 
-def _heat_color(frac: float) -> str:
-    """Linear blue-to-red scale; frac clipped to [0, 1]."""
-    frac = min(1.0, max(0.0, frac))
-    r = int(round(40 + 215 * frac))
-    g = int(round(60 + 40 * (1 - abs(2 * frac - 1))))
-    b = int(round(255 - 215 * frac))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _heat_codes(frac) -> np.ndarray:
+    """Linear blue-to-red scale as 0xRRGGBB codes; frac clipped to [0, 1], NaN to 0."""
+    frac = np.where(frac > 0.0, frac, 0.0)
+    frac = np.where(frac < 1.0, frac, 1.0)
+    # np.rint rounds half to even, as Python's round does.
+    r = np.rint(40 + 215 * frac).astype(np.int64)
+    g = np.rint(60 + 40 * (1 - np.abs(2 * frac - 1))).astype(np.int64)
+    b = np.rint(255 - 215 * frac).astype(np.int64)
+    return (r << 16) | (g << 8) | b
+
+
+def _color_names(codes) -> np.ndarray:
+    """'#rrggbb' for every code (object array, flattened), each distinct code formatted once."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    names = np.array(_fmt_each("#%06x", distinct), dtype=object)
+    return names[inverse.ravel()]
+
+
+def _rect_grid(xs: list[str], ys: list[str], width: str, height: str, fills: np.ndarray) -> str:
+    """One <rect> per grid cell, row-major, joined by newlines.
+
+    ``xs`` holds each column's x and ``ys`` each row's y, both formatted;
+    ``fills`` holds the colour of every cell, row-major.
+    """
+    cell = f'<rect x="%s" y="%%s" width="{width}" height="{height}" fill="%%s"/>'
+    row = "\n".join([cell] * len(xs)) % tuple(xs)
+    args = np.empty((len(ys), len(xs), 2), dtype=object)
+    args[:, :, 0] = np.array(ys, dtype=object)[:, None]
+    args[:, :, 1] = fills.reshape(len(ys), len(xs))
+    return "\n".join([row] * len(ys)) % tuple(args.ravel().tolist())
 
 
 def heatmap(
@@ -158,6 +187,8 @@ def heatmap(
         lo = vmin
     if vmax is not None:
         hi = vmax
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"heatmap colour bounds must be finite, got {lo} and {hi}")
     if hi <= lo:
         hi = lo + 1.0
 
@@ -170,23 +201,29 @@ def heatmap(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    for i in range(nu):
-        for j in range(nv):
-            x0 = _MARGIN_L + j * cw
-            y0 = _MARGIN_T + i * ch
-            if shadow[i, j] or not math.isfinite(grid[i, j]):
-                color = SHADOW_COLOR
-            else:
-                color = _heat_color((grid[i, j] - lo) / (hi - lo))
-            parts.append(
-                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>'
-            )
-    bar_y = _HEIGHT - _MARGIN_B + 16
-    for s in range(101):
-        parts.append(
-            f'<rect x="{_MARGIN_L + s * px_w / 101:.2f}" y="{bar_y}" '
-            f'width="{px_w / 101 + 0.5:.2f}" height="10" fill="{_heat_color(s / 100)}"/>'
+    # Non-finite cells are masked before the colour scale's integer cast.
+    blank = shadow | ~np.isfinite(grid)
+    codes = np.where(blank, _SHADOW_CODE, _heat_codes((np.where(blank, lo, grid) - lo) / (hi - lo)))
+    parts.append(
+        _rect_grid(
+            _fmt_each("%.2f", _MARGIN_L + np.arange(nv) * cw),
+            _fmt_each("%.2f", _MARGIN_T + np.arange(nu) * ch),
+            f"{cw:.2f}",
+            f"{ch:.2f}",
+            _color_names(codes),
         )
+    )
+    bar_y = _HEIGHT - _MARGIN_B + 16
+    steps = np.arange(101)
+    parts.append(
+        _rect_grid(
+            _fmt_each("%.2f", _MARGIN_L + steps * px_w / 101),
+            [str(bar_y)],
+            f"{px_w / 101 + 0.5:.2f}",
+            "10",
+            _color_names(_heat_codes(steps / 100)),
+        )
+    )
     parts.append(
         f'<text x="{_MARGIN_L}" y="{bar_y + 24}" font-size="11" text-anchor="start">{lo:.2f}</text>'
     )

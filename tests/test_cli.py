@@ -12,6 +12,7 @@ from platekit import (
     save_series,
     theoretical_curve,
 )
+from platekit import cli
 from platekit.cli import load_scene_config, main
 
 RCS_BASE = [
@@ -233,6 +234,56 @@ def test_sweep_matches_golden(capsys, tmp_path, name):
     assert out_path.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+def test_sweep_rejects_oversized_grid(capsys):
+    # 90 / 9e-5 degrees is one row past the cap; 1e-12 would need a 655 TiB grid
+    for step in (repr(90.0 / 1e6), "1e-12"):
+        code, out, err = run(capsys, SWEEP_BASE + ["--theta-r-step", step])
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep grid has") and "more than 1000000" in err
+
+
+LINK_FLAGS = {
+    "--p-t-dbm": "0", "--amp-db": "38.861", "--g-t-dbi": "16", "--g-r-dbi": "16",
+    "--d-t-m": "8", "--d-r-m": "8",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(LINK_FLAGS))
+def test_sweep_rejects_non_finite_link_flags(capsys, flag, value):
+    link_args = [f"{k}={v}" for k, v in {**LINK_FLAGS, flag: value}.items()]
+    code, out, err = run(capsys, SWEEP_BASE + link_args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: link ") and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["rcs", "sweep"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ({"--l1-wl": "inf"}, "--l1-wl must be positive and finite, got inf"),
+        ({"--l2-wl": "nan"}, "--l2-wl must be positive and finite, got nan"),
+        ({"--l2-wl": "0"}, "--l2-wl must be positive and finite, got 0.0"),
+        ({"--l1-wl": "-2"}, "--l1-wl must be positive and finite, got -2.0"),
+        ({"--l1-wl": None, "--l1-m": "1e999"}, "--l1-m must be positive and finite, got inf"),
+        ({"--xy-plane": None, "--euler-deg": "0 nan 0"}, "--euler-deg angles must be finite"),
+        ({"--freq-hz": "1e-320"}, "wavelength must be positive and finite"),
+    ],
+)
+def test_plate_flags_reject_non_finite(capsys, command, flags, message):
+    base = {"--xy-plane": "", "--l1-wl": "5", "--l2-wl": "5", "--freq-hz": "3e9",
+            "--theta-t-deg": "45", "--pol-deg": "90"}
+    if command == "rcs":
+        base["--theta-r-deg"] = "45"
+    argv = [command]
+    for flag, value in {**base, **flags}.items():
+        if value is not None:
+            argv += [flag, *value.split()]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_validate_pass_and_fail(capsys):
     code, out, _ = run(capsys, ["validate", "--trials", "20", "--seed", "1"])
     assert code == 0
@@ -342,6 +393,46 @@ def test_coverage_all_backside(capsys, tmp_path):
     assert code == 0
     rows = out_csv.read_text().strip().splitlines()[1:]
     assert all(r.endswith("shadow") for r in rows)
+
+
+COVERAGE_GOLDEN_DIR = Path(__file__).parent / "data" / "coverage_golden"
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_coverage_matches_golden(capsys, tmp_path, monkeypatch, chunk_rows):
+    """Coverage CSV and SVG are byte-identical to those of the per-cell writers.
+
+    The shadow scene has shadow cells and colour-scale clipping; a 7-row
+    chunk puts chunk boundaries inside runs of shadow and lit rows.
+    """
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    out_csv, out_svg = tmp_path / "shadow.csv", tmp_path / "shadow.svg"
+    code, out, _ = run(capsys, [
+        "coverage", str(COVERAGE_GOLDEN_DIR / "shadow_scene.json"), "--out-csv", str(out_csv),
+        "--out-svg", str(out_svg), "--db-min", "-60", "--db-max", "-25",
+    ])
+    assert (code, out) == (0, "cells=357 shadow_cells=105\n")
+    assert out_csv.read_bytes() == (COVERAGE_GOLDEN_DIR / "shadow.csv").read_bytes()
+    assert out_svg.read_bytes() == (COVERAGE_GOLDEN_DIR / "shadow.svg").read_bytes()
+
+    out_csv = tmp_path / "open.csv"
+    code, out, _ = run(capsys, [
+        "coverage", str(COVERAGE_GOLDEN_DIR / "open_scene.json"), "--out-csv", str(out_csv),
+    ])
+    assert (code, out) == (0, "cells=437 shadow_cells=0\n")
+    assert out_csv.read_bytes() == (COVERAGE_GOLDEN_DIR / "open.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--db-min", "--db-max"])
+def test_coverage_rejects_non_finite_color_bounds(capsys, tmp_path, flag):
+    out_csv = tmp_path / "cov.csv"
+    code, out, err = run(capsys, [
+        "coverage", str(write_config(tmp_path, SCENE_CONFIG)), "--out-csv", str(out_csv),
+        "--out-svg", str(tmp_path / "cov.svg"), flag, "nan",
+    ])
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert err.startswith(f"error: {flag} must be finite")
 
 
 def test_config_alternative_plate_orientations(capsys, tmp_path):
@@ -538,6 +629,16 @@ def test_compare_requires_pol_case(capsys, tmp_path):
     save_series(MeasurementSeries(curve[0], curve[1]), path)
     code, _, err = run(capsys, ["compare", str(path)])
     assert code == 2 and "pol-case" in err
+
+
+def test_compare_rejects_non_finite_link_flags(capsys, tmp_path):
+    grid = np.arange(0.0, 91.0, 5.0)
+    curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", grid)
+    path = tmp_path / "meas.csv"
+    save_series(MeasurementSeries(curve[0], curve[1]), path)
+    for flag in ("--p-t-dbm", "--d-r-m"):
+        code, out, err = run(capsys, ["compare", str(path), "--pol-case", "perpendicular", flag, "nan"])
+        assert code == 2 and out == "" and err.startswith("error: link ")
 
 
 def test_compare_missing_file(capsys, tmp_path):

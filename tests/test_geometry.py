@@ -145,3 +145,18 @@ def test_rotate_scene():
         rotate_scene(np.diag([1.0, 1.0, -1.0]), EX)  # reflection, not rotation
     with pytest.raises(ValueError):
         rotate_scene(2 * np.eye(3), EX)
+
+
+def test_check_unit_rejects_non_finite():
+    from platekit import PlateGeometry
+    from platekit.geometry import check_unit
+
+    nan3 = [math.nan] * 3
+    for v in (nan3, [math.inf, 0.0, 0.0], [1.0, math.nan, 0.0]):
+        with pytest.raises(ValueError, match="not unit length"):
+            check_unit(v)
+    with pytest.raises(ValueError, match="not unit length"):
+        PlateGeometry(1.0, 1.0, nan3, nan3, nan3)
+    for l1, l2 in ((math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PlateGeometry(l1, l2, EZ, EX, EY)

@@ -131,3 +131,16 @@ def test_power_sweep_grid_validation():
         power_sweep(s, [0.0, 5.0, 5.0], lambda _: 1.0)
     grid, power = power_sweep(s, [30.0], lambda _: 1.0)
     assert len(grid) == 1 and len(power) == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "amp_gain_db", "tx_distance_m", "rx_distance_m"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        table_scenario(**{field: value})
+    if field.endswith("distance_m"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            table_scenario(**{field: np.array([1.0, value])})
