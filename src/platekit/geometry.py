@@ -19,10 +19,6 @@ UNIT_NORM_TOL = 1e-12
 # (double-precision headroom after external rotations).
 FRAME_ORTHO_TOL = 1e-9
 
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
-
 
 def unit(v) -> np.ndarray:
     """Normalize a 3-vector, rejecting (near-)zero input."""
@@ -151,17 +147,23 @@ def polarization_triad(
     the arrival direction; the H direction completes the right-handed triad
     direction = e_dir x h_dir.
     """
-    if not isinstance(pol, PolarizationAngle):
-        pol = PolarizationAngle(float(pol))
     st, ct = math.sin(angles.theta), math.cos(angles.theta)
     sp, cp = math.sin(angles.phi), math.cos(angles.phi)
     a_inc = np.array([-st * cp, -st * sp, -ct])
     theta_hat = np.array([ct * cp, ct * sp, -st])
     phi_hat = np.array([-sp, cp, 0.0])
+    e_dir, h_dir = _wave_fields(a_inc, theta_hat, phi_hat, pol)
+    return e_dir, h_dir, a_inc
+
+
+def _wave_fields(a_inc, theta_hat, phi_hat, pol: PolarizationAngle | float) -> tuple[np.ndarray, np.ndarray]:
+    """(e_dir, h_dir) of a wave along ``a_inc``, E at angle ``pol`` from the
+    vertical plane; theta_hat/phi_hat are the unit vectors at -a_inc."""
+    if not isinstance(pol, PolarizationAngle):
+        pol = PolarizationAngle(float(pol))
     cv, sv = math.cos(pol.varphi), math.sin(pol.varphi)
     e_dir = -cv * theta_hat - sv * phi_hat
-    h_dir = np.cross(a_inc, e_dir)
-    return e_dir, h_dir, a_inc
+    return e_dir, np.cross(a_inc, e_dir)
 
 
 def plate_frame(normal, edge1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -47,10 +47,16 @@ class MeasurementSeries:
             raise ValueError("angle and power arrays must be 1-D and equal length")
         if self.theta_r_deg.size < 5:
             raise ValueError(f"need at least 5 records, got {self.theta_r_deg.size}")
+        if not np.all(np.isfinite(self.theta_r_deg)):
+            raise ValueError("observation angles must be finite")
         if not np.all(np.diff(self.theta_r_deg) > 0.0):
             raise ValueError("observation angles must be strictly increasing")
         if not np.all(np.isfinite(self.power_dbm)):
             raise ValueError("measured power values must be finite")
+        for key in sorted(_METADATA_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"metadata {key} must be finite, got {value}")
 
     def __len__(self) -> int:
         return int(self.theta_r_deg.size)

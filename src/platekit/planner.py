@@ -23,12 +23,11 @@ import numpy as np
 from .geometry import PolarizationAngle, unit
 from .link import LinkScenario, received_dbm
 from .po_oracle import IncidentWave
-from .rcs import PlateGeometry, Wavelength, f_js, sigma, sigma_max, sinc
+from .rcs import PlateGeometry, Wavelength, sigma
 
 OBJECTIVES = ("max-min-dbm", "max-mean-mw")
 
 _EX = np.array([1.0, 0.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
 
 # Orientation search schedule: global coarse pass, then window refinements
 # shrinking the step by REFINE_FACTOR each level.  The scheduled levels
@@ -41,6 +40,8 @@ REFINE_FACTOR = 5.0
 SCHEDULED_REFINE_LEVELS = 3
 MAX_REFINE_LEVELS = 8
 MIN_IMPROVEMENT_DB = 0.01
+# Candidate x receiver pairs evaluated at once; bounds the search's memory.
+_PAIRS_PER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,19 @@ def _horizontal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def _angle_frames(zeniths, azimuths) -> np.ndarray:
+    """(C, 3, 3) plate frames, rows edge1, edge2, normal, for normals at the
+    given zenith/azimuth angles (radians) under the horizontal-edge convention."""
+    z, a = np.asarray(zeniths, dtype=float), np.asarray(azimuths, dtype=float)
+    normals = np.stack([np.sin(z) * np.cos(a), np.sin(z) * np.sin(a), np.cos(z)], axis=1)
+    e1, e2 = _horizontal_frames(normals)
+    return np.stack([e1, e2, normals], axis=1)
+
+
 def orientation_from_angles(zenith: float, azimuth: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plate frame whose normal has the given zenith/azimuth (radians)."""
-    n = np.array(
-        [
-            math.sin(zenith) * math.cos(azimuth),
-            math.sin(zenith) * math.sin(azimuth),
-            math.cos(zenith),
-        ]
-    )
-    e1, e2 = _horizontal_frames(n[None, :])
-    return n, e1[0], e2[0]
+    e1, e2, n = _angle_frames([zenith], [azimuth])[0]
+    return n, e1, e2
 
 
 def orient_for_target(tx_position, plate_position, target_position) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,66 +235,56 @@ def coverage_map(scene: Scene, region: TargetRegion) -> CoverageMap:
     return cov
 
 
-def _objective_values(
-    scene: Scene,
-    points: np.ndarray,
-    normals: np.ndarray,
-    edge1s: np.ndarray,
-    edge2s: np.ndarray,
-    objective: str,
-) -> np.ndarray:
-    """Objective for a stack of candidate frames; -inf where invalid.
+def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, objective: str) -> np.ndarray:
+    """Objective for a (C, 3, 3) stack of candidate frames (rows edge1,
+    edge2, normal); -inf where invalid.
 
-    Vectorized over orientations x points; shadowed points are excluded,
-    orientations that shadow every point (or face away from the
-    transmitter) score -inf.
+    The incident wave and the observation directions are expressed in each
+    candidate's frame, in which the plate is PlateGeometry.xy_plane and the
+    local z component is the projection on the normal.  Shadowed points are
+    excluded; candidates that shadow every point (or face away from the
+    transmitter) score -inf.  Candidates run _PAIRS_PER_CHUNK candidate x
+    point pairs at a time.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     wave = scene.incident_wave()
-    a_inc = wave.direction
     rel = points - scene.plate_position
     dist = np.linalg.norm(rel, axis=1)
     if np.any(dist < 1e-12):
         raise ValueError("region contains the plate position")
-    a_obs = rel / dist[:, None]
+    directions = np.vstack([wave.direction, wave.h_dir, rel / dist[:, None]])
+    plate = PlateGeometry.xy_plane(scene.plate.length1, scene.plate.length2)
+    budget = scene.link_scenario(dist)
 
-    js = f_js(normals[:, None, :], wave.h_dir, a_obs)
-    d = a_obs - a_inc
-    k = scene.wavelength.k
-    x1 = 0.5 * k * scene.plate.length1 * (edge1s @ d.T)
-    x2 = 0.5 * k * scene.plate.length2 * (edge2s @ d.T)
-    af = sinc(x1) ** 2 * sinc(x2) ** 2
-    power = received_dbm(scene.link_scenario(dist), sigma_max(scene.plate, scene.wavelength) * js * af)
-
-    shadow = (normals @ a_obs.T) <= 0.0
-    faces_tx = (normals @ a_inc) < 0.0
-    if objective == "max-min-dbm":
-        masked = np.where(shadow, np.inf, power)
-        values = np.min(masked, axis=1)
-        values = np.where(values == np.inf, -np.inf, values)  # every point shadowed
-    else:
-        mw = np.where(shadow, 0.0, 10.0 ** (power / 10.0))
-        counts = np.sum(~shadow, axis=1)
-        total = np.sum(mw, axis=1)
-        values = np.full(len(normals), -np.inf)
-        ok = (counts > 0) & (total > 0.0)
-        values[ok] = 10.0 * np.log10(total[ok] / counts[ok])
-    return np.where(faces_tx, values, -np.inf)
+    values = np.empty(len(frames))
+    step = max(1, _PAIRS_PER_CHUNK // len(points))
+    for start in range(0, len(frames), step):
+        # (c, 3, N) transposed to a (c, N, 3) view: the direction axis stays
+        # contiguous, so the kernel's elementwise loops run along it (an
+        # (N, 3)-major layout loops over the length-3 axis and ran 11% slower).
+        local = (frames[start : start + step] @ directions.T).transpose(0, 2, 1)
+        a_inc, h_dir, a_obs = local[:, :1], local[:, 1:2], local[:, 2:]
+        power = received_dbm(budget, sigma(plate, a_inc, h_dir, a_obs, scene.wavelength))
+        shadow = a_obs[..., 2] <= 0.0
+        if objective == "max-min-dbm":
+            v = np.min(np.where(shadow, np.inf, power), axis=1)
+            v[v == np.inf] = -np.inf  # every point shadowed
+        else:
+            total = np.sum(np.where(shadow, 0.0, 10.0 ** (power / 10.0)), axis=1)
+            counts = np.sum(~shadow, axis=1)
+            v = np.full(len(total), -np.inf)
+            ok = (counts > 0) & (total > 0.0)
+            v[ok] = 10.0 * np.log10(total[ok] / counts[ok])
+        values[start : start + step] = np.where(a_inc[:, 0, 2] < 0.0, v, -np.inf)
+    return values
 
 
 def orientation_objective(scene: Scene, region: TargetRegion, objective: str) -> float:
     """Objective value of the scene's current plate orientation."""
-    return float(
-        _objective_values(
-            scene,
-            region.points(),
-            scene.plate.normal[None, :],
-            scene.plate.edge1[None, :],
-            scene.plate.edge2[None, :],
-            objective,
-        )[0]
-    )
+    p = scene.plate
+    frame = np.stack([p.edge1, p.edge2, p.normal])
+    return float(_objective_values(scene, region.points(), frame[None], objective)[0])
 
 
 @dataclass
@@ -311,11 +304,8 @@ class OrientationResult:
 def _evaluate_angle_grid(
     scene: Scene, points: np.ndarray, zeniths_deg: np.ndarray, azimuths_deg: np.ndarray, objective: str
 ) -> np.ndarray:
-    z = np.radians(zeniths_deg)
-    a = np.radians(azimuths_deg)
-    normals = np.stack([np.sin(z) * np.cos(a), np.sin(z) * np.sin(a), np.cos(z)], axis=1)
-    e1, e2 = _horizontal_frames(normals)
-    return _objective_values(scene, points, normals, e1, e2, objective)
+    frames = _angle_frames(np.radians(zeniths_deg), np.radians(azimuths_deg))
+    return _objective_values(scene, points, frames, objective)
 
 
 def optimize_orientation(
@@ -330,12 +320,10 @@ def optimize_orientation(
     continues only while a level still improves the objective by at least
     0.01 dB.  If the result still scores below the scene's own frame (whose
     edges need not follow the horizontal-edge convention), that frame is
-    returned instead.
+    returned instead.  Raises ValueError when every candidate scores -inf,
+    as when the whole region lies behind any plate facing the transmitter.
     """
     points = region.points()
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
     step = COARSE_STEP_DEG
     zen = np.arange(0.0, 180.0 + 0.5 * step, step)
     az = np.arange(0.0, 360.0, step)
@@ -372,6 +360,8 @@ def optimize_orientation(
             break
 
     own_v = orientation_objective(scene, region, objective)
+    if own_v == best_v == -math.inf:
+        raise ValueError("no candidate orientation lights any receiver in the region")
     if own_v > best_v:
         p = scene.plate
         return OrientationResult(p.normal, p.edge1, p.edge2, own_z, own_a, objective, own_v, evaluations + 1)

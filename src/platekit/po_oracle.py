@@ -88,12 +88,7 @@ class IncidentWave:
         construction to directions outside the front half-space.
         """
         a_inc = geometry.unit(a_inc)
-        if not isinstance(pol, geometry.PolarizationAngle):
-            pol = geometry.PolarizationAngle(float(pol))
-        theta_hat, phi_hat = geometry.spherical_unit_vectors(-a_inc)
-        cv, sv = math.cos(pol.varphi), math.sin(pol.varphi)
-        e_dir = -cv * theta_hat - sv * phi_hat
-        h_dir = np.cross(a_inc, e_dir)
+        e_dir, h_dir = geometry._wave_fields(a_inc, *geometry.spherical_unit_vectors(-a_inc), pol)
         return cls(a_inc, geometry.unit(e_dir), geometry.unit(h_dir), wavelength,
                    h_magnitude, impedance_ohm)
 

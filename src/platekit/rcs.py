@@ -161,8 +161,15 @@ def sinc(x):
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < 1e-6
     safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
+    out = np.sin(safe) / safe
+    if np.any(small):
+        out = np.where(small, 1.0 - arr * arr / 6.0, out)
     return _scalar_or_array(out)
+
+
+def _dot(u, v):
+    """Dot product over the trailing axis, summed in np.sum's order but without its overhead."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
 def sigma_max(plate: PlateGeometry, wl: Wavelength) -> float:
@@ -177,8 +184,7 @@ def f_js(normal, h_dir, a_obs):
     """
     u = np.cross(np.asarray(normal, dtype=float), np.asarray(h_dir, dtype=float))
     w = np.cross(u, np.asarray(a_obs, dtype=float))
-    out = np.sum(w * w, axis=-1)
-    return _scalar_or_array(out)
+    return _scalar_or_array(_dot(w, w))
 
 
 def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
@@ -187,8 +193,8 @@ def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
     Broadcasts over a trailing (..., 3) stack of observation directions.
     """
     d = np.asarray(a_obs, dtype=float) - np.asarray(a_inc, dtype=float)
-    x1 = 0.5 * wl.k * plate.length1 * np.sum(d * plate.edge1, axis=-1)
-    x2 = 0.5 * wl.k * plate.length2 * np.sum(d * plate.edge2, axis=-1)
+    x1 = 0.5 * wl.k * plate.length1 * _dot(d, plate.edge1)
+    x2 = 0.5 * wl.k * plate.length2 * _dot(d, plate.edge2)
     out = sinc(x1) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
 
@@ -202,6 +208,16 @@ def sigma(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength):
     return sigma_max(plate, wl) * f_js(plate.normal, h_dir, a_obs) * f_af(plate, a_inc, a_obs, wl)
 
 
+def _check_plane_wave(a_inc, h_dir, a_obs):
+    """Unit a_inc, h_dir and a_obs, with h_dir orthogonal to a_inc."""
+    a_inc = check_unit(a_inc, "a_inc")
+    a_obs = check_unit(a_obs, "a_obs")
+    h_dir = check_unit(h_dir, "h_dir")
+    if abs(float(np.dot(a_inc, h_dir))) > FRAME_ORTHO_TOL:
+        raise ValueError("h_dir is not orthogonal to a_inc (malformed plane wave)")
+    return a_inc, h_dir, a_obs
+
+
 def rcs(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength) -> RcsBreakdown:
     """Bistatic RCS of the plate for one incident wave and observer.
 
@@ -212,11 +228,7 @@ def rcs(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength) -> RcsBreakdo
         orthogonal to a_inc or the wave is not a valid plane wave.
     a_obs : direction from the plate toward the observer.
     """
-    a_inc = check_unit(a_inc, "a_inc")
-    a_obs = check_unit(a_obs, "a_obs")
-    h_dir = check_unit(h_dir, "h_dir")
-    if abs(float(np.dot(a_inc, h_dir))) > FRAME_ORTHO_TOL:
-        raise ValueError("h_dir is not orthogonal to a_inc (malformed plane wave)")
+    a_inc, h_dir, a_obs = _check_plane_wave(a_inc, h_dir, a_obs)
     smax = sigma_max(plate, wl)
     js = f_js(plate.normal, h_dir, a_obs)
     af = f_af(plate, a_inc, a_obs, wl)
@@ -244,11 +256,7 @@ def rcs_large_plate_limit(
     separation is computed from the chord length, which resolves angles far
     below the arccos granularity near zero.
     """
-    a_inc = check_unit(a_inc, "a_inc")
-    a_obs = check_unit(a_obs, "a_obs")
-    h_dir = check_unit(h_dir, "h_dir")
-    if abs(float(np.dot(a_inc, h_dir))) > FRAME_ORTHO_TOL:
-        raise ValueError("h_dir is not orthogonal to a_inc (malformed plane wave)")
+    a_inc, h_dir, a_obs = _check_plane_wave(a_inc, h_dir, a_obs)
     spec = specular_direction(plate.normal, a_inc)
     chord = float(np.linalg.norm(a_obs - spec))
     angle = 2.0 * math.asin(min(1.0, 0.5 * chord))
@@ -257,20 +265,25 @@ def rcs_large_plate_limit(
     return sigma_max(plate, wl) * f_js(plate.normal, h_dir, spec)
 
 
-def _check_angles(theta_t, phi_t=None, varphi_t=None, theta_r=None, phi_r=None):
-    for name, val, lo, hi, lo_open, hi_closed in (
-        ("theta_t", theta_t, 0.0, math.pi / 2, False, True),
-        ("phi_t", phi_t, 0.0, 2 * math.pi, False, False),
-        ("varphi_t", varphi_t, 0.0, 2 * math.pi, False, True),
-        ("theta_r", theta_r, 0.0, math.pi / 2, False, True),
-        ("phi_r", phi_r, 0.0, 2 * math.pi, False, False),
+def _check_angles(theta_t, phi_t=None, varphi_t=None, theta_r=None, phi_r=None) -> tuple:
+    """Range-check the given angles; return them as float arrays broadcast together."""
+    arrays = []
+    for name, val, hi, hi_closed in (
+        ("theta_t", theta_t, math.pi / 2, True),
+        ("phi_t", phi_t, 2 * math.pi, False),
+        ("varphi_t", varphi_t, 2 * math.pi, True),
+        ("theta_r", theta_r, math.pi / 2, True),
+        ("phi_r", phi_r, 2 * math.pi, False),
     ):
         if val is None:
             continue
         arr = np.asarray(val, dtype=float)
-        bad = (arr < lo) | ((arr > hi) if hi_closed else (arr >= hi))
-        if np.any(bad):
+        # Written as "inside" so that NaN fails too.
+        inside = (arr >= 0.0) & ((arr <= hi) if hi_closed else (arr < hi))
+        if not np.all(inside):
             raise ValueError(f"{name} out of range: {val}")
+        arrays.append(arr)
+    return np.broadcast_arrays(*arrays)
 
 
 def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl: Wavelength):
@@ -280,10 +293,7 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     directions, varphi_t the polarization angle.  Broadcasts over array
     angle inputs.
     """
-    _check_angles(theta_t, phi_t, varphi_t, theta_r, phi_r)
-    theta_t, phi_t, varphi_t, theta_r, phi_r = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (theta_t, phi_t, varphi_t, theta_r, phi_r))
-    )
+    theta_t, phi_t, varphi_t, theta_r, phi_r = _check_angles(theta_t, phi_t, varphi_t, theta_r, phi_r)
     st, ct = np.sin(theta_t), np.cos(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     sv, cv = np.sin(varphi_t), np.cos(varphi_t)
@@ -291,7 +301,7 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     bracket = (cr * (sv * ct * np.sin(phi_r - phi_t) + cv * np.cos(dphi))) ** 2 + (
         cv * np.sin(dphi) + sv * ct * np.cos(dphi)
     ) ** 2
-    smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
     x1 = 0.5 * wl.k * length1 * (sr * np.cos(phi_r) + st * np.cos(phi_t))
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) + st * np.sin(phi_t))
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -304,14 +314,11 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     Specialization of rcs_xy_plate to polarization angle 90 or 270 degrees
     with the wave arriving from azimuth 270 degrees.
     """
-    _check_angles(theta_t, theta_r=theta_r, phi_r=phi_r)
-    theta_t, theta_r, phi_r = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (theta_t, theta_r, phi_r))
-    )
+    theta_t, theta_r, phi_r = _check_angles(theta_t, theta_r=theta_r, phi_r=phi_r)
     st, ct = np.sin(theta_t), np.cos(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (ct * cr * np.cos(phi_r)) ** 2 + (ct * np.sin(phi_r)) ** 2
-    smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -323,11 +330,8 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
 
     sigma = sigma_max * cos^2(theta_t) * sinc^2(k*L2/2 * (sin theta_r - sin theta_t))
     """
-    _check_angles(theta_t, theta_r=theta_r)
-    theta_t, theta_r = np.broadcast_arrays(
-        np.asarray(theta_t, dtype=float), np.asarray(theta_r, dtype=float)
-    )
-    smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+    theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
+    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
@@ -339,14 +343,11 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     Specialization of rcs_xy_plate to polarization angle 0/180 degrees with
     the wave arriving from azimuth 270 degrees.
     """
-    _check_angles(theta_t, theta_r=theta_r, phi_r=phi_r)
-    theta_t, theta_r, phi_r = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (theta_t, theta_r, phi_r))
-    )
+    theta_t, theta_r, phi_r = _check_angles(theta_t, theta_r=theta_r, phi_r=phi_r)
     st = np.sin(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (cr * np.sin(phi_r)) ** 2 + np.cos(phi_r) ** 2
-    smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -361,11 +362,8 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     Unlike the perpendicular cut, the cos^2(theta_r) weighting pulls the
     maximum to an observation angle slightly below the specular angle.
     """
-    _check_angles(theta_t, theta_r=theta_r)
-    theta_t, theta_r = np.broadcast_arrays(
-        np.asarray(theta_t, dtype=float), np.asarray(theta_r, dtype=float)
-    )
-    smax = 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+    theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
+    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)

@@ -9,6 +9,7 @@ against the physical-optics quadrature result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,8 @@ def run_validation(
     """Compare the closed form against quadrature on seeded random scenarios."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tolerance}")
     if wavelength is None:
         wavelength = Wavelength(0.1)
     rng = np.random.default_rng(seed)

@@ -293,6 +293,13 @@ def test_validate_pass_and_fail(capsys):
     assert "result=FAIL" in out
 
 
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_validate_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, ["validate", "--trials", "1", "--tol", tol])
+    assert code == 2 and out == ""
+    assert err == f"error: tolerance must be non-negative and finite, got {float(tol)}\n"
+
 def test_validate_deterministic(capsys):
     _, out1, _ = run(capsys, ["validate", "--trials", "10", "--seed", "7"])
     _, out2, _ = run(capsys, ["validate", "--trials", "10", "--seed", "7"])
@@ -581,6 +588,49 @@ def test_optimize_single_target(capsys, tmp_path):
     code2, out2, _ = run(capsys, ["optimize", str(path)])
     assert out2 == out  # deterministic rerun
     assert code2 == 0
+
+
+
+@pytest.mark.parametrize("objective", ["max-min-dbm", "max-mean-mw"])
+def test_optimize_rejects_region_behind_the_plate(capsys, tmp_path, objective):
+    # Every orientation that faces the transmitter at (0, -9, 0) turns its
+    # back to the receiver at (0, 5, 0): no candidate lights it.
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["objective"] = objective
+    cfg["tx_position_m"] = [0.0, -9.0, 0.0]
+    cfg["region"] = {"corner_m": [0.0, 5.0, 0.0], "edge_u_m": [0.0, 0.0, 0.0],
+                     "edge_v_m": [0.0, 0.0, 0.0], "nu": 1, "nv": 1}
+    out_json = tmp_path / "best.json"
+    code, out, err = run(capsys, ["optimize", str(write_config(tmp_path, cfg)), "--out-json", str(out_json)])
+    assert (code, out) == (2, "")
+    assert err == "error: no candidate orientation lights any receiver in the region\n"
+    assert not out_json.exists()
+
+
+OPTIMIZE_GOLDEN_DIR = Path(__file__).parent / "data" / "optimize_golden"
+OPTIMIZE_GOLDEN = sorted(p.name[: -len("_scene.json")] for p in OPTIMIZE_GOLDEN_DIR.glob("*_scene.json"))
+
+
+@pytest.mark.parametrize("name", OPTIMIZE_GOLDEN)
+def test_optimize_matches_golden(capsys, tmp_path, name):
+    """optimize output matches that of the earlier search, which carried its
+    own inline copy of the closed form (scenes of the benchmark's optimize
+    workload, seed 1, both objectives).
+
+    stdout is byte-identical.  In the JSON the angles, frame vectors and
+    evaluation count are identical; the objective values may differ in the
+    last digits and agree within 1e-9 dB.
+    """
+    out_json = tmp_path / "best.json"
+    scene = OPTIMIZE_GOLDEN_DIR / f"{name}_scene.json"
+    code, out, _ = run(capsys, ["optimize", str(scene), "--out-json", str(out_json)])
+    assert code == 0
+    assert out == (OPTIMIZE_GOLDEN_DIR / f"{name}.out").read_text()
+    got = json.loads(out_json.read_text())
+    want = json.loads((OPTIMIZE_GOLDEN_DIR / f"{name}.json").read_text())
+    for key in ("best_objective_dbm", "initial_objective_dbm"):
+        assert abs(got.pop(key) - want.pop(key)) <= 1e-9
+    assert got == want
 
 
 def test_compare_roundtrip(capsys, tmp_path):

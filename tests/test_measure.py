@@ -61,6 +61,19 @@ def test_series_validation():
         MeasurementSeries(np.array([0.0, 1, 2, 3, 4]), np.array([0.0, 1, 2, 3, np.inf]))
 
 
+
+def test_series_rejects_infinite_last_angle():
+    with pytest.raises(ValueError, match="observation angles must be finite"):
+        MeasurementSeries(np.array([0.0, 1, 2, 3, np.inf]), np.zeros(5))
+
+
+@pytest.mark.parametrize("key", ["theta_t_deg", "varphi_t_deg", "freq_hz"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_series_rejects_non_finite_metadata(tmp_path, key, value):
+    text = f"# {key}={value}\ntheta_r_deg,p_rx_dbm\n" + "".join(f"{a},-50\n" for a in range(5))
+    with pytest.raises(ValueError, match=f"metadata {key} must be finite, got {value}"):
+        load_series(write(tmp_path, text))
+
 def test_theoretical_curve_peaks():
     for theta_t in (25.0, 45.0, 65.0):
         theta, power = theoretical_curve(

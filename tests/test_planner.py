@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import EX, EY, EZ, deg
+from conftest import EX, EY, EZ, deg, random_rotation
 from platekit import (
     PlateGeometry,
     Scene,
@@ -16,7 +17,8 @@ from platekit import (
     orient_for_target,
     orientation_objective,
 )
-from platekit.planner import orientation_from_angles
+from platekit import planner
+from platekit.planner import OBJECTIVES, orientation_from_angles
 
 
 def make_scene(normal=None, edge1=None, side_wl=5.0, **overrides):
@@ -212,3 +214,70 @@ def test_orientation_from_angles_conventions():
     assert np.allclose(n, [0.0, -1.0, 0.0], atol=1e-12)
     assert abs(e1[2]) < 1e-15  # horizontal edge convention
     assert np.allclose(np.cross(e1, e2), n, atol=1e-12)
+
+
+def random_facing_scene(rng):
+    """Scene with a random plate size, polarization and frame facing the transmitter."""
+    wl = Wavelength.from_frequency(float(rng.uniform(1e9, 6e9)))
+    r = random_rotation(rng)
+    n, e1, e2 = r[:, 2], r[:, 0], r[:, 1]
+    tx = rng.normal(size=3) * 8.0
+    if np.dot(n, -tx) >= 0.0:  # flip about edge1 to face the transmitter
+        n, e2 = -n, -e2
+    plate = PlateGeometry(*(rng.uniform(0.5, 10.0, size=2) * wl.meters), n, e1, e2)
+    return make_scene(tx_position=tx, plate=plate, wavelength=wl,
+                      polarization=float(rng.uniform(1e-9, 2 * math.pi)))
+
+
+def random_region(rng, nu, nv):
+    corner = rng.normal(size=3) * 6.0
+    return TargetRegion(corner, rng.normal(size=3) * 3.0, rng.normal(size=3) * 3.0, nu, nv)
+
+
+# 1 pair: one candidate per chunk; 173 pairs: seven candidates of 24 points,
+# which does not divide the 234 candidates; 10**9: all in one chunk.
+@pytest.mark.parametrize("pairs", [1, 173, 10**9])
+def test_objective_values_independent_of_chunking(monkeypatch, pairs):
+    rng = np.random.default_rng(71)
+    scene = random_facing_scene(rng)
+    points = random_region(rng, 6, 4).points()
+    zz, aa = np.meshgrid(np.radians(np.arange(0.0, 181.0, 15.0)), np.radians(np.arange(0.0, 360.0, 20.0)))
+    frames = planner._angle_frames(zz.ravel(), aa.ravel())
+    for objective in OBJECTIVES:
+        reference = planner._objective_values(scene, points, frames, objective)
+        assert np.isfinite(reference).any() and np.isneginf(reference).any()
+        monkeypatch.setattr(planner, "_PAIRS_PER_CHUNK", pairs)
+        assert np.array_equal(planner._objective_values(scene, points, frames, objective), reference)
+        monkeypatch.undo()
+
+
+def test_objective_equals_coverage_over_lit_cells():
+    rng = np.random.default_rng(73)
+    checked = 0
+    for _ in range(40):
+        scene = random_facing_scene(rng)
+        region = random_region(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        lit = coverage_map(scene, region).power_dbm
+        lit = lit[~np.isnan(lit)]
+        if lit.size == 0:
+            assert all(orientation_objective(scene, region, o) == -np.inf for o in OBJECTIVES)
+            continue
+        assert abs(orientation_objective(scene, region, "max-min-dbm") - np.min(lit)) <= 1e-9
+        mean_dbm = 10.0 * np.log10(np.mean(10.0 ** (lit / 10.0)))
+        assert abs(orientation_objective(scene, region, "max-mean-mw") - mean_dbm) <= 1e-9
+        checked += 1
+    assert checked >= 20
+
+
+def test_optimize_memory_is_bounded():
+    # 24 x 24 receivers: a search holding all candidates x receivers x 3 at
+    # once peaked at 95 MB here.
+    scene = make_scene()
+    region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 6 * EZ, 24, 24)
+    tracemalloc.start()
+    try:
+        optimize_orientation(scene, region, "max-min-dbm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -302,6 +302,26 @@ def test_angle_range_validation(wl_3ghz):
         rcs_xy_plate(deg(45), deg(361) + 2 * math.pi, 1.0, 0.0, 0.0, lam, lam, wl_3ghz)
 
 
+
+def test_xy_plate_rejects_nan_angle(wl_3ghz):
+    lam = wl_3ghz.meters
+    with pytest.raises(ValueError, match="theta_t out of range: nan"):
+        rcs_xy_plate(math.nan, 0.0, 1.0, 0.0, 0.0, lam, lam, wl_3ghz)
+
+
+def test_perpendicular_cut_rejects_nan_angle(wl_3ghz):
+    lam = wl_3ghz.meters
+    with pytest.raises(ValueError, match="theta_r out of range"):
+        rcs_perpendicular_cut(deg(45), np.array([0.1, math.nan]), lam, lam, wl_3ghz)
+
+
+def test_angle_forms_check_lengths(wl_3ghz):
+    lam = wl_3ghz.meters
+    for form, angles in ((rcs_perpendicular_cut, (0.3, 0.3)), (rcs_xy_plate, (0.3, 0.0, 1.0, 0.3, 0.0))):
+        for l1, l2 in ((-lam, lam), (lam, math.inf), (lam, math.nan)):
+            with pytest.raises(ValueError, match="edge lengths must be positive and finite"):
+                form(*angles, l1, l2, wl_3ghz)
+
 def test_rotation_invariance(wl_3ghz, plate_5wl):
     rng = np.random.default_rng(47)
     smax = sigma_max(plate_5wl, wl_3ghz)
