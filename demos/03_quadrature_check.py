@@ -2,10 +2,11 @@
 
 The closed-form RCS is an exact evaluation of the physical-optics surface
 integrals, so integrating those surface integrals numerically must land on
-the same number.  The quadrature route accumulates the induced current
-node by node and projects it on the spherical field components at the
-observer, never touching the closed form's cross-product identity, which
-makes the agreement a meaningful check rather than a restatement.
+the same number.  The quadrature route sums the phase of the induced current
+over Gauss-Legendre nodes along each edge and projects the current on the
+spherical field components at the observer, never touching the closed
+form's sinc terms or cross-product identity, which makes the agreement a
+meaningful check rather than a restatement.
 """
 
 import numpy as np

@@ -40,7 +40,8 @@ REFINE_FACTOR = 5.0
 SCHEDULED_REFINE_LEVELS = 3
 MAX_REFINE_LEVELS = 8
 MIN_IMPROVEMENT_DB = 0.01
-# Candidate x receiver pairs evaluated at once; bounds the search's memory.
+# Candidate x receiver pairs evaluated at once (receivers alone in coverage);
+# bounds the memory of the search and of coverage maps.
 _PAIRS_PER_CHUNK = 1 << 16
 
 
@@ -209,22 +210,26 @@ def orient_for_target(tx_position, plate_position, target_position) -> tuple[np.
 
 
 def coverage_map_points(scene: Scene, points) -> CoverageMap:
-    """Coverage at explicit receiver positions (row order preserved)."""
+    """Coverage at explicit receiver positions (row order preserved),
+    evaluated _PAIRS_PER_CHUNK receivers at a time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    rel = pts - scene.plate_position
-    dist = np.linalg.norm(rel, axis=1)
-    coincident = dist < 1e-12
-    safe_dist = np.where(coincident, 1.0, dist)
-    a_obs = rel / safe_dist[:, None]
-
     wave = scene.incident_wave()
-    shadow = coincident | ((a_obs @ scene.plate.normal) <= 0.0)
-    sig = sigma(scene.plate, wave.direction, wave.h_dir, a_obs, scene.wavelength)
-    power = received_dbm(scene.link_scenario(safe_dist), sig)
-    sig = np.where(shadow, np.nan, sig)
-    power = np.where(shadow, np.nan, power)
+    sig, power = np.empty(len(pts)), np.empty(len(pts))
+    shadow = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), _PAIRS_PER_CHUNK):
+        part = slice(start, start + _PAIRS_PER_CHUNK)
+        rel = pts[part] - scene.plate_position
+        dist = np.linalg.norm(rel, axis=1)
+        coincident = dist < 1e-12
+        safe_dist = np.where(coincident, 1.0, dist)
+        a_obs = rel / safe_dist[:, None]
+        shadow[part] = coincident | ((a_obs @ scene.plate.normal) <= 0.0)
+        sig[part] = sigma(scene.plate, wave.direction, wave.h_dir, a_obs, scene.wavelength)
+        power[part] = received_dbm(scene.link_scenario(safe_dist), sig[part])
+    sig[shadow] = np.nan
+    power[shadow] = np.nan
     return CoverageMap(pts, sig, power, shadow, (pts.shape[0], 1))
 
 

@@ -1,32 +1,33 @@
 """Brute-force physical-optics validation path for the closed-form RCS.
 
-The scattered field is obtained by numerically integrating the induced
-surface current over the plate with a tensor-product Gauss-Legendre rule,
-projecting onto the spherical field components at the observation direction,
-and normalizing the scattered power density by the incident one.  Nothing
-here reuses the closed form: in particular the polarization dependence is
-accumulated through the two spherical projections of the current, not
-through the cross-product identity the closed form uses, so agreement
-between the two routes is a real check rather than a tautology.
-
-All results are deterministic: quadrature nodes are enumerated in a fixed
-row-major order.
+The scattered field is obtained by integrating the induced surface current
+over the plate with a tensor-product Gauss-Legendre rule (Golub-Welsch
+nodes), projecting onto the spherical field components at the observation
+direction, and normalizing the scattered power density by the incident one.
+The current is a constant vector times a phase linear in the surface point,
+so the 2-D sum factors exactly into one 1-D sum per edge.  Nothing here
+reuses the closed form: the edge sums are quadratures, not sinc terms, and
+the polarization dependence enters through the two spherical projections of
+the current, not through the cross-product identity the closed form uses,
+so agreement between the two routes is a real check rather than a tautology.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import geometry
 from .geometry import check_unit
 from .rcs import PlateGeometry, Wavelength
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
+# Largest quadrature rule: its n x n Jacobi matrix is 32 MB at this size.
+_MAX_NODES_PER_EDGE = 2048
 
 
 class FarFieldWarning(UserWarning):
@@ -100,8 +101,11 @@ class QuadratureSpec:
     nodes_per_edge: int
 
     def __post_init__(self):
-        if self.nodes_per_edge < 2:
-            raise ValueError("nodes_per_edge must be at least 2")
+        n = self.nodes_per_edge
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"nodes_per_edge must be an integer, got {n!r}")
+        if not 2 <= n <= _MAX_NODES_PER_EDGE:
+            raise ValueError(f"nodes_per_edge must be between 2 and {_MAX_NODES_PER_EDGE}, got {n}")
 
     @classmethod
     def for_plate(cls, plate: PlateGeometry, wavelength: Wavelength) -> "QuadratureSpec":
@@ -147,21 +151,29 @@ def far_field_bound(plate: PlateGeometry, wavelength: Wavelength) -> float:
     return 2.0 * (plate.length1**2 + plate.length2**2) / wavelength.meters
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch): the
+    eigenvalues of the Legendre Jacobi matrix, and 2 * v[0]**2 of its eigenvectors."""
+    i = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(i / np.sqrt(4.0 * i * i - 1.0), -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def po_far_field(
     plate: PlateGeometry, wave: IncidentWave, a_obs, distance_m: float, quad: QuadratureSpec
 ) -> FarFieldSample:
     """Scattered far field at an observation direction, by surface quadrature.
 
-    Evaluates the radiation integrals of the induced current: for each
-    quadrature node the complex current vector is formed, projected on the
-    spherical unit vectors at ``a_obs``, re-phased toward the observer, and
-    accumulated with Gauss-Legendre weights.
+    The current J0 * exp(-j*k*a_inc . r'), re-phased toward the observer by
+    exp(j*k*a_obs . r') at r' = alpha*edge1 + beta*edge2, is J0 times a phase
+    linear in (alpha, beta), so its tensor-product Gauss-Legendre sum is
+    exactly (J0 . theta_hat, J0 . phi_hat) * S1 * S2 with the edge sums
+    S_i = sum_j (L_i/2) * w_j * exp(j*k*(L_i/2)*((a_obs - a_inc) . edge_i)*t_j).
     """
     a_obs = check_unit(a_obs, "a_obs")
     if not distance_m > 0.0:
         raise ValueError("observation distance must be positive")
-    if float(np.dot(plate.normal, wave.direction)) >= 0.0:
-        raise ValueError("back-side illumination: normal . direction must be negative")
+    current = induced_current(wave, plate.normal, np.zeros(3))  # J0, at the plate centre
     k = wave.wavelength.k
     if distance_m < far_field_bound(plate, wave.wavelength):
         warnings.warn(
@@ -171,29 +183,16 @@ def po_far_field(
             stacklevel=2,
         )
 
-    t1, w1 = leggauss(quad.nodes_per_edge)
-    t2, w2 = leggauss(quad.nodes_per_edge)
-    alpha = 0.5 * plate.length1 * t1
-    beta = 0.5 * plate.length2 * t2
-    weights = (0.5 * plate.length1 * w1)[:, None] * (0.5 * plate.length2 * w2)[None, :]
-    # Node positions r' = alpha*edge1 + beta*edge2, row-major over (alpha, beta).
-    pts = alpha[:, None, None] * plate.edge1 + beta[None, :, None] * plate.edge2
-
-    current_const = 2.0 * wave.h_magnitude * np.cross(plate.normal, wave.h_dir)
-    inc_phase = np.exp(-1j * k * (pts @ wave.direction))
-    currents = current_const[None, None, :] * inc_phase[:, :, None]
+    t, w = _gauss_legendre(quad.nodes_per_edge)
+    deflection = a_obs - wave.direction
+    aperture = 1.0
+    for length, edge in ((plate.length1, plate.edge1), (plate.length2, plate.edge2)):
+        half = 0.5 * length
+        aperture *= complex(np.sum(half * w * np.exp(1j * k * half * float(deflection @ edge) * t)))
 
     theta_hat, phi_hat = geometry.spherical_unit_vectors(a_obs)
-    obs_phase = np.exp(1j * k * (pts @ a_obs))
-    integrand_theta = (currents @ theta_hat) * obs_phase
-    integrand_phi = (currents @ phi_hat) * obs_phase
-    i_theta = complex(np.sum(weights * integrand_theta))
-    i_phi = complex(np.sum(weights * integrand_phi))
-
-    prefactor = -1j * k * wave.impedance_ohm * np.exp(-1j * k * distance_m) / (
-        4.0 * math.pi * distance_m
-    )
-    return FarFieldSample(prefactor * i_theta, prefactor * i_phi, distance_m)
+    field = aperture * -1j * k * wave.impedance_ohm * np.exp(-1j * k * distance_m) / (4.0 * math.pi * distance_m)
+    return FarFieldSample(field * complex(current @ theta_hat), field * complex(current @ phi_hat), distance_m)
 
 
 def po_rcs(

@@ -10,6 +10,7 @@ against the physical-optics quadrature result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +109,13 @@ def run_validation(
     tolerance: float = 1e-6,
 ) -> ValidationReport:
     """Compare the closed form against quadrature on seeded random scenarios."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be non-negative and finite, got {tolerance}")
     if wavelength is None:
         wavelength = Wavelength(0.1)
+    fixed_quad = None if nodes_per_edge is None else QuadratureSpec(nodes_per_edge)
     rng = np.random.default_rng(seed)
     max_err = -1.0
     sum_err = 0.0
@@ -121,12 +123,7 @@ def run_validation(
     for i in range(trials):
         plate, wave, a_obs = random_scenario(rng, wavelength)
         closed = rcs(plate, wave.direction, wave.h_dir, a_obs, wavelength).sigma_m2
-        quad = (
-            QuadratureSpec(nodes_per_edge)
-            if nodes_per_edge is not None
-            else QuadratureSpec.for_plate(plate, wavelength)
-        )
-        po = po_rcs(plate, wave, a_obs, quad)
+        po = po_rcs(plate, wave, a_obs, fixed_quad or QuadratureSpec.for_plate(plate, wavelength))
         err = abs(po - closed) / closed if closed > 0.0 else abs(po)
         sum_err += err
         if err > max_err:

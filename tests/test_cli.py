@@ -300,6 +300,20 @@ def test_validate_rejects_bad_tolerance(capsys, tol):
     assert code == 2 and out == ""
     assert err == f"error: tolerance must be non-negative and finite, got {float(tol)}\n"
 
+
+@pytest.mark.parametrize("nodes", ["2049", "10000000"])
+def test_validate_rejects_oversized_rule(capsys, nodes):
+    code, out, err = run(capsys, ["validate", "--trials", "1", "--nodes-per-edge", nodes])
+    assert code == 2 and out == ""
+    assert err == f"error: nodes_per_edge must be between 2 and 2048, got {nodes}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--nodes-per-edge", "30.0"), ("--trials", "2.5")])
+def test_validate_rejects_non_integer_counts(capsys, flag, value):
+    code, out, _ = run(capsys, ["validate", "--trials", "1", flag, value])
+    assert code == 2 and out == ""
+
+
 def test_validate_deterministic(capsys):
     _, out1, _ = run(capsys, ["validate", "--trials", "10", "--seed", "7"])
     _, out2, _ = run(capsys, ["validate", "--trials", "10", "--seed", "7"])

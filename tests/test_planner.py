@@ -281,3 +281,32 @@ def test_optimize_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+# 1 receiver per chunk; 40 receivers, which does not divide the 143 cells;
+# 10**9: all cells in one chunk.
+@pytest.mark.parametrize("receivers", [1, 40, 10**9])
+def test_coverage_independent_of_chunking(monkeypatch, receivers):
+    scene = make_scene()
+    region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 12 * EY + 6 * EZ, 13, 11)
+    reference = coverage_map(scene, region)
+    assert reference.shadow.any() and not reference.shadow.all()
+    monkeypatch.setattr(planner, "_PAIRS_PER_CHUNK", receivers)
+    cov = coverage_map(scene, region)
+    for name in ("sigma_m2", "power_dbm", "shadow"):
+        assert np.array_equal(getattr(cov, name), getattr(reference, name), equal_nan=True), name
+
+
+def test_coverage_memory_is_bounded():
+    # 500 x 500 receivers: evaluating every receiver at once held 31 MB of
+    # temporaries beyond the returned arrays here.
+    scene = make_scene()
+    region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 6 * EZ, 500, 500)
+    tracemalloc.start()
+    try:
+        cov = coverage_map(scene, region)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cov.power_dbm.size == 250_000
+    assert peak - held <= 16e6
