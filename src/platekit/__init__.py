@@ -9,16 +9,12 @@ measured-sweep comparison on top.
 from .geometry import (
     PolarizationAngle,
     SphericalAngles,
-    incident_direction,
     observation_direction,
     plate_frame,
     polarization_triad,
-    rotate_scene,
     spherical_to_unit,
     spherical_unit_vectors,
     unit,
-    unit_to_spherical,
-    unit_vector,
 )
 from .link import LinkScenario, power_sweep, received_dbm, received_power
 from .measure import (

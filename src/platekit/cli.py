@@ -455,7 +455,7 @@ def _cmd_optimize(args) -> int:
                 "evaluations": result.evaluations,
             }
         )
-        _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -515,7 +515,7 @@ def _cmd_compare(args) -> int:
     print("\n".join(lines))
     if args.out_json is not None:
         payload = _json_ready({"pol_case": pol_case, **report.to_dict()})
-        _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if args.out_svg is not None:
         svg = svgplot.line_plot(
             series.theta_r_deg,

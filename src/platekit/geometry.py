@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Unit-norm tolerance for values produced by our own constructors.
-UNIT_NORM_TOL = 1e-12
-# Looser tolerance accepted on user-supplied vectors and frames
-# (double-precision headroom after external rotations).
+# Norm and orthogonality tolerance accepted on user-supplied vectors and
+# frames (double-precision headroom after external rotations).
 FRAME_ORTHO_TOL = 1e-9
 
 
@@ -27,13 +25,6 @@ def unit(v) -> np.ndarray:
     if n < 1e-300:
         raise ValueError("cannot normalize a zero vector")
     return v / n
-
-
-def unit_vector(x: float, y: float, z: float) -> np.ndarray:
-    """Build a unit vector from components, validating the norm."""
-    v = np.array([x, y, z], dtype=float)
-    check_unit(v, tol=UNIT_NORM_TOL)
-    return v
 
 
 def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndarray:
@@ -95,24 +86,6 @@ def spherical_to_unit(angles: SphericalAngles) -> np.ndarray:
     st, ct = math.sin(angles.theta), math.cos(angles.theta)
     sp, cp = math.sin(angles.phi), math.cos(angles.phi)
     return np.array([st * cp, st * sp, ct])
-
-
-def unit_to_spherical(v) -> SphericalAngles:
-    """Inverse of spherical_to_unit for front half-space vectors (z >= 0)."""
-    v = check_unit(v, "direction")
-    theta = math.acos(min(1.0, max(-1.0, float(v[2]))))
-    phi = math.atan2(float(v[1]), float(v[0])) % (2 * math.pi)
-    if theta > math.pi / 2:
-        raise ValueError("direction lies in the back half-space (z < 0)")
-    return SphericalAngles(theta, phi)
-
-
-def incident_direction(angles: SphericalAngles) -> np.ndarray:
-    """Propagation direction of a wave arriving from zenith/azimuth `angles`.
-
-    Points toward the reflector, i.e. the negative of the source direction.
-    """
-    return -spherical_to_unit(angles)
 
 
 def observation_direction(angles: SphericalAngles) -> np.ndarray:
@@ -190,26 +163,6 @@ def check_rotation(matrix) -> np.ndarray:
     if abs(float(np.linalg.det(r)) - 1.0) > FRAME_ORTHO_TOL:
         raise ValueError("matrix is not a proper rotation (det != +1)")
     return r
-
-
-def rotate_scene(matrix, *objects):
-    """Apply one rotation consistently to vectors and frame-bearing objects.
-
-    Each object is either a 3-vector (rotated directly) or anything exposing
-    a ``rotated(matrix)`` method.  Returns the rotated objects in order, as a
-    single value when one object is given.
-    """
-    r = check_rotation(matrix)
-    out = []
-    for obj in objects:
-        if hasattr(obj, "rotated"):
-            out.append(obj.rotated(r))
-        else:
-            v = np.asarray(obj, dtype=float)
-            if v.shape != (3,):
-                raise TypeError(f"cannot rotate object of type {type(obj).__name__}")
-            out.append(r @ v)
-    return out[0] if len(out) == 1 else tuple(out)
 
 
 def rotation_zyz(alpha: float, beta: float, gamma: float) -> np.ndarray:

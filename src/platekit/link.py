@@ -19,26 +19,6 @@ import numpy as np
 from .rcs import Wavelength, dbsm
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x < 0.0:
-        raise ValueError(f"cannot express a negative power ratio in dB: {x}")
-    if x == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(x)
-
-
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    return linear_to_db(mw)
-
-
 @dataclass(frozen=True)
 class LinkScenario:
     """Transmit side, receive side, and geometry of a reflected link.
@@ -98,19 +78,16 @@ def power_sweep(scenario: LinkScenario, grid, rcs_curve) -> tuple[np.ndarray, np
     """Received power over a monotone sweep grid.
 
     ``grid`` labels the sweep points (typically observation angles in
-    degrees) and must be strictly increasing.  ``rcs_curve`` is either a
-    callable mapping a grid value to an RCS in m^2, or an array of RCS
-    values aligned with the grid.  Returns (grid, power_dbm) arrays.
+    degrees) and must be strictly increasing.  ``rcs_curve`` is the array
+    of RCS values (m^2) aligned with the grid.  Returns (grid, power_dbm)
+    arrays.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ValueError("sweep grid must be strictly increasing")
-    if callable(rcs_curve):
-        sigmas = np.array([float(rcs_curve(g)) for g in grid])
-    else:
-        sigmas = np.asarray(rcs_curve, dtype=float)
-        if sigmas.shape != grid.shape:
-            raise ValueError("rcs_curve array must match the grid shape")
+    sigmas = np.asarray(rcs_curve, dtype=float)
+    if sigmas.shape != grid.shape:
+        raise ValueError("rcs_curve array must match the grid shape")
     return grid.copy(), received_dbm(scenario, sigmas)

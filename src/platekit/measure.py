@@ -111,15 +111,23 @@ def load_series(path) -> MeasurementSeries:
 
 
 def save_series(series: MeasurementSeries, path) -> None:
-    """Write a measurement CSV in the format load_series reads."""
+    """Write a measurement CSV in the format load_series reads.
+
+    Values are written to 9 significant digits; a series whose angles would
+    no longer be strictly increasing at that precision is rejected before
+    anything is written.
+    """
+    angles = [f"{angle:.9g}" for angle in series.theta_r_deg]
+    if not np.all(np.diff(np.array(angles, dtype=float)) > 0.0):
+        raise ValueError("observation angles must stay strictly increasing at 9 significant digits")
     lines = []
     for key in ("theta_t_deg", "varphi_t_deg", "freq_hz"):
         value = getattr(series, key)
         if value is not None:
             lines.append(f"# {key}={value:.9g}")
     lines.append(_HEADER)
-    for angle, power in zip(series.theta_r_deg, series.power_dbm):
-        lines.append(f"{angle:.9g},{power:.9g}")
+    for angle, power in zip(angles, series.power_dbm):
+        lines.append(f"{angle},{power:.9g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -128,8 +136,8 @@ def save_series(series: MeasurementSeries, path) -> None:
 class ExperimentConfig:
     """Sweep-experiment parameters (defaults mirror the field measurement).
 
-    The plate edges are given in wavelengths.  The horn half-power
-    beamwidths are recorded metadata only; the model uses the fixed gains.
+    The plate edges are given in wavelengths; the antennas are modelled
+    by fixed gains.
     """
 
     freq_hz: float = 3e9
@@ -142,8 +150,6 @@ class ExperimentConfig:
     rx_gain_dbi: float = 16.0
     tx_distance_m: float = 8.0
     rx_distance_m: float = 8.0
-    hpbw_e_deg: float = 33.31
-    hpbw_h_deg: float = 30.81
 
     def wavelength(self) -> Wavelength:
         return Wavelength.from_frequency(self.freq_hz)

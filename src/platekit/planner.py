@@ -43,6 +43,8 @@ MIN_IMPROVEMENT_DB = 0.01
 # Candidate x receiver pairs evaluated at once (receivers alone in coverage);
 # bounds the memory of the search and of coverage maps.
 _PAIRS_PER_CHUNK = 1 << 16
+# Largest receiver grid, 1000 x 1000 cells; the region's points alone are 24 MB.
+_MAX_REGION_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,9 @@ class TargetRegion:
                 raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.nu < 1 or self.nv < 1:
             raise ValueError("region grid must be nonempty")
+        cells = int(self.nu) * int(self.nv)
+        if cells > _MAX_REGION_CELLS:
+            raise ValueError(f"region grid has {cells} cells, more than {_MAX_REGION_CELLS}; lower nu or nv")
 
     @classmethod
     def single_point(cls, point) -> "TargetRegion":
@@ -306,13 +311,6 @@ class OrientationResult:
     evaluations: int
 
 
-def _evaluate_angle_grid(
-    scene: Scene, points: np.ndarray, zeniths_deg: np.ndarray, azimuths_deg: np.ndarray, objective: str
-) -> np.ndarray:
-    frames = _angle_frames(np.radians(zeniths_deg), np.radians(azimuths_deg))
-    return _objective_values(scene, points, frames, objective)
-
-
 def optimize_orientation(
     scene: Scene, region: TargetRegion, objective: str = "max-min-dbm"
 ) -> OrientationResult:
@@ -342,7 +340,8 @@ def optimize_orientation(
     cand_z = np.append(cand_z[keep], own_z)
     cand_a = np.append(cand_a[keep], own_a)
 
-    values = _evaluate_angle_grid(scene, points, cand_z, cand_a, objective)
+    frames = _angle_frames(np.radians(cand_z), np.radians(cand_a))
+    values = _objective_values(scene, points, frames, objective)
     best = int(np.argmax(values))
     best_z, best_a, best_v = float(cand_z[best]), float(cand_a[best]), float(values[best])
     evaluations = len(cand_z)
@@ -355,7 +354,8 @@ def optimize_orientation(
         az = (best_a + offsets) % 360.0
         zz, aa = np.meshgrid(zen, az, indexing="ij")
         cand_z, cand_a = zz.ravel(), aa.ravel()
-        values = _evaluate_angle_grid(scene, points, cand_z, cand_a, objective)
+        frames = _angle_frames(np.radians(cand_z), np.radians(cand_a))
+        values = _objective_values(scene, points, frames, objective)
         evaluations += len(cand_z)
         i = int(np.argmax(values))
         improvement = float(values[i]) - best_v

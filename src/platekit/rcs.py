@@ -53,6 +53,11 @@ class Wavelength:
         return cls(SPEED_OF_LIGHT_M_S / hz)
 
 
+def _check_lengths(length1: float, length2: float) -> None:
+    if not (0.0 < length1 < math.inf and 0.0 < length2 < math.inf):
+        raise ValueError(f"plate edge lengths must be positive and finite, got {length1} and {length2}")
+
+
 @dataclass(frozen=True)
 class PlateGeometry:
     """Rectangular plate: edge lengths plus an orthonormal orientation triad.
@@ -68,10 +73,7 @@ class PlateGeometry:
     edge2: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.length1 < math.inf and 0.0 < self.length2 < math.inf):
-            raise ValueError(
-                f"plate edge lengths must be positive and finite, got {self.length1} and {self.length2}"
-            )
+        _check_lengths(self.length1, self.length2)
         n = check_unit(self.normal, "normal")
         e1 = check_unit(self.edge1, "edge1")
         e2 = check_unit(self.edge2, "edge2")
@@ -107,9 +109,6 @@ class PlateGeometry:
         return PlateGeometry(
             self.length1, self.length2, r @ self.normal, r @ self.edge1, r @ self.edge2
         )
-
-    def area(self) -> float:
-        return self.length1 * self.length2
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,15 @@ def _dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+def _sigma_max(length1: float, length2: float, wl: Wavelength) -> float:
+    """sigma_max from bare edge lengths, checked to be positive and finite."""
+    _check_lengths(length1, length2)
+    return 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+
+
 def sigma_max(plate: PlateGeometry, wl: Wavelength) -> float:
     """Largest attainable RCS, 4*pi*L1^2*L2^2/lambda^2 (m^2)."""
-    return 4.0 * math.pi * plate.length1**2 * plate.length2**2 / wl.meters**2
+    return _sigma_max(plate.length1, plate.length2, wl)
 
 
 def f_js(normal, h_dir, a_obs):
@@ -301,7 +306,7 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     bracket = (cr * (sv * ct * np.sin(phi_r - phi_t) + cv * np.cos(dphi))) ** 2 + (
         cv * np.sin(dphi) + sv * ct * np.cos(dphi)
     ) ** 2
-    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
+    smax = _sigma_max(length1, length2, wl)
     x1 = 0.5 * wl.k * length1 * (sr * np.cos(phi_r) + st * np.cos(phi_t))
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) + st * np.sin(phi_t))
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -318,7 +323,7 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     st, ct = np.sin(theta_t), np.cos(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (ct * cr * np.cos(phi_r)) ** 2 + (ct * np.sin(phi_r)) ** 2
-    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
+    smax = _sigma_max(length1, length2, wl)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -331,7 +336,7 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     sigma = sigma_max * cos^2(theta_t) * sinc^2(k*L2/2 * (sin theta_r - sin theta_t))
     """
     theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
-    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
+    smax = _sigma_max(length1, length2, wl)
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
@@ -347,7 +352,7 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     st = np.sin(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (cr * np.sin(phi_r)) ** 2 + np.cos(phi_r) ** 2
-    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
+    smax = _sigma_max(length1, length2, wl)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -363,7 +368,7 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     maximum to an observation angle slightly below the specular angle.
     """
     theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
-    smax = sigma_max(PlateGeometry.xy_plane(length1, length2), wl)
+    smax = _sigma_max(length1, length2, wl)
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)

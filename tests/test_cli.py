@@ -301,11 +301,11 @@ def test_validate_rejects_bad_tolerance(capsys, tol):
     assert err == f"error: tolerance must be non-negative and finite, got {float(tol)}\n"
 
 
-@pytest.mark.parametrize("nodes", ["2049", "10000000"])
+@pytest.mark.parametrize("nodes", ["513", "2049", "10000000"])
 def test_validate_rejects_oversized_rule(capsys, nodes):
     code, out, err = run(capsys, ["validate", "--trials", "1", "--nodes-per-edge", nodes])
     assert code == 2 and out == ""
-    assert err == f"error: nodes_per_edge must be between 2 and 2048, got {nodes}\n"
+    assert err == f"error: nodes_per_edge must be between 2 and 512, got {nodes}\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--nodes-per-edge", "30.0"), ("--trials", "2.5")])
@@ -523,6 +523,18 @@ def test_config_rejects_non_integer_counts(capsys, tmp_path, count):
     assert f"nu must be an integer, got {count!r}" in err
 
 
+@pytest.mark.parametrize("command", ["coverage", "optimize"])
+def test_region_rejects_oversized_grid(capsys, tmp_path, command):
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["region"]["nu"] = cfg["region"]["nv"] = 10**6
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run(capsys, [command, str(write_config(tmp_path, cfg)), "--out-csv", str(out_csv)]
+                         if command == "coverage" else [command, str(write_config(tmp_path, cfg))])
+    assert (code, out) == (2, "")
+    assert err == "error: region grid has 1000000000000 cells, more than 1000000; lower nu or nv\n"
+    assert not out_csv.exists()
+
+
 # Scenes drawn by the benchmark's optimize workload (seed 1, jobs 26 and 37)
 # on which the search used to end below the starting orientation.
 OPTIMIZE_REGRESSION_SCENES = [
@@ -619,6 +631,35 @@ def test_optimize_rejects_region_behind_the_plate(capsys, tmp_path, objective):
     assert (code, out) == (2, "")
     assert err == "error: no candidate orientation lights any receiver in the region\n"
     assert not out_json.exists()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} in JSON output")
+
+
+def test_json_outputs_are_strict(capsys, tmp_path):
+    """Non-finite values reach --out-json as strings, never as bare NaN/Infinity."""
+    # The receiver lies behind the scene's own plate, so the initial
+    # objective is -inf, while a turned plate lights it.
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["region"] = {"corner_m": [5.0, 0.5, 0.0], "edge_u_m": [0.0, 0.0, 0.0],
+                     "edge_v_m": [0.0, 0.0, 0.0], "nu": 1, "nv": 1}
+    best = tmp_path / "best.json"
+    assert run(capsys, ["optimize", str(write_config(tmp_path, cfg)), "--out-json", str(best)])[0] == 0
+    payload = json.loads(best.read_text(), parse_constant=_reject_constant)
+    assert payload["initial_objective_dbm"] == "-inf"
+    assert math.isfinite(payload["best_objective_dbm"])
+
+    # A window too narrow for the main lobe: no beamwidth and no sidelobe.
+    grid = np.arange(30.0, 50.0, 2.0)
+    curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", grid)
+    meas, report = tmp_path / "meas.csv", tmp_path / "report.json"
+    save_series(MeasurementSeries(*curve), meas)
+    argv = ["compare", str(meas), "--pol-case", "perpendicular", "--out-json", str(report)]
+    assert run(capsys, argv)[0] == 0
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert payload["hpbw_error_deg"] is None and payload["mainlobe_sidelobe_gap_db"] is None
+    assert payload["n_points"] == 10
 
 
 OPTIMIZE_GOLDEN_DIR = Path(__file__).parent / "data" / "optimize_golden"

@@ -38,6 +38,48 @@ def test_load_series_roundtrip(tmp_path):
     assert np.allclose(back.power_dbm, power, atol=1e-6)
 
 
+def test_save_series_rejects_angles_equal_at_written_precision(tmp_path):
+    series = MeasurementSeries(np.array([0.0, 1.0, 1.0000000001, 2.0, 3.0]), np.zeros(5))
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match="9 significant digits"):
+        save_series(series, path)
+    assert not path.exists()
+
+
+def test_save_series_round_trip_property(tmp_path):
+    """save(load(save(s))) writes the bytes of save(s), or save(s) raises
+    and writes nothing."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        start=st.floats(-180.0, 180.0),
+        steps=st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=12),
+        # One step shrunk to where 9 significant digits may no longer tell
+        # its two angles apart.
+        squeeze=st.none() | st.tuples(st.integers(0, 11), st.sampled_from([1e-12, 1e-10, 1e-8, 1e-7])),
+        powers=st.lists(st.floats(-1e300, 1e300), min_size=13, max_size=13),
+        meta=st.lists(st.none() | st.floats(-1e300, 1e300), min_size=3, max_size=3),
+    )
+    def check(start, steps, squeeze, powers, meta):
+        if squeeze is not None:
+            steps[squeeze[0] % len(steps)] = squeeze[1]
+        angles = start + np.concatenate([[0.0], np.cumsum(steps)])
+        series = MeasurementSeries(angles, np.array(powers[: len(angles)]), *meta)
+        first.unlink(missing_ok=True)
+        try:
+            save_series(series, first)
+        except ValueError:
+            assert not first.exists()
+            return
+        save_series(load_series(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    check()
+
+
 def test_load_series_errors(tmp_path):
     header = "theta_r_deg,p_rx_dbm\n"
     with pytest.raises(ValueError, match="empty"):

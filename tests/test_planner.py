@@ -49,6 +49,14 @@ def test_scene_validation():
         make_scene(normal=np.array([0.0, 1.0, 0.0]), edge1=EX)
 
 
+def test_region_cell_cap():
+    assert TargetRegion(np.zeros(3), EX, EY, 1000, 1000).nu == 1000
+    with pytest.raises(ValueError, match="region grid has 1001000 cells, more than 1000000"):
+        TargetRegion(np.zeros(3), EX, EY, 1000, 1001)
+    with pytest.raises(ValueError, match="more than 1000000"):
+        TargetRegion(np.zeros(3), EX, EY, np.int64(10**10), np.int64(10**10))
+
+
 def test_orient_for_target_bisects():
     s = 1 / math.sqrt(2)
     tx = np.array([0.0, -10.0, 10.0])  # incident direction (0, s, -s)

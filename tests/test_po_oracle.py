@@ -49,7 +49,7 @@ def test_quadrature_spec_minimum(wl_3ghz, plate_5wl):
     assert q.nodes_per_edge == math.ceil(6 * 5) + 16
 
 
-@pytest.mark.parametrize("nodes", [30.0, True, "30", None, _MAX_NODES_PER_EDGE + 1, 10**7])
+@pytest.mark.parametrize("nodes", [30.0, True, "30", None, _MAX_NODES_PER_EDGE + 1, 2049, 10**7])
 def test_quadrature_spec_rejects_non_integer_and_oversized(nodes):
     with pytest.raises(ValueError, match="nodes_per_edge"):
         QuadratureSpec(nodes)
@@ -108,7 +108,6 @@ def test_far_field_null_configuration(wl_3ghz, plate_5wl):
     p_null = abs(null.e_theta) ** 2 + abs(null.e_phi) ** 2
     p_peak = abs(peak.e_theta) ** 2 + abs(peak.e_phi) ** 2
     assert p_null <= 1e-20 * p_peak
-    assert null.e_rho == 0.0
 
 
 def test_far_field_matches_analytic_integral(wl_3ghz, plate_5wl):

@@ -317,10 +317,18 @@ def test_perpendicular_cut_rejects_nan_angle(wl_3ghz):
 
 def test_angle_forms_check_lengths(wl_3ghz):
     lam = wl_3ghz.meters
-    for form, angles in ((rcs_perpendicular_cut, (0.3, 0.3)), (rcs_xy_plate, (0.3, 0.0, 1.0, 0.3, 0.0))):
+    forms = (
+        (rcs_xy_plate, (0.3, 0.0, 1.0, 0.3, 0.0)),
+        (rcs_perpendicular, (0.3, 0.3, 0.0)),
+        (rcs_parallel, (0.3, 0.3, 0.0)),
+        (rcs_perpendicular_cut, (0.3, 0.3)),
+        (rcs_parallel_cut, (0.3, 0.3)),
+    )
+    for form, angles in forms:
         for l1, l2 in ((-lam, lam), (lam, math.inf), (lam, math.nan)):
             with pytest.raises(ValueError, match="edge lengths must be positive and finite"):
                 form(*angles, l1, l2, wl_3ghz)
+
 
 def test_rotation_invariance(wl_3ghz, plate_5wl):
     rng = np.random.default_rng(47)
@@ -335,6 +343,13 @@ def test_rotation_invariance(wl_3ghz, plate_5wl):
         base = rcs(plate_5wl, a_inc, h_dir, a_obs, wl_3ghz).sigma_m2
         rot = rcs(plate_5wl.rotated(r), r @ a_inc, r @ h_dir, r @ a_obs, wl_3ghz).sigma_m2
         assert rel_close(base, rot, 1e-10, floor=1e-13 * smax)
+
+
+def test_rotated_rejects_improper_matrices(plate_5wl):
+    with pytest.raises(ValueError, match="proper rotation"):
+        plate_5wl.rotated(np.diag([1.0, 1.0, -1.0]))  # reflection, not rotation
+    with pytest.raises(ValueError, match="not orthogonal"):
+        plate_5wl.rotated(2 * np.eye(3))
 
 
 def test_principal_cut_sidelobe_level():

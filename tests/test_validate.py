@@ -10,7 +10,7 @@ def test_run_validation_rejects_malformed_trials(trials):
         run_validation(trials, 1)
 
 
-@pytest.mark.parametrize("nodes", [30.0, True, 1, 2049])
+@pytest.mark.parametrize("nodes", [30.0, True, 1, 513, 2049])
 def test_run_validation_rejects_bad_rule_before_any_trial(nodes):
     with pytest.raises(ValueError, match="nodes_per_edge"):
         run_validation(1, 1, nodes_per_edge=nodes)
