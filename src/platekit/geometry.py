@@ -18,13 +18,29 @@ import numpy as np
 FRAME_ORTHO_TOL = 1e-9
 
 
+def _dot(u, v):
+    """Dot product over the trailing axis, summed in np.sum's order but without its overhead."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _cross(u, v):
+    """Cross product over the trailing axis of broadcasting (..., 3) stacks:
+    np.cross's products and differences, without its axis moves and copies."""
+    out = np.empty(np.broadcast(u, v).shape, dtype=np.result_type(u, v))
+    np.subtract(u[..., 1] * v[..., 2], u[..., 2] * v[..., 1], out=out[..., 0])
+    np.subtract(u[..., 2] * v[..., 0], u[..., 0] * v[..., 2], out=out[..., 1])
+    np.subtract(u[..., 0] * v[..., 1], u[..., 1] * v[..., 0], out=out[..., 2])
+    return out
+
+
 def unit(v) -> np.ndarray:
-    """Normalize a 3-vector, rejecting (near-)zero input."""
+    """Normalize a 3-vector, or each row of a (..., 3) stack, rejecting
+    (near-)zero input.  The norm is np.linalg.norm's sqrt of the BLAS dot."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < 1e-300:
+    n = np.sqrt(np.vecdot(v, v))
+    if np.any(n < 1e-300):
         raise ValueError("cannot normalize a zero vector")
-    return v / n
+    return v / n[..., None]
 
 
 def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndarray:
@@ -101,13 +117,19 @@ def spherical_unit_vectors(direction) -> tuple[np.ndarray, np.ndarray]:
     that plane.  At the poles (direction parallel to z) the azimuth is
     degenerate and the phi = 0 convention is used.
     """
-    d = check_unit(direction, "direction")
-    theta = math.acos(min(1.0, max(-1.0, float(d[2]))))
-    phi = math.atan2(float(d[1]), float(d[0]))
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    theta_hat = np.array([ct * cp, ct * sp, -st])
-    phi_hat = np.array([-sp, cp, 0.0])
+    return _spherical_frames(check_unit(direction, "direction"))
+
+
+def _spherical_frames(d) -> tuple[np.ndarray, np.ndarray]:
+    """spherical_unit_vectors at each row of a (..., 3) stack of unit directions.
+    The angles come from math.acos/atan2 row by row: numpy's SIMD arccos and
+    arctan2 differ from libm's in the last bit (on AVX-512, for one)."""
+    theta = np.asarray(np.frompyfunc(math.acos, 1, 1)(np.clip(d[..., 2], -1.0, 1.0)), dtype=float)
+    phi = np.asarray(np.frompyfunc(math.atan2, 2, 1)(d[..., 1], d[..., 0]), dtype=float)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
     return theta_hat, phi_hat
 
 
@@ -129,14 +151,23 @@ def polarization_triad(
     return e_dir, h_dir, a_inc
 
 
-def _wave_fields(a_inc, theta_hat, phi_hat, pol: PolarizationAngle | float) -> tuple[np.ndarray, np.ndarray]:
-    """(e_dir, h_dir) of a wave along ``a_inc``, E at angle ``pol`` from the
-    vertical plane; theta_hat/phi_hat are the unit vectors at -a_inc."""
-    if not isinstance(pol, PolarizationAngle):
-        pol = PolarizationAngle(float(pol))
-    cv, sv = math.cos(pol.varphi), math.sin(pol.varphi)
+def _wave_fields(a_inc, theta_hat, phi_hat, pol) -> tuple[np.ndarray, np.ndarray]:
+    """(e_dir, h_dir) of waves along ``a_inc`` (..., 3), E at angle ``pol`` (an
+    array of radians in (0, 2*pi] for a stack) from the vertical plane;
+    theta_hat/phi_hat are the unit vectors at -a_inc."""
+    if not isinstance(pol, np.ndarray):
+        pol = (pol if isinstance(pol, PolarizationAngle) else PolarizationAngle(float(pol))).varphi
+    cv, sv = np.cos(pol)[..., None], np.sin(pol)[..., None]
     e_dir = -cv * theta_hat - sv * phi_hat
-    return e_dir, np.cross(a_inc, e_dir)
+    return e_dir, _cross(a_inc, e_dir)
+
+
+def _wave_triads(a_inc, pol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit (direction, e_dir, h_dir) of waves arriving along ``a_inc`` (..., 3),
+    polarized as _wave_fields takes ``pol``."""
+    a_inc = unit(a_inc)
+    e_dir, h_dir = _wave_fields(a_inc, *_spherical_frames(-a_inc), pol)
+    return a_inc, unit(e_dir), unit(h_dir)
 
 
 def plate_frame(normal, edge1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,7 +180,7 @@ def plate_frame(normal, edge1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e1 = check_unit(edge1, "edge1")
     if abs(float(np.dot(n, e1))) > FRAME_ORTHO_TOL:
         raise ValueError("normal and edge1 are not orthogonal")
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return n, e1, e2
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import PolarizationAngle, unit
+from .geometry import PolarizationAngle, _cross, unit
 from .link import LinkScenario, received_dbm
 from .po_oracle import IncidentWave
 from .rcs import PlateGeometry, Wavelength, sigma
@@ -174,7 +174,7 @@ def _horizontal_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vertical = horiz < 1e-12
     e1[vertical] = _EX
     e1[~vertical] /= horiz[~vertical, None]
-    e2 = np.cross(normals, e1)
+    e2 = _cross(normals, e1)
     return e1, e2
 
 

@@ -10,6 +10,10 @@ reuses the closed form: the edge sums are quadratures, not sinc terms, and
 the polarization dependence enters through the two spherical projections of
 the current, not through the cross-product identity the closed form uses,
 so agreement between the two routes is a real check rather than a tautology.
+
+One array pass evaluates a stack of plates, each with its own frame, wave,
+observer and rule size; rows of one size share one Golub-Welsch rule.
+po_far_field and po_rcs check one scenario and run it as a one-row stack.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import check_unit
+from .geometry import _cross, check_unit
 from .rcs import PlateGeometry, Wavelength
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
 # Largest quadrature rule.  The dense eigh of its n x n Jacobi matrix grows
 # as n^3: about 50 ms at this size, 1.6 s at 2048 (2-vCPU x86-64 VM).
 _MAX_NODES_PER_EDGE = 512
+# Edge-sum terms (rows x 2 edges x nodes) evaluated at once; bounds the
+# quadrature's memory for any number of rows and any rule size.
+_TERMS_PER_CHUNK = 1 << 16
 
 
 class FarFieldWarning(UserWarning):
@@ -55,7 +62,7 @@ class IncidentWave:
         a = check_unit(self.direction, "direction", tol=1e-12)
         e = check_unit(self.e_dir, "e_dir", tol=1e-12)
         h = check_unit(self.h_dir, "h_dir", tol=1e-12)
-        if float(np.linalg.norm(np.cross(e, h) - a)) > 1e-12:
+        if float(np.linalg.norm(_cross(e, h) - a)) > 1e-12:
             raise ValueError("wave triad must satisfy direction = e_dir x h_dir")
         if not self.h_magnitude > 0.0:
             raise ValueError("h_magnitude must be positive")
@@ -89,10 +96,8 @@ class IncidentWave:
         z axis and the arrival direction, extending the angle-based
         construction to directions outside the front half-space.
         """
-        a_inc = geometry.unit(a_inc)
-        e_dir, h_dir = geometry._wave_fields(a_inc, *geometry.spherical_unit_vectors(-a_inc), pol)
-        return cls(a_inc, geometry.unit(e_dir), geometry.unit(h_dir), wavelength,
-                   h_magnitude, impedance_ohm)
+        a_inc, e_dir, h_dir = geometry._wave_triads(a_inc, pol)
+        return cls(a_inc, e_dir, h_dir, wavelength, h_magnitude, impedance_ohm)
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,12 @@ class QuadratureSpec:
     def for_plate(cls, plate: PlateGeometry, wavelength: Wavelength) -> "QuadratureSpec":
         """Default resolution: at least 3 nodes per oscillation of the
         aperture phase term, plus a fixed safety margin."""
-        longest = max(plate.length1, plate.length2)
-        return cls(math.ceil(6.0 * longest / wavelength.meters) + 16)
+        return cls(int(_default_nodes(max(plate.length1, plate.length2), wavelength)))
+
+
+def _default_nodes(longest, wavelength: Wavelength):
+    """QuadratureSpec.for_plate's rule size for scalar or per-row longest edges."""
+    return np.ceil(6.0 * longest / wavelength.meters).astype(int) + 16
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ def induced_current(wave: IncidentWave, normal, point) -> np.ndarray:
     if abs(float(np.dot(n, point))) > 1e-9 * max(1.0, float(np.linalg.norm(point))):
         raise ValueError("point does not lie in the plate plane")
     phase = np.exp(-1j * wave.wavelength.k * float(np.dot(wave.direction, point)))
-    return 2.0 * wave.h_magnitude * np.cross(n, wave.h_dir) * phase
+    return 2.0 * wave.h_magnitude * _cross(n, wave.h_dir) * phase
 
 
 def far_field_bound(plate: PlateGeometry, wavelength: Wavelength) -> float:
@@ -155,40 +164,78 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 2.0 * vectors[0] ** 2
 
 
-def po_far_field(
-    plate: PlateGeometry, wave: IncidentWave, a_obs, distance_m: float, quad: QuadratureSpec
-) -> FarFieldSample:
-    """Scattered far field at an observation direction, by surface quadrature.
+def _far_fields(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength: Wavelength,
+                h_magnitude: float, impedance_ohm: float, distance_m: float):
+    """Scattered far fields (e_theta, e_phi) of a stack of plates, by surface quadrature.
+
+    Rows are edge lengths ``lengths`` (R, 2), plate frames ``frames`` (R, 3, 3)
+    with rows edge1, edge2, normal, and unit vectors ``a_inc``, ``h_dir``,
+    ``a_obs`` (R, 3).  ``nodes_per_edge`` is every row's rule size, or None
+    for QuadratureSpec.for_plate's per row.  Inputs are not checked.
 
     The current J0 * exp(-j*k*a_inc . r'), re-phased toward the observer by
     exp(j*k*a_obs . r') at r' = alpha*edge1 + beta*edge2, is J0 times a phase
     linear in (alpha, beta), so its tensor-product Gauss-Legendre sum is
     exactly (J0 . theta_hat, J0 . phi_hat) * S1 * S2 with the edge sums
-    S_i = sum_j (L_i/2) * w_j * exp(j*k*(L_i/2)*((a_obs - a_inc) . edge_i)*t_j).
+    S_i = sum_j (L_i/2) * w_j * exp(j*k*(L_i/2)*((a_obs - a_inc) . edge_i)*t_j);
+    J0 = 2*H0*(normal x h_dir) is induced_current at the plate centre.
     """
+    if nodes_per_edge is None:
+        nodes = _default_nodes(lengths.max(axis=1), wavelength)
+    else:
+        nodes = np.full(len(lengths), nodes_per_edge)
+    k = wavelength.k
+    half = 0.5 * lengths
+    phase = k * half * np.vecdot((a_obs - a_inc)[:, None], frames[:, :2])
+    sums = np.empty(lengths.shape, dtype=complex)
+    for n in sorted(set(nodes.tolist())):
+        t, w = _gauss_legendre(n)
+        rows = np.flatnonzero(nodes == n)
+        step = max(1, _TERMS_PER_CHUNK // (2 * n))
+        for part in (rows[i : i + step] for i in range(0, len(rows), step)):
+            sums[part] = np.sum(half[part, :, None] * w * np.exp(1j * (phase[part, :, None] * t)), axis=-1)
+    theta_hat, phi_hat = geometry._spherical_frames(a_obs)
+    current = 2.0 * h_magnitude * _cross(frames[:, 2], h_dir)
+    aperture = sums[:, 0] * sums[:, 1]
+    field = aperture * -1j * k * impedance_ohm * np.exp(-1j * k * distance_m) / (4.0 * math.pi * distance_m)
+    return field * np.vecdot(current, theta_hat), field * np.vecdot(current, phi_hat)
+
+
+def _po_sigmas(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength: Wavelength,
+               h_magnitude=1.0, impedance_ohm=FREE_SPACE_IMPEDANCE_OHM, distance_m=1000.0) -> np.ndarray:
+    """po_rcs of a stack of plates; the arguments are _far_fields's."""
+    e_theta, e_phi = _far_fields(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength,
+                                 h_magnitude, impedance_ohm, distance_m)
+    # np.hypot is the scalar abs(); numpy's vectorized complex abs may differ from it in the last bit.
+    scattered = np.square(np.hypot(e_theta.real, e_theta.imag)) + np.square(np.hypot(e_phi.real, e_phi.imag))
+    return 4.0 * math.pi * distance_m**2 * scattered / (impedance_ohm * h_magnitude) ** 2
+
+
+def _one_row(plate: PlateGeometry, wave: IncidentWave, a_obs, distance_m: float, quad: QuadratureSpec):
+    """Check one scenario and return it as the arguments of _far_fields."""
     a_obs = check_unit(a_obs, "a_obs")
     if not distance_m > 0.0:
         raise ValueError("observation distance must be positive")
-    current = induced_current(wave, plate.normal, np.zeros(3))  # J0, at the plate centre
-    k = wave.wavelength.k
+    if float(np.dot(plate.normal, wave.direction)) >= 0.0:
+        raise ValueError("back-side illumination: normal . direction must be negative")
     if distance_m < far_field_bound(plate, wave.wavelength):
         warnings.warn(
             f"observation distance {distance_m} m is inside the conventional "
             "far-field bound; results follow the far-field expressions anyway",
             FarFieldWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    frame = np.stack([plate.edge1, plate.edge2, plate.normal])
+    return (np.array([[plate.length1, plate.length2]]), frame[None], wave.direction[None], wave.h_dir[None],
+            a_obs[None], quad.nodes_per_edge, wave.wavelength, wave.h_magnitude, wave.impedance_ohm, distance_m)
 
-    t, w = _gauss_legendre(quad.nodes_per_edge)
-    deflection = a_obs - wave.direction
-    aperture = 1.0
-    for length, edge in ((plate.length1, plate.edge1), (plate.length2, plate.edge2)):
-        half = 0.5 * length
-        aperture *= complex(np.sum(half * w * np.exp(1j * k * half * float(deflection @ edge) * t)))
 
-    theta_hat, phi_hat = geometry.spherical_unit_vectors(a_obs)
-    field = aperture * -1j * k * wave.impedance_ohm * np.exp(-1j * k * distance_m) / (4.0 * math.pi * distance_m)
-    return FarFieldSample(field * complex(current @ theta_hat), field * complex(current @ phi_hat), distance_m)
+def po_far_field(
+    plate: PlateGeometry, wave: IncidentWave, a_obs, distance_m: float, quad: QuadratureSpec
+) -> FarFieldSample:
+    """Scattered far field at an observation direction, by surface quadrature."""
+    e_theta, e_phi = _far_fields(*_one_row(plate, wave, a_obs, distance_m, quad))
+    return FarFieldSample(e_theta[0], e_phi[0], distance_m)
 
 
 def po_rcs(
@@ -207,7 +254,4 @@ def po_rcs(
     """
     if quad is None:
         quad = QuadratureSpec.for_plate(plate, wave.wavelength)
-    sample = po_far_field(plate, wave, a_obs, distance_m, quad)
-    scattered = abs(sample.e_theta) ** 2 + abs(sample.e_phi) ** 2
-    incident = (wave.impedance_ohm * wave.h_magnitude) ** 2
-    return 4.0 * math.pi * distance_m**2 * scattered / incident
+    return float(_po_sigmas(*_one_row(plate, wave, a_obs, distance_m, quad))[0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import FRAME_ORTHO_TOL, check_unit
+from .geometry import FRAME_ORTHO_TOL, _cross, _dot, check_unit
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -53,9 +53,10 @@ class Wavelength:
         return cls(SPEED_OF_LIGHT_M_S / hz)
 
 
-def _check_lengths(length1: float, length2: float) -> None:
+def _check_lengths(length1: float, length2: float) -> tuple[float, float]:
     if not (0.0 < length1 < math.inf and 0.0 < length2 < math.inf):
         raise ValueError(f"plate edge lengths must be positive and finite, got {length1} and {length2}")
+    return length1, length2
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class PlateGeometry:
             or abs(float(np.dot(e1, e2))) > FRAME_ORTHO_TOL
         ):
             raise ValueError("plate frame is not orthonormal")
-        if float(np.linalg.norm(np.cross(e1, e2) - n)) > FRAME_ORTHO_TOL:
+        if float(np.linalg.norm(_cross(e1, e2) - n)) > FRAME_ORTHO_TOL:
             raise ValueError("plate frame is not right-handed (normal != edge1 x edge2)")
 
     @classmethod
@@ -166,30 +167,33 @@ def sinc(x):
     return _scalar_or_array(out)
 
 
-def _dot(u, v):
-    """Dot product over the trailing axis, summed in np.sum's order but without its overhead."""
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
-
-
-def _sigma_max(length1: float, length2: float, wl: Wavelength) -> float:
-    """sigma_max from bare edge lengths, checked to be positive and finite."""
-    _check_lengths(length1, length2)
-    return 4.0 * math.pi * length1**2 * length2**2 / wl.meters**2
+def _sigma_max(length1, length2, wl: Wavelength):
+    """4*pi*L1^2*L2^2/lambda^2 for scalar or per-row edge lengths (unchecked)."""
+    return 4.0 * math.pi * np.square(length1) * np.square(length2) / wl.meters**2
 
 
 def sigma_max(plate: PlateGeometry, wl: Wavelength) -> float:
     """Largest attainable RCS, 4*pi*L1^2*L2^2/lambda^2 (m^2)."""
-    return _sigma_max(plate.length1, plate.length2, wl)
+    return float(_sigma_max(plate.length1, plate.length2, wl))
 
 
 def f_js(normal, h_dir, a_obs):
     """Induced-current projection factor |(normal x h_dir) x a_obs|^2.
 
-    Broadcasts over a trailing (..., 3) stack of observation directions.
+    Broadcasts over (..., 3) stacks of normals, field directions and
+    observation directions.
     """
-    u = np.cross(np.asarray(normal, dtype=float), np.asarray(h_dir, dtype=float))
-    w = np.cross(u, np.asarray(a_obs, dtype=float))
+    u = _cross(np.asarray(normal, dtype=float), np.asarray(h_dir, dtype=float))
+    w = _cross(u, np.asarray(a_obs, dtype=float))
     return _scalar_or_array(_dot(w, w))
+
+
+def _array_factor(length1, length2, edge1, edge2, a_inc, a_obs, wl: Wavelength):
+    """sinc^2 * sinc^2 of the deflection projections, per row of lengths and edges."""
+    d = a_obs - a_inc
+    x1 = 0.5 * wl.k * length1 * _dot(d, edge1)
+    x2 = 0.5 * wl.k * length2 * _dot(d, edge2)
+    return np.square(sinc(x1)) * np.square(sinc(x2))
 
 
 def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
@@ -197,11 +201,22 @@ def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
 
     Broadcasts over a trailing (..., 3) stack of observation directions.
     """
-    d = np.asarray(a_obs, dtype=float) - np.asarray(a_inc, dtype=float)
-    x1 = 0.5 * wl.k * plate.length1 * _dot(d, plate.edge1)
-    x2 = 0.5 * wl.k * plate.length2 * _dot(d, plate.edge2)
-    out = sinc(x1) ** 2 * sinc(x2) ** 2
-    return _scalar_or_array(out)
+    a_inc, a_obs = np.asarray(a_inc, dtype=float), np.asarray(a_obs, dtype=float)
+    return _scalar_or_array(_array_factor(plate.length1, plate.length2, plate.edge1, plate.edge2, a_inc, a_obs, wl))
+
+
+def _closed_form(length1, length2, normal, edge1, edge2, a_inc, h_dir, a_obs, wl: Wavelength):
+    """(sigma, sigma_max, f_js, f_af), unchecked: the one evaluation of the closed form.
+
+    Edge lengths are scalars or per-row arrays; the frame, wave and observer
+    vectors (..., 3) stacks broadcasting with them: one plate seen along many
+    directions, or a stack of plates, each with its own frame, wave and
+    observer.  Squares are np.square, correctly rounded for scalars too.
+    """
+    smax = _sigma_max(length1, length2, wl)
+    js = f_js(normal, h_dir, a_obs)
+    af = _array_factor(length1, length2, edge1, edge2, a_inc, a_obs, wl)
+    return smax * js * af, smax, js, af
 
 
 def sigma(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength):
@@ -210,7 +225,9 @@ def sigma(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength):
     Broadcasts over a trailing (..., 3) stack of observation directions.
     Inputs are not checked; rcs() is the checked single-point query.
     """
-    return sigma_max(plate, wl) * f_js(plate.normal, h_dir, a_obs) * f_af(plate, a_inc, a_obs, wl)
+    a_inc, a_obs = np.asarray(a_inc, dtype=float), np.asarray(a_obs, dtype=float)
+    return _scalar_or_array(_closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
+                                         a_inc, h_dir, a_obs, wl)[0])
 
 
 def _check_plane_wave(a_inc, h_dir, a_obs):
@@ -234,11 +251,10 @@ def rcs(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength) -> RcsBreakdo
     a_obs : direction from the plate toward the observer.
     """
     a_inc, h_dir, a_obs = _check_plane_wave(a_inc, h_dir, a_obs)
-    smax = sigma_max(plate, wl)
-    js = f_js(plate.normal, h_dir, a_obs)
-    af = f_af(plate, a_inc, a_obs, wl)
+    factors = _closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
+                           a_inc, h_dir, a_obs, wl)
     valid = float(np.dot(plate.normal, a_inc)) < 0.0 and float(np.dot(plate.normal, a_obs)) > 0.0
-    return RcsBreakdown(smax * js * af, smax, js, af, valid)
+    return RcsBreakdown(*map(float, factors), valid)
 
 
 def specular_direction(normal, a_inc) -> np.ndarray:
@@ -306,7 +322,7 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     bracket = (cr * (sv * ct * np.sin(phi_r - phi_t) + cv * np.cos(dphi))) ** 2 + (
         cv * np.sin(dphi) + sv * ct * np.cos(dphi)
     ) ** 2
-    smax = _sigma_max(length1, length2, wl)
+    smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x1 = 0.5 * wl.k * length1 * (sr * np.cos(phi_r) + st * np.cos(phi_t))
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) + st * np.sin(phi_t))
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -323,7 +339,7 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     st, ct = np.sin(theta_t), np.cos(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (ct * cr * np.cos(phi_r)) ** 2 + (ct * np.sin(phi_r)) ** 2
-    smax = _sigma_max(length1, length2, wl)
+    smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -336,7 +352,7 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     sigma = sigma_max * cos^2(theta_t) * sinc^2(k*L2/2 * (sin theta_r - sin theta_t))
     """
     theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
-    smax = _sigma_max(length1, length2, wl)
+    smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
@@ -352,7 +368,7 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     st = np.sin(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (cr * np.sin(phi_r)) ** 2 + np.cos(phi_r) ** 2
-    smax = _sigma_max(length1, length2, wl)
+    smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
     x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
@@ -368,7 +384,7 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     maximum to an observation angle slightly below the specular angle.
     """
     theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
-    smax = _sigma_max(length1, length2, wl)
+    smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)

@@ -320,6 +320,24 @@ def test_validate_deterministic(capsys):
     assert out1 == out2
 
 
+VALIDATE_GOLDEN_DIR = Path(__file__).parent / "data" / "validate_golden"
+VALIDATE_GOLDEN = {
+    "trials40_seed7": ["--trials", "40", "--seed", "7"],
+    "trials40_seed7_n80": ["--trials", "40", "--seed", "7", "--nodes-per-edge", "80"],
+    "trials40_seed7_1ghz": ["--trials", "40", "--seed", "7", "--freq-hz", "1e9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_GOLDEN))
+def test_validate_matches_golden(capsys, name):
+    """validate stdout is byte-identical to that of the per-trial loop over
+    scalar rcs() and po_rcs() calls: the error digits move with any change
+    of rounding in either route."""
+    code, out, _ = run(capsys, ["validate", *VALIDATE_GOLDEN[name]])
+    assert code == 0
+    assert out == (VALIDATE_GOLDEN_DIR / f"{name}.out").read_text()
+
+
 SCENE_CONFIG = {
     "frequency_hz": 3e9,
     "tx_position_m": [0.0, -8.0, 0.0],

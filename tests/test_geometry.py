@@ -13,6 +13,7 @@ from platekit import (
     spherical_to_unit,
     spherical_unit_vectors,
 )
+from platekit.geometry import _cross
 
 
 def test_spherical_to_unit_axes():
@@ -136,3 +137,17 @@ def test_check_unit_rejects_non_finite():
     for l1, l2 in ((math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError, match="positive and finite"):
             PlateGeometry(l1, l2, EZ, EX, EY)
+
+
+# One pair of 3-vectors, row pairs, a vector against a stack, a candidate
+# stack against shared receivers, and a transposed (non-contiguous) view.
+@pytest.mark.parametrize("shape_u, shape_v, transposed", [
+    ((3,), (3,), False), ((7, 3), (7, 3), False), ((3,), (5, 3), False),
+    ((4, 1, 3), (6, 3), False), ((4, 1, 3), (4, 3, 6), True),
+])
+def test_cross_matches_numpy_bitwise(shape_u, shape_v, transposed):
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=shape_u), rng.normal(size=shape_v)
+    if transposed:
+        v = v.transpose(0, 2, 1)
+    assert np.array_equal(_cross(u, v), np.cross(u, v))

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from platekit import run_validation
+from platekit import QuadratureSpec, Wavelength, po_oracle, po_rcs, rcs, run_validation, validate
+from platekit.validate import _evaluate_block, random_scenario
 
 
 @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", 0, -1])
@@ -21,3 +24,61 @@ def test_run_validation_fixed_rule():
     assert report.trials == 3 and report.nodes_per_edge == 80
     assert report.passed and report.max_rel_error < 1e-8
     assert report.lines()[0] == "trials=3 seed=5 nodes_per_edge=80"
+
+
+def test_stacked_rows_equal_scalar_queries():
+    """Each row of a stacked block is, bit for bit, the scalar rcs() and
+    po_rcs() of the scenario random_scenario draws from the same stream: per
+    row plate frames, waves, observers and rule sizes included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 24),
+        freq_hz=st.sampled_from([1e9, 2.4e9, 3e9, 7.5e9]),
+        nodes=st.one_of(st.none(), st.integers(2, 96)),
+    )
+    # Rows 363 and 384 of this stream square a sinc value whose libm
+    # pow(x, 2) is one ulp off x * x.
+    @hypothesis.example(seed=20240301, count=400, freq_hz=3e9, nodes=None)
+    def check(seed, count, freq_hz, nodes):
+        wl = Wavelength.from_frequency(freq_hz)
+        block_rng = np.random.default_rng(seed)
+        closed, po = _evaluate_block(block_rng, count, wl, nodes)
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            plate, wave, a_obs = random_scenario(rng, wl)
+            assert rcs(plate, wave.direction, wave.h_dir, a_obs, wl).sigma_m2 == closed[i]
+            quad = None if nodes is None else QuadratureSpec(nodes)
+            assert po_rcs(plate, wave, a_obs, quad) == po[i]
+        assert block_rng.bit_generator.state == rng.bit_generator.state
+
+    check()
+
+
+# 7 trials per block does not divide 40; one row per quadrature chunk; a
+# chunk holding every row at once.
+@pytest.mark.parametrize("trials_per_block, terms_per_chunk", [(7, 1 << 16), (1024, 1), (1024, 1 << 40)])
+def test_run_validation_independent_of_blocking(monkeypatch, trials_per_block, terms_per_chunk):
+    reference = run_validation(40, 7).lines()
+    monkeypatch.setattr(validate, "_TRIALS_PER_BLOCK", trials_per_block)
+    monkeypatch.setattr(po_oracle, "_TERMS_PER_CHUNK", terms_per_chunk)
+    assert run_validation(40, 7).lines() == reference
+
+
+def test_run_validation_memory_is_bounded():
+    # At the largest rule all 2000 trials' edge sums at once would take
+    # 2000 x 2 x 512 complex terms, 33 MB per temporary.
+    run_validation(2, 3, nodes_per_edge=512)  # warm up lazily allocated state
+    peaks = []
+    for trials in (500, 2000):
+        tracemalloc.start()
+        try:
+            run_validation(trials, 3, nodes_per_edge=512)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 12e6
+    assert peaks[1] <= peaks[0] + 1e6
