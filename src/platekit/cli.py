@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from . import geometry, link, measure, planner, svgplot, validate
+from . import csvtext, geometry, link, measure, planner, svgplot, validate
+from .csvtext import fmt as _fmt
 from .rcs import PlateGeometry, Wavelength, dbsm, sigma
 from .rcs import rcs as rcs_breakdown
 from .measure import POLARIZATION_CASES
@@ -30,10 +31,6 @@ EXIT_IO = 4
 _CHUNK_ROWS = 4096
 # Largest sweep grid; about 11x the rows of a 0.001-degree step over 0..90 degrees.
 _MAX_SWEEP_ROWS = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _json_ready(obj):
@@ -67,26 +64,18 @@ def _write_text(path: str | None, text: str) -> None:
 def _write_table(path: str | None, header: str, columns: list, shadow=None) -> None:
     """Write equal-length numeric columns as CSV to ``path`` (stdout if None).
 
-    Integer columns print as %d and the others as _fmt does.  Where the
-    boolean ``shadow`` array is set, the last column reads ``shadow``.  Rows
-    are formatted and written _CHUNK_ROWS at a time.
+    Integer columns print as %d and the others as %.9g (``csvtext``).  Where
+    the boolean ``shadow`` array is set, the last column reads ``shadow``.
+    Rows are formatted and written _CHUNK_ROWS at a time.
     """
     columns = [np.asarray(c) for c in columns]
-    # "%.9g" % x gives the bytes of _fmt(x); "%.0s" consumes a value and prints nothing.
-    fields = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.9g" for c in columns]
-    row = ",".join(fields) + "\n"
-    shadow_row = ",".join(fields[:-1] + ["shadow%.0s"]) + "\n"
     out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
     with out as fh:
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = np.column_stack([c[start : start + _CHUNK_ROWS] for c in columns])
-            if shadow is None:
-                template = row * len(chunk)
-            else:
-                marks = shadow[start : start + _CHUNK_ROWS]
-                template = "".join(np.where(marks, shadow_row, row).tolist())
-            fh.write(template % tuple(chunk.ravel().tolist()))
+            rows = slice(start, start + _CHUNK_ROWS)
+            chunk = csvtext.format_rows([c[rows] for c in columns], None if shadow is None else shadow[rows])
+            fh.write(chunk.decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

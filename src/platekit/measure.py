@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import link
+from .csvtext import fmt, format_rows
 from .rcs import Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
 
 _METADATA_KEYS = {"theta_t_deg", "varphi_t_deg", "freq_hz"}
@@ -113,23 +114,22 @@ def load_series(path) -> MeasurementSeries:
 def save_series(series: MeasurementSeries, path) -> None:
     """Write a measurement CSV in the format load_series reads.
 
-    Values are written to 9 significant digits; a series whose angles would
-    no longer be strictly increasing at that precision is rejected before
-    anything is written.
+    Values are written as ``%.9g`` prints them (``csvtext``); a series whose
+    angles would no longer be strictly increasing at that precision is
+    rejected before anything is written.
     """
-    angles = [f"{angle:.9g}" for angle in series.theta_r_deg]
-    if not np.all(np.diff(np.array(angles, dtype=float)) > 0.0):
+    angles = np.array(format_rows([series.theta_r_deg]).decode("ascii").split(), dtype=float)
+    if not np.all(np.diff(angles) > 0.0):
         raise ValueError("observation angles must stay strictly increasing at 9 significant digits")
     lines = []
     for key in ("theta_t_deg", "varphi_t_deg", "freq_hz"):
         value = getattr(series, key)
         if value is not None:
-            lines.append(f"# {key}={value:.9g}")
+            lines.append(f"# {key}={fmt(value)}")
     lines.append(_HEADER)
-    for angle, power in zip(angles, series.power_dbm):
-        lines.append(f"{angle},{power:.9g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write(format_rows([series.theta_r_deg, series.power_dbm]).decode("ascii"))
 
 
 @dataclass(frozen=True)
