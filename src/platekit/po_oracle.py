@@ -1,9 +1,10 @@
 """Brute-force physical-optics validation path for the closed-form RCS.
 
 The scattered field is obtained by integrating the induced surface current
-over the plate with a tensor-product Gauss-Legendre rule (Golub-Welsch
-nodes), projecting onto the spherical field components at the observation
-direction, and normalizing the scattered power density by the incident one.
+over the plate with a tensor-product Gauss-Legendre rule (nodes by Newton's
+method on the Legendre recurrence), projecting onto the spherical field
+components at the observation direction, and normalizing the scattered power
+density by the incident one.
 The current is a constant vector times a phase linear in the surface point,
 so the 2-D sum factors exactly into one 1-D sum per edge.  Nothing here
 reuses the closed form: the edge sums are quadratures, not sinc terms, and
@@ -12,7 +13,8 @@ the current, not through the cross-product identity the closed form uses,
 so agreement between the two routes is a real check rather than a tautology.
 
 One array pass evaluates a stack of plates, each with its own frame, wave,
-observer and rule size; rows of one size share one Golub-Welsch rule.
+observer and rule size; the rules of all sizes are solved together, and rows
+of one size share one rule.
 po_far_field and po_rcs check one scenario and run it as a one-row stack.
 """
 
@@ -30,9 +32,12 @@ from .geometry import _cross, check_unit
 from .rcs import PlateGeometry, Wavelength
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
-# Largest quadrature rule.  The dense eigh of its n x n Jacobi matrix grows
-# as n^3: about 50 ms at this size, 1.6 s at 2048 (2-vCPU x86-64 VM).
+# Largest quadrature rule.  Its Newton solve costs n/2 nodes x n recurrence
+# steps x _NEWTON_STEPS: about 5 ms at this size (2-vCPU x86-64 VM).
 _MAX_NODES_PER_EDGE = 512
+# Newton steps from Tricomi's guess: 4 reach full float64 precision for every
+# n in 2..512 (nodes within 7e-17 of a 40-digit reference; test_po_oracle).
+_NEWTON_STEPS = 4
 # Edge-sum terms (rows x 2 edges x nodes) evaluated at once; bounds the
 # quadrature's memory for any number of rows and any rule size.
 _TERMS_PER_CHUNK = 1 << 16
@@ -156,12 +161,69 @@ def far_field_bound(plate: PlateGeometry, wavelength: Wavelength) -> float:
     return 2.0 * (plate.length1**2 + plate.length2**2) / wavelength.meters
 
 
+def _legendre(x, n, starts):
+    """P_n(x) and P_{n-1}(x) for nodes ``x`` of rule sizes ``n``.
+
+    The nodes are sorted by size and those of each size begin at ``starts``,
+    so each step of the three-term recurrence updates only the suffix of
+    nodes whose n it has not reached.
+    """
+    table = np.empty((3, len(x)))  # row k % 2 holds P_k; row 2 is scratch
+    table[0] = 1.0
+    table[1] = x
+    degree = 1
+    for start in starts:
+        size = int(n[start])
+        xs, xp, rows = x[start:], table[2, start:], tuple(table[:2, start:])
+        for k in range(degree, size):
+            # P_{k+1} = x*P_k + k/(k+1) * (x*P_k - P_{k-1}), written over P_{k-1}
+            new = rows[(k + 1) % 2]
+            np.multiply(xs, rows[k % 2], out=xp)
+            new -= xp
+            new *= -k / (k + 1)
+            new += xp
+        degree = size
+    parity, index = n.astype(int) % 2, np.arange(len(x))
+    return table[parity, index], table[1 - parity, index]
+
+
+def _gauss_legendre_rules(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] for each distinct n
+    in ``sizes``, keyed by n in ascending order.
+
+    The nonnegative nodes of all sizes are solved at once by _NEWTON_STEPS
+    Newton steps on P_n from Tricomi's guess, and mirrored.  The weight is
+    2/((1 - x^2) P_n'(x)^2) at the last iterate, moved to first order by its
+    Newton step, so node rounding does not reach it.  Every operation is
+    elementwise within one size's nodes, so a rule is the same bits whatever
+    other sizes it is built with.
+    """
+    sizes = sorted(set(sizes))
+    half = [(n + 1) // 2 for n in sizes]
+    starts = np.cumsum([0] + half[:-1])
+    n = np.repeat(np.array(sizes, dtype=float), half)
+    # Tricomi: x_j = (1 - (n-1)/(8n^3)) sin(pi*j/(2n+1)), j = n-1, n-3, ... >= 0;
+    # math.sin keeps the guess independent of the node's place in the array.
+    j = np.concatenate([np.arange((m - 1) % 2, m, 2) for m in sizes])
+    x = np.fromiter(map(math.sin, math.pi * j / (2.0 * n + 1.0)), float, len(j))
+    x *= 1.0 - (n - 1.0) / (8.0 * n**3)
+    for _ in range(_NEWTON_STEPS):
+        p, p_prev = _legendre(x, n, starts)
+        one_minus_sq = (1.0 - x) * (1.0 + x)
+        slope = n * (p_prev - x * p) / one_minus_sq
+        step = p / slope
+        last, x = x, x - step
+    weights = 2.0 / (one_minus_sq * slope * slope) * (1.0 + 2.0 * last * step / one_minus_sq)
+    rules = {}
+    for m, start, h in zip(sizes, starts, half):
+        t, w = x[start : start + h], weights[start : start + h]
+        rules[m] = np.concatenate((-t[::-1], t[m % 2 :])), np.concatenate((w[::-1], w[m % 2 :]))
+    return rules
+
+
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch): the
-    eigenvalues of the Legendre Jacobi matrix, and 2 * v[0]**2 of its eigenvectors."""
-    i = np.arange(1.0, n)
-    nodes, vectors = np.linalg.eigh(np.diag(i / np.sqrt(4.0 * i * i - 1.0), -1))
-    return nodes, 2.0 * vectors[0] ** 2
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]; see _gauss_legendre_rules."""
+    return _gauss_legendre_rules([n])[n]
 
 
 def _far_fields(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength: Wavelength,
@@ -188,8 +250,7 @@ def _far_fields(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength
     half = 0.5 * lengths
     phase = k * half * np.vecdot((a_obs - a_inc)[:, None], frames[:, :2])
     sums = np.empty(lengths.shape, dtype=complex)
-    for n in sorted(set(nodes.tolist())):
-        t, w = _gauss_legendre(n)
+    for n, (t, w) in _gauss_legendre_rules(nodes.tolist()).items():
         rows = np.flatnonzero(nodes == n)
         step = max(1, _TERMS_PER_CHUNK // (2 * n))
         for part in (rows[i : i + step] for i in range(0, len(rows), step)):

@@ -17,6 +17,7 @@ x-y plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,14 @@ class Wavelength:
     meters: float
 
     def __post_init__(self):
-        if not 0.0 < self.meters < math.inf:
-            raise ValueError(f"wavelength must be positive and finite: {self.meters}")
+        # sigma_max divides by lambda^2: a square that underflows (even to a
+        # subnormal) or overflows would make it 0/0, inf or 0.
+        square = float(self.meters) * float(self.meters)
+        if not (self.meters > 0.0 and sys.float_info.min <= square < math.inf):
+            raise ValueError(
+                f"wavelength must be positive and finite, with a square that neither underflows nor "
+                f"overflows float64: {self.meters}"
+            )
 
     @property
     def k(self) -> float:

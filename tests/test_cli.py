@@ -284,6 +284,30 @@ def test_plate_flags_reject_non_finite(capsys, command, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("freq_hz", ["1e200", "1e165", "1e-200"])
+@pytest.mark.parametrize("command", ["rcs", "sweep", "validate", "coverage", "optimize"])
+def test_frequency_whose_wavelength_square_leaves_float64_is_rejected(capsys, tmp_path, command, freq_hz):
+    """At 1e200 Hz lambda^2 underflows to 0 (sigma_max would be 0/0), at 1e165 Hz
+    to a subnormal (1/lambda^2 overflows), at 1e-200 Hz it overflows."""
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["frequency_hz"] = float(freq_hz)
+    scene, out_csv = str(write_config(tmp_path, cfg)), tmp_path / "c.csv"
+    argv = {
+        "rcs": RCS_BASE,
+        "sweep": SWEEP_BASE,
+        "validate": ["validate", "--trials", "1", "--freq-hz", "3e9"],
+        "coverage": ["coverage", scene, "--out-csv", str(out_csv)],
+        "optimize": ["optimize", scene],
+    }[command]
+    if "--freq-hz" in argv:
+        argv = [*argv]
+        argv[argv.index("--freq-hz") + 1] = freq_hz
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: wavelength must be positive and finite, with a square that neither underflows")
+    assert not out_csv.exists()
+
+
 def test_validate_pass_and_fail(capsys):
     code, out, _ = run(capsys, ["validate", "--trials", "20", "--seed", "1"])
     assert code == 0
@@ -330,9 +354,11 @@ VALIDATE_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(VALIDATE_GOLDEN))
 def test_validate_matches_golden(capsys, name):
-    """validate stdout is byte-identical to that of the per-trial loop over
-    scalar rcs() and po_rcs() calls: the error digits move with any change
-    of rounding in either route."""
+    """validate stdout is byte-identical to the recorded files.  Their error
+    digits move with any change of rounding in either route and with the
+    quadrature rule: they were recorded with the Newton Gauss-Legendre rules
+    of po_oracle._gauss_legendre_rules (one-row rcs() and po_rcs() queries
+    give the same rows; test_validate::test_stacked_rows_equal_scalar_queries)."""
     code, out, _ = run(capsys, ["validate", *VALIDATE_GOLDEN[name]])
     assert code == 0
     assert out == (VALIDATE_GOLDEN_DIR / f"{name}.out").read_text()

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from platekit import (
     sigma_max,
     spherical_unit_vectors,
 )
-from platekit.po_oracle import _MAX_NODES_PER_EDGE, _gauss_legendre, far_field_bound
+from platekit.po_oracle import _MAX_NODES_PER_EDGE, _gauss_legendre, _gauss_legendre_rules, far_field_bound
 from platekit.validate import random_scenario
 
 
@@ -71,6 +72,72 @@ def test_gauss_legendre_rule(n):
     for degree in range(2 * n):
         exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
         assert abs(np.sum(w * t**degree) - exact) <= 1e-13, degree
+
+
+def _reference_rule(n):
+    """Nonnegative nodes and their weights of the n-point rule to 40 digits:
+    two Newton steps on the Legendre recurrence in decimal, from leggauss's
+    nodes (about 1e-16 off, so the first step leaves about 1e-26)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ratios = [Decimal(k) / (k + 1) for k in range(n)]
+        nodes, weights = [], []
+        for seed in leggauss(n)[0][n // 2 :]:
+            x = Decimal(float(seed))
+            for _ in range(2):
+                p_prev, p = Decimal(1), x
+                for k in range(1, n):
+                    xp = x * p
+                    p_prev, p = p, xp + ratios[k] * (xp - p_prev)
+                slope = n * (p_prev - x * p) / (1 - x * x)
+                weight = 2 / ((1 - x * x) * slope * slope)
+                x -= p / slope
+            nodes.append(x)
+            weights.append(weight)
+    return nodes, weights
+
+
+# Golub-Welsch (dense eigh of the Jacobi matrix) errors against the same
+# reference: largest node error 5.7e-16 over these n, and the largest relative
+# weight error per n (at n = 2 and 3, the n = 3 figure).
+_GOLUB_WELSCH_WEIGHT_ERROR = {2: 4.3e-16, 3: 4.3e-16, 19: 2.8e-14, 76: 3.1e-13, 128: 7.8e-13, 512: 4.6e-12}
+
+
+@pytest.mark.parametrize("n", sorted(_GOLUB_WELSCH_WEIGHT_ERROR))
+def test_gauss_legendre_rule_against_40_digit_reference(n):
+    """The Newton rule is at least as accurate as the Golub-Welsch rule it replaced."""
+    ref_t, ref_w = _reference_rule(n)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        # Each seed found its own root: the mirrored weights sum to 2.
+        assert abs(2 * sum(ref_w) - (ref_w[0] if n % 2 else 0) - 2) < Decimal("1e-25")
+    t, w = _gauss_legendre(n)
+    assert len(t) == len(w) == n
+    node_error = max(abs(Decimal(float(a)) - b) for a, b in zip(t[n // 2 :], ref_t, strict=True))
+    weight_error = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(w[n // 2 :], ref_w, strict=True))
+    assert node_error <= Decimal("5.7e-16")
+    assert weight_error <= Decimal(_GOLUB_WELSCH_WEIGHT_ERROR[n])
+    # The rule is symmetric, bit for bit.
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_gauss_legendre_rule_independent_of_its_batch():
+    """A size's rule is the same bits alone as built together with other sizes,
+    so one-row po_rcs queries equal rows of a stacked validate block."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sizes = st.integers(2, _MAX_NODES_PER_EDGE)
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(n=sizes, others=st.lists(sizes, max_size=8))
+    def check(n, others):
+        alone = _gauss_legendre(n)
+        batch = _gauss_legendre_rules(others + [n])
+        assert list(batch) == sorted(set(others + [n]))
+        for got, want in zip(batch[n], alone):
+            assert got.tobytes() == want.tobytes()
+
+    check()
 
 
 def test_induced_current_examples(wl_3ghz):

@@ -8,6 +8,7 @@ from platekit import (
     PlateGeometry,
     PolarizationAngle,
     SphericalAngles,
+    Wavelength,
     dbsm,
     f_af,
     f_js,
@@ -28,6 +29,18 @@ from platekit import (
 LAMBDA_3GHZ = 299792458.0 / 3e9
 # sinc^2(5*pi*sin(45 deg)), the array-factor loss of the 45->0 degree cut
 F_AF_45_TO_0 = (math.sin(5 * math.pi * math.sin(deg(45))) / (5 * math.pi * math.sin(deg(45)))) ** 2
+
+
+@pytest.mark.parametrize("meters", [0.0, -0.1, math.inf, math.nan, 1e-155, 2e-162, 1e-200, 1e155, 1e200])
+def test_wavelength_rejects_a_square_outside_normal_float64(meters):
+    with pytest.raises(ValueError, match="wavelength must be positive and finite"):
+        Wavelength(meters)
+
+
+@pytest.mark.parametrize("meters", [1.5e-154, 1.3e154, np.float64(0.1)])
+def test_wavelength_accepts_a_normal_square(meters):
+    wl = Wavelength(meters)
+    assert 0.0 < sigma_max(PlateGeometry.xy_plane(0.1, 0.1), wl) < math.inf
 
 
 def test_sinc_basics():
