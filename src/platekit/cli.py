@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -31,6 +32,8 @@ EXIT_IO = 4
 _CHUNK_ROWS = 4096
 # Largest sweep grid; about 11x the rows of a 0.001-degree step over 0..90 degrees.
 _MAX_SWEEP_ROWS = 1_000_000
+# argparse's (private) negative-number pattern plus an exponent: "-1e1" is a value, not a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
 
 
 def _json_ready(obj):
@@ -216,6 +219,21 @@ def _observation_directions(theta_deg: np.ndarray, phi_deg: float) -> np.ndarray
     return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=-1)
 
 
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    _add_plate_wave_flags(p, observation=False)
+    p.add_argument("--theta-r-start", type=float, default=0.0)
+    p.add_argument("--theta-r-stop", type=float, default=90.0)
+    p.add_argument("--theta-r-step", type=float, default=5.0)
+    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.add_argument("--svg", help="optional SVG plot path")
+    p.add_argument("--p-t-dbm", type=float, help="transmit power (enables power column)")
+    p.add_argument("--amp-db", type=float, help="amplifier gain in dB")
+    p.add_argument("--g-t-dbi", type=float, help="transmit antenna gain")
+    p.add_argument("--g-r-dbi", type=float, help="receive antenna gain")
+    p.add_argument("--d-t-m", type=float, help="transmitter-to-plate distance")
+    p.add_argument("--d-r-m", type=float, help="plate-to-receiver distance")
+
+
 def _cmd_sweep(args) -> int:
     wl = Wavelength.from_frequency(args.freq_hz)
     plate = _plate_from_args(args, wl)
@@ -254,6 +272,14 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # validate
+
+
+def _add_validate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--nodes-per-edge", type=int, default=None)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--freq-hz", type=float, default=3e9)
 
 
 def _cmd_validate(args) -> int:
@@ -390,6 +416,14 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
     return scene, region, objective
 
 
+def _add_coverage_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", help="scene/region JSON config path")
+    p.add_argument("--out-csv", required=True, help="output CSV path")
+    p.add_argument("--out-svg", help="optional SVG heatmap path")
+    p.add_argument("--db-min", type=float, help="color scale lower bound (dBm)")
+    p.add_argument("--db-max", type=float, help="color scale upper bound (dBm)")
+
+
 def _cmd_coverage(args) -> int:
     _check_finite(args, ("db_min", "db_max"))
     scene, region, _ = load_scene_config(args.config)
@@ -414,6 +448,11 @@ def _cmd_coverage(args) -> int:
     n_shadow = int(np.count_nonzero(cov.shadow))
     print(f"cells={cov.points.shape[0]} shadow_cells={n_shadow}")
     return EXIT_OK
+
+
+def _add_optimize_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", help="scene/region JSON config path")
+    p.add_argument("--out-json", help="optional JSON result path")
 
 
 def _cmd_optimize(args) -> int:
@@ -450,6 +489,23 @@ def _cmd_optimize(args) -> int:
 
 # ---------------------------------------------------------------------------
 # compare
+
+
+def _add_compare_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("measurement", help="measurement CSV path")
+    p.add_argument("--pol-case", choices=list(POLARIZATION_CASES), default=None)
+    p.add_argument("--freq-hz", type=float, default=None)
+    p.add_argument("--theta-t-deg", type=float, default=None)
+    p.add_argument("--l1-wl", type=float, default=5.0)
+    p.add_argument("--l2-wl", type=float, default=5.0)
+    p.add_argument("--p-t-dbm", type=float, default=0.0)
+    p.add_argument("--amp-db", type=float, default=38.861)
+    p.add_argument("--g-t-dbi", type=float, default=16.0)
+    p.add_argument("--g-r-dbi", type=float, default=16.0)
+    p.add_argument("--d-t-m", type=float, default=8.0)
+    p.add_argument("--d-r-m", type=float, default=8.0)
+    p.add_argument("--out-json", help="optional JSON report path")
+    p.add_argument("--out-svg", help="optional overlay SVG path")
 
 
 def _cmd_compare(args) -> int:
@@ -522,81 +578,42 @@ def _cmd_compare(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # name: (help, flag adder, handler)
+    "rcs": ("RCS breakdown for one configuration", _add_plate_wave_flags, _cmd_rcs),
+    "sweep": ("observation-angle sweep to CSV/SVG", _add_sweep_flags, _cmd_sweep),
+    "validate": ("closed form vs quadrature on random scenarios", _add_validate_flags, _cmd_validate),
+    "coverage": ("coverage heatmap over a receiver grid", _add_coverage_flags, _cmd_coverage),
+    "optimize": ("search plate orientation for a region objective", _add_optimize_flags, _cmd_optimize),
+    "compare": ("measured sweep vs model curve", _add_compare_flags, _cmd_compare),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The platekit parser.  Every subcommand is listed; with ``command``,
+    only that one gets its flags (``-h`` too), which is all one run parses."""
     parser = argparse.ArgumentParser(
         prog="platekit",
         description="Reflection modelling for rectangular metal plate reflectors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rcs = sub.add_parser("rcs", help="RCS breakdown for one configuration")
-    _add_plate_wave_flags(p_rcs)
-    p_rcs.set_defaults(func=_cmd_rcs)
-
-    p_sweep = sub.add_parser("sweep", help="observation-angle sweep to CSV/SVG")
-    _add_plate_wave_flags(p_sweep, observation=False)
-    p_sweep.add_argument("--theta-r-start", type=float, default=0.0)
-    p_sweep.add_argument("--theta-r-stop", type=float, default=90.0)
-    p_sweep.add_argument("--theta-r-step", type=float, default=5.0)
-    p_sweep.add_argument("--out", help="output CSV path (default stdout)")
-    p_sweep.add_argument("--svg", help="optional SVG plot path")
-    p_sweep.add_argument("--p-t-dbm", type=float, help="transmit power (enables power column)")
-    p_sweep.add_argument("--amp-db", type=float, help="amplifier gain in dB")
-    p_sweep.add_argument("--g-t-dbi", type=float, help="transmit antenna gain")
-    p_sweep.add_argument("--g-r-dbi", type=float, help="receive antenna gain")
-    p_sweep.add_argument("--d-t-m", type=float, help="transmitter-to-plate distance")
-    p_sweep.add_argument("--d-r-m", type=float, help="plate-to-receiver distance")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="closed form vs quadrature on random scenarios")
-    p_val.add_argument("--trials", type=int, default=100)
-    p_val.add_argument("--seed", type=int, default=1)
-    p_val.add_argument("--nodes-per-edge", type=int, default=None)
-    p_val.add_argument("--tol", type=float, default=1e-6)
-    p_val.add_argument("--freq-hz", type=float, default=3e9)
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_cov = sub.add_parser("coverage", help="coverage heatmap over a receiver grid")
-    p_cov.add_argument("config", help="scene/region JSON config path")
-    p_cov.add_argument("--out-csv", required=True, help="output CSV path")
-    p_cov.add_argument("--out-svg", help="optional SVG heatmap path")
-    p_cov.add_argument("--db-min", type=float, help="color scale lower bound (dBm)")
-    p_cov.add_argument("--db-max", type=float, help="color scale upper bound (dBm)")
-    p_cov.set_defaults(func=_cmd_coverage)
-
-    p_opt = sub.add_parser("optimize", help="search plate orientation for a region objective")
-    p_opt.add_argument("config", help="scene/region JSON config path")
-    p_opt.add_argument("--out-json", help="optional JSON result path")
-    p_opt.set_defaults(func=_cmd_optimize)
-
-    p_cmp = sub.add_parser("compare", help="measured sweep vs model curve")
-    p_cmp.add_argument("measurement", help="measurement CSV path")
-    p_cmp.add_argument("--pol-case", choices=list(POLARIZATION_CASES), default=None)
-    p_cmp.add_argument("--freq-hz", type=float, default=None)
-    p_cmp.add_argument("--theta-t-deg", type=float, default=None)
-    p_cmp.add_argument("--l1-wl", type=float, default=5.0)
-    p_cmp.add_argument("--l2-wl", type=float, default=5.0)
-    p_cmp.add_argument("--p-t-dbm", type=float, default=0.0)
-    p_cmp.add_argument("--amp-db", type=float, default=38.861)
-    p_cmp.add_argument("--g-t-dbi", type=float, default=16.0)
-    p_cmp.add_argument("--g-r-dbi", type=float, default=16.0)
-    p_cmp.add_argument("--d-t-m", type=float, default=8.0)
-    p_cmp.add_argument("--d-r-m", type=float, default=8.0)
-    p_cmp.add_argument("--out-json", help="optional JSON report path")
-    p_cmp.add_argument("--out-svg", help="optional overlay SVG path")
-    p_cmp.set_defaults(func=_cmd_compare)
-
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        built = command in (None, name)
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
+            add_flags(p)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

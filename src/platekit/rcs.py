@@ -170,7 +170,8 @@ def sinc(x):
     safe = np.where(small, 1.0, arr)
     out = np.sin(safe) / safe
     if np.any(small):
-        out = np.where(small, 1.0 - arr * arr / 6.0, out)
+        tiny = np.where(small, arr, 0.0)  # large elements would overflow x*x
+        out = np.where(small, 1.0 - tiny * tiny / 6.0, out)
     return _scalar_or_array(out)
 
 

@@ -28,42 +28,37 @@ from .rcs import PlateGeometry, Wavelength, _closed_form
 _TRIALS_PER_BLOCK = 1024
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random rotation matrix from a normalized random quaternion."""
-    q = rng.normal(size=4)
-    w, x, y, z = q / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
 def _draw(rng: np.random.Generator, lam: float):
-    """Edge lengths (m), plate frame (rows edge1, edge2, normal), arrival
+    """Edge lengths (m), plate frame (rows edge1, edge2, normal: a uniformly
+    random rotation from a normalized Gaussian quaternion), arrival
     direction, polarization angle and observation direction of one scenario.
 
     The arrival direction is resampled until it illuminates the front face,
-    the observation direction until it lies on the front side.
+    the observation direction until it lies on the front side.  Each value has
+    the bits rng.uniform, rng.normal and np.linalg.norm would give.
     """
-    l1 = float(rng.uniform(0.5, 10.0)) * lam
-    l2 = float(rng.uniform(0.5, 10.0)) * lam
-    frame = random_rotation(rng).T.copy()
+    l1 = (0.5 + 9.5 * rng.random()) * lam
+    l2 = (0.5 + 9.5 * rng.random()) * lam
+    q = rng.standard_normal(4)
+    w, x, y, z = (q / math.sqrt(q.dot(q))).tolist()
+    frame = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y + z * w), 2 * (x * z - y * w)],
+            [2 * (x * y - z * w), 1 - 2 * (x * x + z * z), 2 * (y * z + x * w)],
+            [2 * (x * z + y * w), 2 * (y * z - x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    normal = frame[2]
     while True:
-        a_inc = random_unit_vector(rng)
-        if float(np.dot(frame[2], a_inc)) < -1e-6:
+        v = rng.standard_normal(3)
+        a_inc = v / math.sqrt(v.dot(v))
+        if normal.dot(a_inc) < -1e-6:
             break
-    varphi = PolarizationAngle(float(rng.uniform(0.0, 2.0 * np.pi))).varphi
+    varphi = PolarizationAngle(2.0 * math.pi * rng.random()).varphi
     while True:
-        a_obs = random_unit_vector(rng)
-        if float(np.dot(frame[2], a_obs)) > 1e-6:
+        v = rng.standard_normal(3)
+        a_obs = v / math.sqrt(v.dot(v))
+        if normal.dot(a_obs) > 1e-6:
             break
     return l1, l2, frame, a_inc, varphi, a_obs
 

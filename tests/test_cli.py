@@ -798,3 +798,103 @@ def test_compare_missing_file(capsys, tmp_path):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
+
+def without(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+COVERAGE_BASE = ["coverage", "scene.json", "--out-csv", "c.csv"]
+# Per subcommand: a parse that succeeds, one missing a required flag (validate
+# has none, so a flag without its value), and one with a value of the wrong
+# type (optimize has no typed flag, so again a flag without its value).
+PARSE_CASES = {
+    "rcs": (RCS_BASE, without(RCS_BASE, "--freq-hz"), RCS_BASE + ["--phi-r-deg", "north"]),
+    "sweep": (SWEEP_BASE, without(SWEEP_BASE, "--pol-deg"), SWEEP_BASE + ["--theta-r-step", "fine"]),
+    "validate": (["validate"], ["validate", "--trials"], ["validate", "--trials", "2.5"]),
+    "coverage": (COVERAGE_BASE, without(COVERAGE_BASE, "--out-csv"), COVERAGE_BASE + ["--db-min", "low"]),
+    "optimize": (["optimize", "scene.json"], ["optimize"], ["optimize", "scene.json", "--out-json"]),
+    "compare": (["compare", "m.csv"], ["compare"], ["compare", "m.csv", "--pol-case", "diagonal"]),
+}
+PARSER_SPLIT_ARGV = {
+    "top-help": ["--help"],
+    "top-missing": [],
+    "top-unknown": ["--bogus"],
+    "top-bad-choice": ["frobnicate"],
+}
+for _name, (_valid, _missing, _bad) in PARSE_CASES.items():
+    PARSER_SPLIT_ARGV.update({
+        f"{_name}-help": [_name, "--help"],
+        f"{_name}-missing": _missing,
+        f"{_name}-unknown": _valid + ["--bogus"],  # rejected by the top-level parser
+        f"{_name}-bad-type": _bad,
+    })
+
+
+@pytest.mark.parametrize("argv", PARSER_SPLIT_ARGV.values(), ids=PARSER_SPLIT_ARGV.keys())
+def test_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    """main builds only the invoked subcommand's flags; help and usage errors
+    are the same bytes and exit code as through the parser with every flag."""
+    code, out, err = run(capsys, argv)
+    assert (out if code == 0 else err).startswith("usage: platekit")
+    assert code == (0 if "--help" in argv else 2)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert run(capsys, argv) == (code, out, err)
+
+
+def test_subcommand_parser_holds_only_its_own_flags():
+    def flags(parser):
+        sub = next(a for a in parser._actions if a.dest == "command")
+        return {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
+
+    full, lazy = flags(cli.build_parser()), flags(cli.build_parser("validate"))
+    assert list(lazy) == list(full) == list(PARSE_CASES)
+    assert lazy.pop("validate") == full["validate"] == [
+        "-h", "--help", "--trials", "--seed", "--nodes-per-edge", "--tol", "--freq-hz"
+    ]
+    assert all(not f for f in lazy.values()) and all(full.values())
+
+
+def _measurement_file(tmp_path):
+    grid = np.arange(0.0, 91.0, 5.0)
+    curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", grid)
+    path = tmp_path / "meas.csv"
+    save_series(MeasurementSeries(curve[0], curve[1], theta_t_deg=45.0, varphi_t_deg=90.0), path)
+    return str(path)
+
+
+SWEEP_LINK = SWEEP_BASE + ["--amp-db", "0", "--g-t-dbi", "1", "--g-r-dbi", "1", "--d-t-m", "2", "--d-r-m", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, exponent, plain",
+    [
+        ("sweep", ["--p-t-dbm"], ["-1e1"], ["-10"]),
+        ("sweep", ["--euler-deg", "0"], ["-1E-3", "0"], ["-0.001", "0"]),
+        ("compare", ["--p-t-dbm"], ["-1e1"], ["-10"]),
+        ("coverage", ["--db-min"], ["-1e2"], ["-100"]),
+    ],
+)
+def test_negative_values_with_an_exponent_parse_as_numbers(capsys, tmp_path, command, flag, exponent, plain):
+    """argparse alone reads only -10 or -.5 as a number; -1e1 must not read as a flag."""
+    svg = str(tmp_path / "out.svg")
+    base = {
+        "sweep": SWEEP_LINK if flag == ["--p-t-dbm"] else [a for a in SWEEP_BASE if a != "--xy-plane"],
+        "compare": ["compare", _measurement_file(tmp_path), "--out-svg", svg],
+        "coverage": ["coverage", str(write_config(tmp_path, SCENE_CONFIG)), "--out-csv",
+                     str(tmp_path / "c.csv"), "--out-svg", svg],
+    }[command]
+    outputs = []
+    for value in (exponent, plain):
+        code, out, err = run(capsys, base + flag + value)
+        assert code == 0 and err == ""
+        outputs.append((out, Path(svg).read_bytes() if command != "sweep" else b""))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_negative_non_finite_words_still_read_as_flags(capsys, value):
+    code, out, err = run(capsys, SWEEP_LINK + ["--p-t-dbm", value])
+    assert code == 2 and out == ""
+    assert "argument --p-t-dbm: expected one argument" in err

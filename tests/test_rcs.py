@@ -53,6 +53,12 @@ def test_sinc_basics():
     assert arr[0] == 1.0 and arr[1] == pytest.approx(2 / math.pi)
 
 
+def test_sinc_series_branch_leaves_large_elements_alone():
+    # x*x of the large element overflows; the series must not square it
+    arr = sinc(np.array([1e-7, 2e154]))
+    assert arr[0] == 1.0 - 1e-7 * 1e-7 / 6.0 and arr[1] == sinc(2e154)
+
+
 def test_sigma_max(wl_3ghz):
     lam = wl_3ghz.meters
     unit_plate = PlateGeometry.xy_plane(lam, lam)

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_rotation, random_unit
 from platekit import QuadratureSpec, Wavelength, po_oracle, po_rcs, rcs, run_validation, validate
-from platekit.validate import _evaluate_block, random_scenario
+from platekit.geometry import PolarizationAngle
+from platekit.validate import _draw, _evaluate_block, random_scenario
 
 
 @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", 0, -1])
@@ -82,3 +84,52 @@ def test_run_validation_memory_is_bounded():
             tracemalloc.stop()
     assert max(peaks) <= 12e6
     assert peaks[1] <= peaks[0] + 1e6
+
+
+# The scenario draw as written with numpy's scalar calls (conftest's rotation
+# and unit vector are the ones it used): the reference the draw must
+# reproduce bit for bit.
+def reference_draw(rng, lam):
+    l1 = float(rng.uniform(0.5, 10.0)) * lam
+    l2 = float(rng.uniform(0.5, 10.0)) * lam
+    frame = random_rotation(rng).T.copy()
+    while True:
+        a_inc = random_unit(rng)
+        if float(np.dot(frame[2], a_inc)) < -1e-6:
+            break
+    varphi = PolarizationAngle(float(rng.uniform(0.0, 2.0 * np.pi))).varphi
+    while True:
+        a_obs = random_unit(rng)
+        if float(np.dot(frame[2], a_obs)) > 1e-6:
+            break
+    return l1, l2, frame, a_inc, varphi, a_obs
+
+
+def assert_draws_match_reference(seed, trials, lam):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(trials):
+        for got, want in zip(_draw(rng, lam), reference_draw(reference_rng, lam), strict=True):
+            assert type(got) is type(want)
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_draw_matches_reference_on_criterion_1_stream():
+    assert_draws_match_reference(20240301, 1000, Wavelength(0.1).meters)
+
+
+def test_draw_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**64 - 1),
+        trials=st.integers(1, 40),
+        freq_hz=st.floats(1e6, 1e12),
+    )
+    def check(seed, trials, freq_hz):
+        assert_draws_match_reference(seed, trials, Wavelength.from_frequency(freq_hz).meters)
+
+    check()
