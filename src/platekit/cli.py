@@ -202,10 +202,12 @@ def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError("--theta-r-step must be positive")
     if stop < start:
         raise ValueError("--theta-r-stop must not be below --theta-r-start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if n > _MAX_SWEEP_ROWS:
-        raise ValueError(f"sweep grid has {n} rows, more than {_MAX_SWEEP_ROWS}; increase --theta-r-step")
-    return start + step * np.arange(n)
+    # The grid has floor(last) + 1 rows; last overflows to inf for a tiny step.
+    last = (stop - start) / step + 1e-9
+    if last >= _MAX_SWEEP_ROWS:
+        rows = int(math.floor(last)) + 1 if math.isfinite(last) else "too many"
+        raise ValueError(f"sweep grid has {rows} rows, more than {_MAX_SWEEP_ROWS}; increase --theta-r-step")
+    return start + step * np.arange(int(math.floor(last)) + 1)
 
 
 def _observation_directions(theta_deg: np.ndarray, phi_deg: float) -> np.ndarray:
@@ -318,7 +320,7 @@ def _vec3(value, path: str) -> np.ndarray:
     return arr
 
 
-def _plate_from_config(cfg: dict, wl: Wavelength, path: str) -> PlateGeometry:
+def _plate_from_config(cfg: dict, path: str) -> PlateGeometry:
     _reject_unknown(
         cfg, {"length1_m", "length2_m", "normal", "edge1", "euler_zyz_deg", "xy_plane"}, path
     )
@@ -392,7 +394,7 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
     plate_cfg = _need(cfg, "plate", path)
     if not isinstance(plate_cfg, dict):
         raise ValueError(f"{path}.plate: must be an object")
-    plate = _plate_from_config(plate_cfg, wl, f"{path}.plate")
+    plate = _plate_from_config(plate_cfg, f"{path}.plate")
     region_cfg = _need(cfg, "region", path)
     if not isinstance(region_cfg, dict):
         raise ValueError(f"{path}.region: must be an object")
@@ -426,6 +428,8 @@ def _add_coverage_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_coverage(args) -> int:
     _check_finite(args, ("db_min", "db_max"))
+    if args.db_min is not None and args.db_max is not None and args.db_min >= args.db_max:
+        raise ValueError(f"--db-min must be below --db-max, got {args.db_min} and {args.db_max}")
     scene, region, _ = load_scene_config(args.config)
     cov = planner.coverage_map(scene, region)
     iu, iv = np.indices(cov.shape).reshape(2, -1)
@@ -589,18 +593,22 @@ _COMMANDS = {  # name: (help, flag adder, handler)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The platekit parser.  Every subcommand is listed; with ``command``,
-    only that one gets its flags (``-h`` too), which is all one run parses."""
+    """The platekit parser.  With a known ``command`` it holds only that
+    subcommand, which is all one run parses; the subcommand list is then
+    spelled out as the usage metavar, so usage lines read as the full
+    parser's.  Without one, every subcommand is built (``--help``, unknown
+    commands): argparse names the metavar in its invalid-choice message, so
+    the full build keeps the default."""
     parser = argparse.ArgumentParser(
         prog="platekit",
         description="Reflection modelling for rectangular metal plate reflectors",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _COMMANDS.items():
-        built = command in (None, name)
-        p = sub.add_parser(name, help=help_text, add_help=built)
-        if built:
-            add_flags(p)
+    names = list(_COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags, _ = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser

@@ -1,7 +1,7 @@
 """Brute-force physical-optics validation path for the closed-form RCS.
 
 The scattered field is obtained by integrating the induced surface current
-over the plate with a tensor-product Gauss-Legendre rule (nodes by Newton's
+over the plate with a tensor-product Gauss-Legendre rule (nodes by Halley's
 method on the Legendre recurrence), projecting onto the spherical field
 components at the observation direction, and normalizing the scattered power
 density by the incident one.
@@ -32,12 +32,13 @@ from .geometry import _cross, check_unit
 from .rcs import PlateGeometry, Wavelength
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
-# Largest quadrature rule.  Its Newton solve costs n/2 nodes x n recurrence
-# steps x _NEWTON_STEPS: about 5 ms at this size (2-vCPU x86-64 VM).
+# Largest quadrature rule.  Its Halley solve costs n/2 nodes x n recurrence
+# steps x _HALLEY_STEPS: about 2.5 ms at this size (2-vCPU x86-64 VM).
 _MAX_NODES_PER_EDGE = 512
-# Newton steps from Tricomi's guess: 4 reach full float64 precision for every
-# n in 2..512 (nodes within 7e-17 of a 40-digit reference; test_po_oracle).
-_NEWTON_STEPS = 4
+# Halley steps from Tricomi's guess: each cubes the error, so 2 reach full
+# float64 precision for every n in 2..512 (nodes within 1e-16 of a 40-digit
+# reference; test_po_oracle).
+_HALLEY_STEPS = 2
 # Edge-sum terms (rows x 2 edges x nodes) evaluated at once; bounds the
 # quadrature's memory for any number of rows and any rule size.
 _TERMS_PER_CHUNK = 1 << 16
@@ -191,10 +192,13 @@ def _gauss_legendre_rules(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """n-point Gauss-Legendre nodes and weights on [-1, 1] for each distinct n
     in ``sizes``, keyed by n in ascending order.
 
-    The nonnegative nodes of all sizes are solved at once by _NEWTON_STEPS
-    Newton steps on P_n from Tricomi's guess, and mirrored.  The weight is
-    2/((1 - x^2) P_n'(x)^2) at the last iterate, moved to first order by its
-    Newton step, so node rounding does not reach it.  Every operation is
+    The nonnegative nodes of all sizes are solved at once by _HALLEY_STEPS
+    Halley steps on P_n from Tricomi's guess, and mirrored.  Legendre's
+    equation (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n gives the second
+    derivative from the recurrence's P_n and P_n', so a Halley step costs one
+    recurrence pass, as a Newton step does.  The weight is
+    2/((1 - x^2) P_n'(x)^2) at the last iterate, moved to first order along
+    its last step, so node rounding does not reach it.  Every operation is
     elementwise within one size's nodes, so a rule is the same bits whatever
     other sizes it is built with.
     """
@@ -207,11 +211,13 @@ def _gauss_legendre_rules(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     j = np.concatenate([np.arange((m - 1) % 2, m, 2) for m in sizes])
     x = np.fromiter(map(math.sin, math.pi * j / (2.0 * n + 1.0)), float, len(j))
     x *= 1.0 - (n - 1.0) / (8.0 * n**3)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_HALLEY_STEPS):
         p, p_prev = _legendre(x, n, starts)
         one_minus_sq = (1.0 - x) * (1.0 + x)
         slope = n * (p_prev - x * p) / one_minus_sq
-        step = p / slope
+        newton = p / slope
+        # Halley: newton / (1 - newton * P''/(2 P')), P''/P' from Legendre's equation
+        step = newton / (1.0 - newton * (x - 0.5 * n * (n + 1.0) * newton) / one_minus_sq)
         last, x = x, x - step
     weights = 2.0 / (one_minus_sq * slope * slope) * (1.0 + 2.0 * last * step / one_minus_sq)
     rules = {}

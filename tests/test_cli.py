@@ -235,8 +235,9 @@ def test_sweep_matches_golden(capsys, tmp_path, name):
 
 
 def test_sweep_rejects_oversized_grid(capsys):
-    # 90 / 9e-5 degrees is one row past the cap; 1e-12 would need a 655 TiB grid
-    for step in (repr(90.0 / 1e6), "1e-12"):
+    # 90 / 9e-5 degrees is one row past the cap; 1e-12 would need a 655 TiB grid;
+    # at 5e-324 the row count overflows float64
+    for step in (repr(90.0 / 1e6), "1e-12", "5e-324"):
         code, out, err = run(capsys, SWEEP_BASE + ["--theta-r-step", step])
         assert code == 2 and out == ""
         assert err.startswith("error: sweep grid has") and "more than 1000000" in err
@@ -356,7 +357,7 @@ VALIDATE_GOLDEN = {
 def test_validate_matches_golden(capsys, name):
     """validate stdout is byte-identical to the recorded files.  Their error
     digits move with any change of rounding in either route and with the
-    quadrature rule: they were recorded with the Newton Gauss-Legendre rules
+    quadrature rule: they were recorded with the Halley Gauss-Legendre rules
     of po_oracle._gauss_legendre_rules (one-row rcs() and po_rcs() queries
     give the same rows; test_validate::test_stacked_rows_equal_scalar_queries)."""
     code, out, _ = run(capsys, ["validate", *VALIDATE_GOLDEN[name]])
@@ -498,6 +499,17 @@ def test_coverage_rejects_non_finite_color_bounds(capsys, tmp_path, flag):
     ])
     assert code == 2 and out == "" and not out_csv.exists()
     assert err.startswith(f"error: {flag} must be finite")
+
+
+def test_coverage_rejects_inverted_color_bounds(capsys, tmp_path):
+    out_csv, out_svg = tmp_path / "cov.csv", tmp_path / "cov.svg"
+    for low, high in (("0", "-10"), ("-5", "-5")):
+        code, out, err = run(capsys, [
+            "coverage", str(write_config(tmp_path, SCENE_CONFIG)), "--out-csv", str(out_csv),
+            "--out-svg", str(out_svg), "--db-min", low, "--db-max", high,
+        ])
+        assert code == 2 and out == "" and not out_csv.exists() and not out_svg.exists()
+        assert err.startswith("error: --db-min must be below --db-max")
 
 
 def test_config_alternative_plate_orientations(capsys, tmp_path):
@@ -848,12 +860,11 @@ def test_subcommand_parser_holds_only_its_own_flags():
         sub = next(a for a in parser._actions if a.dest == "command")
         return {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
 
-    full, lazy = flags(cli.build_parser()), flags(cli.build_parser("validate"))
-    assert list(lazy) == list(full) == list(PARSE_CASES)
-    assert lazy.pop("validate") == full["validate"] == [
-        "-h", "--help", "--trials", "--seed", "--nodes-per-edge", "--tol", "--freq-hz"
-    ]
-    assert all(not f for f in lazy.values()) and all(full.values())
+    full = flags(cli.build_parser())
+    assert list(full) == list(PARSE_CASES) and all(full.values())
+    assert full["validate"] == ["-h", "--help", "--trials", "--seed", "--nodes-per-edge", "--tol", "--freq-hz"]
+    for name in PARSE_CASES:
+        assert flags(cli.build_parser(name)) == {name: full[name]}
 
 
 def _measurement_file(tmp_path):
