@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,8 +33,9 @@ EXIT_IO = 4
 _CHUNK_ROWS = 4096
 # Largest sweep grid; about 11x the rows of a 0.001-degree step over 0..90 degrees.
 _MAX_SWEEP_ROWS = 1_000_000
-# argparse's (private) negative-number pattern plus an exponent: "-1e1" is a value, not a flag.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+# argparse's (private) negative-number pattern plus an exponent and the
+# non-finite words float() reads: "-1e1" and "-inf" are values, not flags.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+|\d*\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def _json_ready(obj):
@@ -56,12 +58,18 @@ def _json_ready(obj):
     return obj
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _output(path: str | None):
+    """The sink every CSV, SVG and JSON output is written through, chunk by
+    chunk as it is produced: the binary file ``path``, or stdout when None
+    (decoded, as stdout takes str and may be a StringIO)."""
     if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(SimpleNamespace(write=lambda chunk: sys.stdout.write(str(chunk, "utf-8"))))
+    return open(path, "wb")
+
+
+def _write_json(path: str, payload) -> None:
+    with _output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False).encode("utf-8") + b"\n")
 
 
 def _write_table(path: str | None, header: str, columns: list, shadow=None) -> None:
@@ -72,13 +80,11 @@ def _write_table(path: str | None, header: str, columns: list, shadow=None) -> N
     Rows are formatted and written _CHUNK_ROWS at a time.
     """
     columns = [np.asarray(c) for c in columns]
-    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
-    with out as fh:
-        fh.write(header + "\n")
+    with _output(path) as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            chunk = csvtext.format_rows([c[rows] for c in columns], None if shadow is None else shadow[rows])
-            fh.write(chunk.decode("ascii"))
+            fh.write(csvtext.format_rows([c[rows] for c in columns], None if shadow is None else shadow[rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +266,16 @@ def _cmd_sweep(args) -> int:
         if scenario is not None:
             series.append(columns[3])
             labels.append("received power (dBm)")
-        svg = svgplot.line_plot(
-            grid,
-            series,
-            labels,
-            title="observation-angle sweep",
-            xlabel="observation zenith angle (deg)",
-            ylabel="dB",
-        )
-        _write_text(args.svg, svg)
+        with _output(args.svg) as fh:
+            svgplot.line_plot(
+                grid,
+                series,
+                labels,
+                title="observation-angle sweep",
+                xlabel="observation zenith angle (deg)",
+                ylabel="dB",
+                out=fh,
+            )
     return EXIT_OK
 
 
@@ -440,15 +447,16 @@ def _cmd_coverage(args) -> int:
         shadow=cov.shadow,
     )
     if args.out_svg is not None:
-        svg = svgplot.heatmap(
-            cov.power_grid(),
-            shadow=cov.shadow_grid(),
-            vmin=args.db_min,
-            vmax=args.db_max,
-            title="coverage (dBm)",
-            legend="received power (dBm)",
-        )
-        _write_text(args.out_svg, svg)
+        with _output(args.out_svg) as fh:
+            svgplot.heatmap(
+                cov.power_grid(),
+                shadow=cov.shadow_grid(),
+                vmin=args.db_min,
+                vmax=args.db_max,
+                title="coverage (dBm)",
+                legend="received power (dBm)",
+                out=fh,
+            )
     n_shadow = int(np.count_nonzero(cov.shadow))
     print(f"cells={cov.points.shape[0]} shadow_cells={n_shadow}")
     return EXIT_OK
@@ -487,7 +495,7 @@ def _cmd_optimize(args) -> int:
                 "evaluations": result.evaluations,
             }
         )
-        _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _write_json(args.out_json, payload)
     return EXIT_OK
 
 
@@ -564,17 +572,18 @@ def _cmd_compare(args) -> int:
     print("\n".join(lines))
     if args.out_json is not None:
         payload = _json_ready({"pol_case": pol_case, **report.to_dict()})
-        _write_text(args.out_json, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _write_json(args.out_json, payload)
     if args.out_svg is not None:
-        svg = svgplot.line_plot(
-            series.theta_r_deg,
-            [series.power_dbm, curve[1] + report.offset_db],
-            ["measured", "model + offset"],
-            title="measured vs model sweep",
-            xlabel="observation zenith angle (deg)",
-            ylabel="received power (dBm)",
-        )
-        _write_text(args.out_svg, svg)
+        with _output(args.out_svg) as fh:
+            svgplot.line_plot(
+                series.theta_r_deg,
+                [series.power_dbm, curve[1] + report.offset_db],
+                ["measured", "model + offset"],
+                title="measured vs model sweep",
+                xlabel="observation zenith angle (deg)",
+                ylabel="received power (dBm)",
+                out=fh,
+            )
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
-"""CSV text of numeric columns, byte for byte what printf ``%d`` and ``%.9g`` print.
+"""Numeric text in numpy, byte for byte what printf ``%d``, ``%.9g`` and ``%.2f`` print.
 
 The data contract of every CSV platekit writes is that each integer reads as
-``"%d" % i`` and each other number as ``"%.9g" % x``.  Formatting values one
-at a time in Python costs about 0.3 us each, so ``format_rows`` builds the
-text with numpy instead:
+``"%d" % i`` and each other number as ``"%.9g" % x``; SVG polyline points
+read as ``"%.2f,%.2f"``.  Formatting values one at a time in Python costs
+about 0.3 us each, so ``format_rows`` (CSV) and ``format_points`` (SVG) build
+the text with numpy instead:
 
 - A float's nine significant digits are ``rint(|x| * 10**(8 - e))`` for its
   decimal exponent ``e``.  The power of ten is exact in float64 for
@@ -20,6 +21,13 @@ text with numpy instead:
   NUL where ``%`` prints no character, so stacking the fields into rows and
   dropping the NULs leaves the CSV text.  Fields no row of a call uses are
   left out.
+- ``%.2f`` splits ``|x|`` into its whole part, which prints as ``%d``, and
+  its fraction; both are exact in float64.  The two decimals are
+  ``rint(fraction * 100)``, one rounding off the exact product by less than
+  1e-14, read from the same digit tables; a rounding to 100 carries into the
+  whole part.  Hundredths within 1e-9 of a midpoint (exact ties among them),
+  non-finite values and magnitudes of 1e15 and above (the whole part must fit
+  an int64; no plot coordinate comes near) are formatted by ``%``.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ _RANGE_MIN, _RANGE_MAX = 1e-13, 1e22
 # Closest a scaled value may come to a rounding midpoint and still be rounded here.
 _MIDPOINT_MARGIN = 1e-6
 _SHADOW = np.frombuffer(b"shadow", dtype=np.uint8)
+# Magnitudes formatted here as %.2f are below _F2_MAX; hundredths closer than
+# _F2_MARGIN to a rounding midpoint are left to %.
+_F2_MAX, _F2_MARGIN = 1e15, 1e-9
+_COMMA, _SPACE, _NEWLINE = np.frombuffer(b", \n", dtype=np.uint8)
 
 
 def fmt(x: float) -> str:
@@ -129,6 +141,30 @@ def _g9_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     return fields
 
 
+def _f2_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
+    """Fields of ``"%.2f" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
+    direct = np.abs(x) < _F2_MAX  # False for nan
+    a = np.where(direct, np.abs(x), 0.0)
+    whole = np.floor(a)
+    p = (a - whole) * 100.0  # the fraction is exact, p one rounding off its hundredths
+    cents = np.rint(p)
+    by_percent = np.flatnonzero((~direct | (np.abs(p - cents) > 0.5 - _F2_MARGIN)) & ~hidden)
+    blank = hidden.copy()
+    blank[by_percent] = True
+    carry = cents == 100.0
+    whole[carry] += 1.0
+    cents[carry] = 0.0
+    cents = cents.astype(np.int32)
+    negative = np.signbit(x) & ~blank
+    fields = [negative * _MINUS] if negative.any() else []
+    fields += _int_fields(whole.astype(np.int64), blank)
+    shown = ~blank
+    fields += [shown * _DOT, shown * _PLACES[1].take(cents), shown * _PLACES[2].take(cents)]
+    if by_percent.size:
+        fields += _text_fields(x.size, by_percent, [b"%.2f" % v for v in x[by_percent].tolist()])
+    return fields
+
+
 def _int_fields(v: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     """Fields of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden``."""
     negative = (v < 0) & ~hidden
@@ -158,7 +194,7 @@ def format_rows(columns: list, shadow=None) -> bytearray:
     n = len(columns[0])
     shadow = np.zeros(n, dtype=bool) if shadow is None else np.asarray(shadow, dtype=bool)
     visible = np.zeros(n, dtype=bool)
-    comma, newline = np.full(n, ord(","), dtype=np.uint8), np.full(n, ord("\n"), dtype=np.uint8)
+    comma, newline = np.full(n, _COMMA), np.full(n, _NEWLINE)
     fields = []
     for k, column in enumerate(columns):
         hidden = shadow if k == len(columns) - 1 else visible
@@ -171,8 +207,26 @@ def format_rows(columns: list, shadow=None) -> bytearray:
     if shadow.any():
         fields += list(shadow * _SHADOW[:, None])
     fields.append(newline)
+    return _join(fields, n)
+
+
+def format_points(x, y, keep) -> list[bytes]:
+    """``"%.2f,%.2f"`` of each point where the boolean ``keep`` is set, points
+    joined by spaces, one bytes per maximal run of kept points."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    keep = np.asarray(keep, dtype=bool)
+    hidden = ~keep
+    # A space after a point whose successor is kept, a newline after a run's last point.
+    follows = np.append(keep[1:], False)
+    separator = keep * np.where(follows, _SPACE, _NEWLINE)
+    fields = [*_f2_fields(x, hidden), keep * _COMMA, *_f2_fields(y, hidden), separator]
+    return _join(fields, keep.size).split(b"\n")[:-1]
+
+
+def _join(fields: list, n: int) -> bytearray:
+    """The ``n`` rows of ``fields`` with their NULs dropped; empties ``fields``."""
     # Stacked straight into a bytearray, which drops its NULs without a copy of the rows.
     text = bytearray(n * len(fields))
     np.stack(fields, axis=1, out=np.frombuffer(text, dtype=np.uint8).reshape(n, len(fields)))
-    del fields
+    fields.clear()
     return text.translate(None, b"\0")

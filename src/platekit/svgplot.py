@@ -2,6 +2,15 @@
 
 Deliberately dependency-free; CSV/JSON carry the data contract and these
 plots are conveniences.  Output is deterministic for identical inputs.
+
+Both plots build their document as byte chunks and write each to a binary
+file (``out=``) as it is produced, or return the whole document as a string.
+Polyline points are formatted by ``csvtext.format_points``.  Heatmap cells
+are laid out from one byte template per run of grid rows whose y text has
+one length, with each column's x, the cell size and placeholders for y and
+the fill already in place; a chunk of rows is a copy of the template per row
+with the y text and each cell's six hex digits (a 16-entry table) assigned by
+numpy indexing, so no per-cell Python string is made.
 """
 
 from __future__ import annotations
@@ -10,11 +19,18 @@ import math
 
 import numpy as np
 
+from . import csvtext
+
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 36, 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 SHADOW_COLOR = "#9e9e9e"
 _SHADOW_CODE = int(SHADOW_COLOR[1:], 16)
+# Heatmap cells rendered per chunk (whole rows; at least one row).
+_CHUNK_CELLS = 8192
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# Shifts that take a 0xRRGGBB code's six hex digits, most significant first.
+_NIBBLE_SHIFTS = np.arange(20, -1, -4, dtype=np.int32)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -33,20 +49,41 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _finite_range(values) -> tuple[float, float]:
-    finite = np.asarray(values, dtype=float)
-    finite = finite[np.isfinite(finite)]
-    if finite.size == 0:
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.any():
         return 0.0, 1.0
-    lo, hi = float(np.min(finite)), float(np.max(finite))
+    lo = float(np.min(values, where=finite, initial=math.inf))
+    hi = float(np.max(values, where=finite, initial=-math.inf))
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
 
 
-def _fmt_each(fmt: str, values) -> list[str]:
-    """``fmt % v`` for every value, formatted in one call."""
-    values = np.asarray(values).ravel().tolist()
-    return ("\0".join([fmt] * len(values)) % tuple(values)).split("\0")
+def _emit(chunks, out):
+    """Write the document's byte chunks to the binary file ``out`` as they
+    are produced, or return the document as a string when ``out`` is None."""
+    if out is None:
+        return b"".join(chunks).decode("utf-8")
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+def _lines(*lines: str) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _head(title: str) -> list[str]:
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+    ]
+
+
+def _f2(values) -> list[str]:
+    return [f"{v:.2f}" for v in values.tolist()]
 
 
 def line_plot(
@@ -56,10 +93,12 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-) -> str:
-    """Render one or more curves over a common x grid as an SVG string.
+    out=None,
+) -> str | None:
+    """Render one or more curves over a common x grid as SVG.
 
-    Non-finite y values break the polyline (gaps, not drawn).
+    Non-finite y values break the polyline (gaps, not drawn).  The document
+    is written to the binary file ``out``, or returned as a string without it.
     """
     x = np.asarray(x, dtype=float)
     series = [np.asarray(y, dtype=float) for y in y_series]
@@ -77,11 +116,7 @@ def line_plot(
     def sy(v: float) -> float:
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * px_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    parts = _head(title)
     axis_y = _HEIGHT - _MARGIN_B
     parts.append(
         f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_WIDTH - _MARGIN_R}" y2="{axis_y}" stroke="black"/>'
@@ -110,29 +145,25 @@ def line_plot(
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{ylabel}</text>'
     )
+    chunks = [_lines(*parts)]
     px = _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * px_w
     for idx, y in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
         y = y[: len(x)]
         py = _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * px_h
         # Each maximal run of finite y is one polyline.
-        finite = np.concatenate(([0], np.isfinite(y), [0])).astype(np.int8)
-        bounds = np.flatnonzero(np.diff(finite)).tolist()
-        for start, stop in zip(bounds[::2], bounds[1::2]):
-            xy = np.column_stack([px[start:stop], py[start:stop]])
-            points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+        tail = f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'.encode("ascii")
+        for points in csvtext.format_points(px[: len(y)], py, np.isfinite(y)):
+            chunks.append(b'<polyline points="' + points + tail)
         if idx < len(labels) and labels[idx]:
             ly = _MARGIN_T + 14 + 16 * idx
-            parts.append(
+            chunks.append(_lines(
                 f'<line x1="{_WIDTH - 170}" y1="{ly - 4}" x2="{_WIDTH - 146}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-            parts.append(f'<text x="{_WIDTH - 140}" y="{ly}" font-size="11">{labels[idx]}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+                f'stroke="{color}" stroke-width="1.5"/>',
+                f'<text x="{_WIDTH - 140}" y="{ly}" font-size="11">{labels[idx]}</text>',
+            ))
+    chunks.append(b"</svg>")
+    return _emit(chunks, out)
 
 
 def _heat_codes(frac) -> np.ndarray:
@@ -146,25 +177,36 @@ def _heat_codes(frac) -> np.ndarray:
     return (r << 16) | (g << 8) | b
 
 
-def _color_names(codes) -> np.ndarray:
-    """'#rrggbb' for every code (object array, flattened), each distinct code formatted once."""
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    names = np.array(_fmt_each("#%06x", distinct), dtype=object)
-    return names[inverse.ravel()]
-
-
-def _rect_grid(xs: list[str], ys: list[str], width: str, height: str, fills: np.ndarray) -> str:
-    """One <rect> per grid cell, row-major, joined by newlines.
+def _rect_rows(xs: list[str], ys: list[str], width: str, height: str, colors):
+    """One newline-terminated <rect> line per grid cell, row-major, yielded
+    in chunks of whole rows of about _CHUNK_CELLS cells.
 
     ``xs`` holds each column's x and ``ys`` each row's y, both formatted;
-    ``fills`` holds the colour of every cell, row-major.
+    ``colors(rows)`` gives the 0xRRGGBB code of every cell of a slice of rows.
+    Each run of rows whose y text has one length shares a byte template of a
+    row, with x, width and height in place; the y text and the six hex digits
+    of each cell's fill are assigned into copies of it.
     """
-    cell = f'<rect x="%s" y="%%s" width="{width}" height="{height}" fill="%%s"/>'
-    row = "\n".join([cell] * len(xs)) % tuple(xs)
-    args = np.empty((len(ys), len(xs), 2), dtype=object)
-    args[:, :, 0] = np.array(ys, dtype=object)[:, None]
-    args[:, :, 1] = fills.reshape(len(ys), len(xs))
-    return "\n".join([row] * len(ys)) % tuple(args.ravel().tolist())
+    tail = f'" width="{width}" height="{height}" fill="#\0\0\0\0\0\0"/>\n'
+    rows_per_chunk = max(1, _CHUNK_CELLS // len(xs))
+    y_len = np.array([len(y) for y in ys])
+    run_starts = np.flatnonzero(np.diff(y_len, prepend=-1)).tolist()
+    for start, stop in zip(run_starts, run_starts[1:] + [len(ys)]):
+        width_y = int(y_len[start])
+        cells = [f'<rect x="{x}" y="' + "\0" * width_y + tail for x in xs]
+        template = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8)
+        ends = np.cumsum([len(cell) for cell in cells])
+        y_at = (ends - len(tail) - width_y)[:, None] + np.arange(width_y)
+        fill_at = (ends - 10)[:, None] + np.arange(6)  # before the closing '"/>\n'
+        y_text = np.frombuffer("".join(ys[start:stop]).encode("ascii"), dtype=np.uint8).reshape(-1, width_y)
+        for first in range(start, stop, rows_per_chunk):
+            rows = slice(first, min(stop, first + rows_per_chunk))
+            block = np.tile(template, (rows.stop - rows.start, 1))
+            block[:, y_at] = y_text[rows.start - start : rows.stop - start, None, :]
+            nibbles = colors(rows).astype(np.int32)[:, :, None] >> _NIBBLE_SHIFTS
+            nibbles &= 15
+            block[:, fill_at] = _HEX.take(nibbles)
+            yield block.data
 
 
 def heatmap(
@@ -174,14 +216,23 @@ def heatmap(
     vmax: float | None = None,
     title: str = "",
     legend: str = "",
-) -> str:
-    """Render a 2-D grid as colored cells; shadowed cells get a gray fill."""
+    out=None,
+) -> str | None:
+    """Render a 2-D grid as colored cells; shadowed cells get a gray fill.
+
+    The document is written to the binary file ``out`` a chunk of rows at a
+    time, or returned as a string without it.  Bounds given as ``vmax <
+    vmin`` are rejected; equal ones, or a lone bound beyond the data, widen
+    the scale to one unit above the lower bound.
+    """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("heatmap expects a 2-D array")
     if shadow is None:
         shadow = ~np.isfinite(grid)
     shadow = np.asarray(shadow, dtype=bool)
+    if vmin is not None and vmax is not None and vmax < vmin:
+        raise ValueError(f"heatmap colour bounds are inverted: vmin={vmin} is above vmax={vmax}")
     lo, hi = _finite_range(grid)
     if vmin is not None:
         lo = vmin
@@ -191,48 +242,37 @@ def heatmap(
         raise ValueError(f"heatmap colour bounds must be finite, got {lo} and {hi}")
     if hi <= lo:
         hi = lo + 1.0
+    return _emit(_heatmap_chunks(grid, shadow, lo, hi, title, legend), out)
 
+
+def _heatmap_chunks(grid, shadow, lo: float, hi: float, title: str, legend: str):
     nu, nv = grid.shape
     px_w = _WIDTH - _MARGIN_L - _MARGIN_R
     px_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     cw, ch = px_w / nv, px_h / nu
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
-    # Non-finite cells are masked before the colour scale's integer cast.
-    blank = shadow | ~np.isfinite(grid)
-    codes = np.where(blank, _SHADOW_CODE, _heat_codes((np.where(blank, lo, grid) - lo) / (hi - lo)))
-    parts.append(
-        _rect_grid(
-            _fmt_each("%.2f", _MARGIN_L + np.arange(nv) * cw),
-            _fmt_each("%.2f", _MARGIN_T + np.arange(nu) * ch),
-            f"{cw:.2f}",
-            f"{ch:.2f}",
-            _color_names(codes),
-        )
+    yield _lines(*_head(title))
+
+    def cell_colors(rows):
+        # Non-finite cells are masked before the colour scale's integer cast.
+        cells = grid[rows]
+        blank = shadow[rows] | ~np.isfinite(cells)
+        return np.where(blank, _SHADOW_CODE, _heat_codes((np.where(blank, lo, cells) - lo) / (hi - lo)))
+
+    yield from _rect_rows(
+        _f2(_MARGIN_L + np.arange(nv) * cw), _f2(_MARGIN_T + np.arange(nu) * ch), f"{cw:.2f}", f"{ch:.2f}", cell_colors
     )
     bar_y = _HEIGHT - _MARGIN_B + 16
     steps = np.arange(101)
-    parts.append(
-        _rect_grid(
-            _fmt_each("%.2f", _MARGIN_L + steps * px_w / 101),
-            [str(bar_y)],
-            f"{px_w / 101 + 0.5:.2f}",
-            "10",
-            _color_names(_heat_codes(steps / 100)),
-        )
+    legend_colors = _heat_codes(steps / 100)[None, :]
+    yield from _rect_rows(
+        _f2(_MARGIN_L + steps * px_w / 101), [str(bar_y)], f"{px_w / 101 + 0.5:.2f}", "10", lambda rows: legend_colors
     )
-    parts.append(
-        f'<text x="{_MARGIN_L}" y="{bar_y + 24}" font-size="11" text-anchor="start">{lo:.2f}</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN_L + px_w}" y="{bar_y + 24}" font-size="11" text-anchor="end">{hi:.2f}</text>'
-    )
+    texts = [
+        f'<text x="{_MARGIN_L}" y="{bar_y + 24}" font-size="11" text-anchor="start">{lo:.2f}</text>',
+        f'<text x="{_MARGIN_L + px_w}" y="{bar_y + 24}" font-size="11" text-anchor="end">{hi:.2f}</text>',
+    ]
     if legend:
-        parts.append(
+        texts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="{bar_y + 24}" text-anchor="middle" font-size="11">{legend}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    yield _lines(*texts) + b"</svg>"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -769,6 +770,32 @@ def test_compare_roundtrip(capsys, tmp_path):
     assert out_svg.read_text().startswith("<svg")
 
 
+PLOT_GOLDEN_DIR = Path(__file__).parent / "data" / "plot_golden"
+
+
+def test_sweep_svg_matches_golden(capsys, tmp_path):
+    """Both curves of a link sweep, broken by a 9-row run of -inf (sigma_max
+    is subnormal, so the rows around the f_js null underflow to 0)."""
+    out_csv, out_svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    code, _, _ = run(capsys, [
+        "sweep", "--euler-deg", "0", "-45", "0", "--l1-wl", "1e-80", "--l2-wl", "1e-80",
+        "--freq-hz", "3e9", "--theta-t-deg", "40", "--phi-t-deg", "180", "--pol-deg", "0",
+        "--phi-r-deg", "0", "--theta-r-step", "0.5", "--p-t-dbm", "10", "--amp-db", "20",
+        "--g-t-dbi", "10", "--g-r-dbi", "10", "--d-t-m", "5", "--d-r-m", "5",
+        "--out", str(out_csv), "--svg", str(out_svg),
+    ])
+    assert code == 0
+    assert out_csv.read_text().count(",-inf,-inf\n") == 9
+    assert out_svg.read_bytes() == (PLOT_GOLDEN_DIR / "sweep_link_gaps.svg").read_bytes()
+
+
+def test_compare_svg_matches_golden(capsys, tmp_path):
+    out_svg = tmp_path / "overlay.svg"
+    code, out, _ = run(capsys, ["compare", str(PLOT_GOLDEN_DIR / "compare_meas.csv"), "--out-svg", str(out_svg)])
+    assert code == 0 and "n_points=181\n" in out
+    assert out_svg.read_bytes() == (PLOT_GOLDEN_DIR / "compare_overlay.svg").read_bytes()
+
+
 def test_compare_noisy_seeded(capsys, tmp_path):
     grid = np.arange(0.0, 91.0, 5.0)
     curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", grid)
@@ -904,8 +931,29 @@ def test_negative_values_with_an_exponent_parse_as_numbers(capsys, tmp_path, com
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("value", ["-inf", "-nan"])
-def test_negative_non_finite_words_still_read_as_flags(capsys, value):
-    code, out, err = run(capsys, SWEEP_LINK + ["--p-t-dbm", value])
+def _float_flags(command: str) -> list:
+    parser = argparse.ArgumentParser()
+    cli._COMMANDS[command][1](parser)  # the subcommand's flag adder
+    return [(a.option_strings[0], a.nargs or 1) for a in parser._actions if a.type is float]
+
+
+SWEEP_FLOAT_FLAGS = _float_flags("sweep")
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-NaN"])
+@pytest.mark.parametrize("flag, nargs", SWEEP_FLOAT_FLAGS, ids=[f for f, _ in SWEEP_FLOAT_FLAGS])
+def test_negative_non_finite_values_get_the_finite_value_error(capsys, flag, nargs, value):
+    """A negative non-finite word reads as the flag's value, as -10 does, so
+    every float flag of sweep rejects that value (as non-finite, or for an
+    angle as out of range), not a missing one."""
+    options = {
+        "--xy-plane": [], "--l1-wl": ["5"], "--l2-wl": ["5"], "--freq-hz": ["3e9"], "--theta-t-deg": ["45"],
+        "--pol-deg": ["90"], "--p-t-dbm": ["0"], "--amp-db": ["0"], "--g-t-dbi": ["1"], "--g-r-dbi": ["1"],
+        "--d-t-m": ["2"], "--d-r-m": ["2"],
+    }
+    drop = {"--l1-m": "--l1-wl", "--l2-m": "--l2-wl", "--euler-deg": "--xy-plane"}.get(flag)
+    options.pop(drop, None)
+    options[flag] = [value] + ["0"] * (nargs - 1)
+    code, out, err = run(capsys, ["sweep"] + [word for item in options.items() for word in (item[0], *item[1])])
     assert code == 2 and out == ""
-    assert "argument --p-t-dbm: expected one argument" in err
+    assert err.startswith("error: ") and ("finite" in err or "angle out of range" in err), err

@@ -1,4 +1,4 @@
-"""The numpy CSV text kernel against printf ``%.9g``/``%d`` and the %-template writer."""
+"""The numpy text kernels against printf ``%.9g``/``%d``/``%.2f`` and the %-template writer."""
 
 import os
 import tracemalloc
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from platekit import cli
-from platekit.csvtext import format_rows
+from platekit.csvtext import format_points, format_rows
 
 # Values next to every branch of the kernel: zeros, non-finite values,
 # subnormals, the ends of the kernel's range, the 1e-5/1e-4 and 1e8/1e9
@@ -69,6 +69,57 @@ def test_every_value_matches_printf():
     def check(xs, iv):
         assert format_rows([np.array(xs, dtype=np.float64)]) == percent_text(xs, "%.9g")
         assert format_rows([np.array(iv, dtype=np.int64)]) == percent_text(iv, "%d")
+
+    check()
+
+
+# %.2f: exact ties (printf rounds them half to even), values a rounding or
+# two off a midpoint, carries into the whole part, signed zeros, the
+# kernel's 1e15 bound and non-finite values.
+F2_EDGES = [
+    0.125, 0.375, 0.625, 2.5e-3, 0.005, 0.015, 0.165, 1.005, 2.675, 1e-9, 0.994999999999, 0.995, 9.995, 99.995,
+    0.0, -0.0, -0.004, 0.004, -0.005, 0.5, 1.0, 64.0, 1234.5678, 5e-324,
+    1e15, np.nextafter(1e15, 0.0), 999999999999999.9, 1e300, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+def percent_points(xs, ys, keep) -> list[bytes]:
+    """The points of each maximal run of kept pairs, as the per-point writer printed them."""
+    runs, run = [], []
+    for x, y, k in zip(xs, ys, keep):
+        if k:
+            run.append("%.2f,%.2f" % (x, y))
+        elif run:
+            runs.append(" ".join(run).encode("ascii"))
+            run = []
+    return runs + ([" ".join(run).encode("ascii")] if run else [])
+
+
+def test_point_edge_values_match_printf():
+    values = np.array(F2_EDGES + [-v for v in F2_EDGES])
+    keep = np.ones(values.size, dtype=bool)
+    assert format_points(values, values[::-1], keep) == percent_points(values, values[::-1], keep)
+    keep[[0, 5, 6, 7, -1]] = False
+    assert format_points(values, values, keep) == percent_points(values, values, keep)
+    assert format_points([], [], []) == []
+
+
+def test_every_point_matches_printf():
+    """Any float64 pair prints as "%.2f,%.2f", runs split where a point is not kept."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ties = st.builds(lambda k, s: (k + 0.5) / s, st.integers(-10**9, 10**9), st.sampled_from([1, 2, 4, 8, 100]))
+    near_midpoint = st.builds(lambda k, d: (k + 0.5) / 100 + d, st.integers(-10**9, 10**9), st.floats(-1e-9, 1e-9))
+    huge = st.builds(lambda v, s: s * v, st.floats(1e15, 1e300), st.sampled_from([1.0, -1.0]))
+    floats = st.floats() | ties | near_midpoint | huge | st.sampled_from(F2_EDGES)
+    points = st.lists(st.tuples(floats, floats, st.booleans()), max_size=40)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(points)
+    def check(rows):
+        xs, ys, keep = zip(*rows) if rows else ((), (), ())
+        assert format_points(np.array(xs), np.array(ys), np.array(keep, dtype=bool)) == percent_points(xs, ys, keep)
 
     check()
 

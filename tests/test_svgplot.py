@@ -1,10 +1,13 @@
+import io
 import math
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from platekit import svgplot
+from platekit import cli, svgplot
 from platekit.svgplot import SHADOW_COLOR, heatmap, line_plot
 
 PLOT_GOLDEN_DIR = Path(__file__).parent / "data" / "plot_golden"
@@ -67,6 +70,47 @@ def test_heatmap_cells_match_per_cell_reference():
     assert heatmap(grid[:1, :1], vmin=5.0, vmax=5.0).count("<rect x=") == 102
 
 
+@pytest.mark.parametrize("chunk_cells", [1, 46, 10**9])
+def test_streamed_heatmap_matches_string(monkeypatch, chunk_cells):
+    """Written to a file in chunks (one row; five rows, the third chunk of the
+    12 rows with 5-character y text cut short by the run's end; everything)
+    or returned whole, the bytes are the same as the per-cell reference."""
+    monkeypatch.setattr(svgplot, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(8)
+    grid = rng.uniform(-80.0, -20.0, size=(61, 9))
+    shadow = rng.random(grid.shape) < 0.2
+    svg = heatmap(grid, shadow=shadow, vmin=-70.0, vmax=-30.0, title="t", legend="l")
+    assert [line for line in svg.split("\n") if line.startswith("<rect x=")] == _reference_rects(
+        grid, shadow, -70.0, -30.0
+    )
+    buf = io.BytesIO()
+    assert heatmap(grid, shadow=shadow, vmin=-70.0, vmax=-30.0, title="t", legend="l", out=buf) is None
+    assert buf.getvalue() == svg.encode("ascii")
+
+
+def test_streamed_heatmap_memory_is_bounded():
+    """The traced peak of writing a 400 x 400 heatmap (an 11.5 MB document)
+    through the CLI's output sink is set by the chunk, not the document."""
+    rng = np.random.default_rng(6)
+    grid = rng.uniform(-90.0, -30.0, size=(400, 400))
+    shadow = grid < -85.0
+    tracemalloc.start()
+    try:
+        with cli._output(os.devnull) as fh:
+            heatmap(grid, shadow=shadow, vmin=-80.0, vmax=-40.0, out=fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak
+
+
+def test_heatmap_rejects_inverted_color_bounds():
+    with pytest.raises(ValueError, match="inverted"):
+        heatmap([[-50.0, -40.0]], vmin=0.0, vmax=-10.0)
+    # A lone bound beyond the data is not inverted bounds: the scale widens.
+    assert ">-30.00</text>" in heatmap([[-50.0, -40.0]], vmin=-31.0)
+
+
 @pytest.mark.parametrize("bound", [math.nan, math.inf])
 def test_heatmap_rejects_non_finite_color_bounds(bound):
     with pytest.raises(ValueError, match="finite"):
@@ -90,3 +134,6 @@ def test_line_plot_gaps_match_golden():
     svg = line_plot(x, [y1, y2], ["gappy", "edges"], title="gaps", xlabel="x", ylabel="y")
     assert svg == (PLOT_GOLDEN_DIR / "line_gaps.svg").read_text()
     assert svg.count("<polyline") == 5
+    buf = io.BytesIO()
+    assert line_plot(x, [y1, y2], ["gappy", "edges"], title="gaps", xlabel="x", ylabel="y", out=buf) is None
+    assert buf.getvalue() == (PLOT_GOLDEN_DIR / "line_gaps.svg").read_bytes()
