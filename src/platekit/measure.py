@@ -296,7 +296,8 @@ def compare(series: MeasurementSeries, curve) -> ComparisonReport:
     interpolation in dB when the grids differ.  Points where the model is
     non-finite (exact pattern nulls) are excluded from offset and RMSE.
     The constant calibration offset is the mean measured-minus-model
-    difference; RMSE is computed after removing it.
+    difference; RMSE is computed after removing it.  Residuals whose mean
+    or mean square overflows float64 raise ValueError.
     """
     curve_theta = np.asarray(curve[0], dtype=float)
     curve_power = np.asarray(curve[1], dtype=float)
@@ -315,9 +316,12 @@ def compare(series: MeasurementSeries, curve) -> ComparisonReport:
     finite = np.isfinite(theory)
     if not np.any(finite):
         raise ValueError("model curve has no finite points on the measurement grid")
-    diff = series.power_dbm[finite] - theory[finite]
-    offset = float(np.mean(diff))
-    rmse = float(np.sqrt(np.mean((diff - offset) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = series.power_dbm[finite] - theory[finite]
+        offset = float(np.mean(diff))
+        rmse = float(np.sqrt(np.mean((diff - offset) ** 2)))
+    if not (math.isfinite(offset) and math.isfinite(rmse)):
+        raise ValueError("measured-minus-model residuals overflow float64 when averaged or squared")
 
     peak_meas, _ = peak_angle(series.theta_r_deg, series.power_dbm)
     peak_theory, _ = peak_angle(series.theta_r_deg, theory)

@@ -2,9 +2,10 @@
 
 A Scene fixes the transmitter, the plate position, the wave polarization,
 and the link parameters; receiver positions come from a TargetRegion grid.
-Coverage is reported as received power per grid point, with back-side
-(shadowed) points explicitly marked and excluded from planning objectives,
-since the reflection model is only meaningful on the lit side.
+Coverage maps (the plate's own frame) and the orientation search (stacks of
+candidate frames) score receivers through one evaluator.  Back-side
+(shadowed) points are marked and excluded from planning objectives: the
+reflection model holds only on the lit side.
 
 The orientation search runs over the two tilt angles of the plate normal
 only; the rotation about the normal is fixed by the horizontal-edge
@@ -23,7 +24,7 @@ import numpy as np
 from .geometry import PolarizationAngle, _cross, unit
 from .link import LinkScenario, received_dbm
 from .po_oracle import IncidentWave
-from .rcs import PlateGeometry, Wavelength, sigma
+from .rcs import PlateGeometry, Wavelength, _closed_form
 
 OBJECTIVES = ("max-min-dbm", "max-mean-mw")
 
@@ -214,25 +215,37 @@ def orient_for_target(tx_position, plate_position, target_position) -> tuple[np.
     return n, e1[0], e2[0]
 
 
+def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, a_obs: np.ndarray, dist: np.ndarray):
+    """(sigma in m^2, received dBm, shadow mask) of receivers at unit
+    directions ``a_obs`` (N, 3) and distances ``dist`` (N,) from the plate,
+    for plate frames with rows edge1, edge2, normal: the plate's own (3, 3)
+    frame gives (N,) arrays, a (C, 3, 3) stack of candidate frames (C, N)
+    arrays.  Receivers on or behind the plate plane (normal . a_obs <= 0)
+    are shadowed."""
+    e1, e2, n = (frames[..., None, k, :] for k in range(3))  # (1, 3) or (C, 1, 3): broadcast against a_obs
+    p = scene.plate
+    sig = _closed_form(p.length1, p.length2, n, e1, e2, wave.direction, wave.h_dir, a_obs, scene.wavelength)[0]
+    return sig, received_dbm(scene.link_scenario(dist), sig), frames[..., 2, :] @ a_obs.T <= 0.0
+
+
 def coverage_map_points(scene: Scene, points) -> CoverageMap:
     """Coverage at explicit receiver positions (row order preserved),
     evaluated _PAIRS_PER_CHUNK receivers at a time."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    wave = scene.incident_wave()
+    wave, frame = scene.incident_wave(), np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])
     sig, power = np.empty(len(pts)), np.empty(len(pts))
     shadow = np.empty(len(pts), dtype=bool)
     for start in range(0, len(pts), _PAIRS_PER_CHUNK):
         part = slice(start, start + _PAIRS_PER_CHUNK)
-        rel = pts[part] - scene.plate_position
-        dist = np.linalg.norm(rel, axis=1)
+        a_obs = pts[part] - scene.plate_position
+        dist = np.linalg.norm(a_obs, axis=1)
         coincident = dist < 1e-12
-        safe_dist = np.where(coincident, 1.0, dist)
-        a_obs = rel / safe_dist[:, None]
-        shadow[part] = coincident | ((a_obs @ scene.plate.normal) <= 0.0)
-        sig[part] = sigma(scene.plate, wave.direction, wave.h_dir, a_obs, scene.wavelength)
-        power[part] = received_dbm(scene.link_scenario(safe_dist), sig[part])
+        dist[coincident] = 1.0
+        a_obs /= dist[:, None]
+        sig[part], power[part], shadow[part] = _receivers(scene, wave, frame, a_obs, dist)
+        shadow[part] |= coincident
     sig[shadow] = np.nan
     power[shadow] = np.nan
     return CoverageMap(pts, sig, power, shadow, (pts.shape[0], 1))
@@ -246,37 +259,23 @@ def coverage_map(scene: Scene, region: TargetRegion) -> CoverageMap:
 
 
 def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, objective: str) -> np.ndarray:
-    """Objective for a (C, 3, 3) stack of candidate frames (rows edge1,
-    edge2, normal); -inf where invalid.
-
-    The incident wave and the observation directions are expressed in each
-    candidate's frame, in which the plate is PlateGeometry.xy_plane and the
-    local z component is the projection on the normal.  Shadowed points are
-    excluded; candidates that shadow every point (or face away from the
-    transmitter) score -inf.  Candidates run _PAIRS_PER_CHUNK candidate x
-    point pairs at a time.
-    """
+    """Objective for a (C, 3, 3) stack of candidate frames (rows edge1, edge2,
+    normal), _PAIRS_PER_CHUNK candidate x point pairs at a time.  Shadowed
+    points are excluded; candidates that shadow every point or face away
+    from the transmitter score -inf."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    wave = scene.incident_wave()
-    rel = points - scene.plate_position
-    dist = np.linalg.norm(rel, axis=1)
+    a_obs = points - scene.plate_position
+    dist = np.linalg.norm(a_obs, axis=1)
     if np.any(dist < 1e-12):
         raise ValueError("region contains the plate position")
-    directions = np.vstack([wave.direction, wave.h_dir, rel / dist[:, None]])
-    plate = PlateGeometry.xy_plane(scene.plate.length1, scene.plate.length2)
-    budget = scene.link_scenario(dist)
-
+    a_obs /= dist[:, None]
+    wave = scene.incident_wave()
+    facing = frames[:, 2] @ wave.direction < 0.0
     values = np.empty(len(frames))
     step = max(1, _PAIRS_PER_CHUNK // len(points))
     for start in range(0, len(frames), step):
-        # (c, 3, N) transposed to a (c, N, 3) view: the direction axis stays
-        # contiguous, so the kernel's elementwise loops run along it (an
-        # (N, 3)-major layout loops over the length-3 axis and ran 11% slower).
-        local = (frames[start : start + step] @ directions.T).transpose(0, 2, 1)
-        a_inc, h_dir, a_obs = local[:, :1], local[:, 1:2], local[:, 2:]
-        power = received_dbm(budget, sigma(plate, a_inc, h_dir, a_obs, scene.wavelength))
-        shadow = a_obs[..., 2] <= 0.0
+        _, power, shadow = _receivers(scene, wave, frames[start : start + step], a_obs, dist)
         if objective == "max-min-dbm":
             v = np.min(np.where(shadow, np.inf, power), axis=1)
             v[v == np.inf] = -np.inf  # every point shadowed
@@ -286,14 +285,13 @@ def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, obje
             v = np.full(len(total), -np.inf)
             ok = (counts > 0) & (total > 0.0)
             v[ok] = 10.0 * np.log10(total[ok] / counts[ok])
-        values[start : start + step] = np.where(a_inc[:, 0, 2] < 0.0, v, -np.inf)
-    return values
+        values[start : start + step] = v
+    return np.where(facing, values, -np.inf)
 
 
 def orientation_objective(scene: Scene, region: TargetRegion, objective: str) -> float:
     """Objective value of the scene's current plate orientation."""
-    p = scene.plate
-    frame = np.stack([p.edge1, p.edge2, p.normal])
+    frame = np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])
     return float(_objective_values(scene, region.points(), frame[None], objective)[0])
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,30 @@ def test_frequency_whose_wavelength_square_leaves_float64_is_rejected(capsys, tm
     assert (code, out) == (2, "")
     assert err.startswith("error: wavelength must be positive and finite, with a square that neither underflows")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["rcs", "sweep", "coverage", "optimize"])
+def test_plate_whose_sigma_max_overflows_is_rejected(capsys, tmp_path, command):
+    """Edges of 1e300 wavelengths, or of 1e150 m in a scene: 4*pi*L1^2*L2^2/lambda^2
+    overflows float64.  These runs printed nan, or wrote an all-nan column, with exit 0."""
+    cfg = json.loads((COVERAGE_GOLDEN_DIR / "open_scene.json").read_text())
+    cfg["plate"]["length1_m"] = cfg["plate"]["length2_m"] = 1e150
+    scene = str(write_config(tmp_path, cfg))
+    csv, svg, out_json = (str(tmp_path / name) for name in ("out.csv", "out.svg", "out.json"))
+    argv = {
+        "rcs": [*RCS_BASE],
+        "sweep": [*SWEEP_BASE, "--out", csv, "--svg", svg],
+        "coverage": ["coverage", scene, "--out-csv", csv, "--out-svg", svg],
+        "optimize": ["optimize", scene, "--out-json", out_json],
+    }[command]
+    if "--l1-wl" in argv:
+        argv[argv.index("--l1-wl") + 1] = "1e300"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: plate too large for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 overflows")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
 
 
 def test_validate_pass_and_fail(capsys):
@@ -827,6 +852,20 @@ def test_compare_rejects_non_finite_link_flags(capsys, tmp_path):
     for flag in ("--p-t-dbm", "--d-r-m"):
         code, out, err = run(capsys, ["compare", str(path), "--pol-case", "perpendicular", flag, "nan"])
         assert code == 2 and out == "" and err.startswith("error: link ")
+
+
+def test_compare_rejects_residuals_that_overflow(capsys, tmp_path):
+    """Measured powers of +-1e300 dBm: the residuals' mean square overflows.
+    This run printed rmse_db=inf with an overflow RuntimeWarning and exit 0."""
+    meas, out_json = tmp_path / "meas.csv", tmp_path / "report.json"
+    grid = np.arange(0.0, 60.0, 10.0)
+    save_series(MeasurementSeries(grid, np.array([1e300, -1e300] * 3), theta_t_deg=45.0, varphi_t_deg=90.0), meas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["compare", str(meas), "--out-json", str(out_json)])
+    assert (code, out) == (2, "")
+    assert err == "error: measured-minus-model residuals overflow float64 when averaged or squared\n"
+    assert not out_json.exists()
 
 
 def test_compare_missing_file(capsys, tmp_path):

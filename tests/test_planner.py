@@ -16,6 +16,9 @@ from platekit import (
     optimize_orientation,
     orient_for_target,
     orientation_objective,
+    rcs,
+    received_power,
+    sigma_max,
 )
 from platekit import planner
 from platekit.planner import OBJECTIVES, orientation_from_angles
@@ -270,11 +273,44 @@ def test_objective_equals_coverage_over_lit_cells():
         if lit.size == 0:
             assert all(orientation_objective(scene, region, o) == -np.inf for o in OBJECTIVES)
             continue
-        assert abs(orientation_objective(scene, region, "max-min-dbm") - np.min(lit)) <= 1e-9
+        # One evaluator scores both, so the minimum is the same float; the
+        # mean sums in another order.
+        assert orientation_objective(scene, region, "max-min-dbm") == np.min(lit)
         mean_dbm = 10.0 * np.log10(np.mean(10.0 ** (lit / 10.0)))
         assert abs(orientation_objective(scene, region, "max-mean-mw") - mean_dbm) <= 1e-9
         checked += 1
     assert checked >= 20
+
+
+def test_candidate_stack_equals_scalar_rcs_and_link_budget():
+    """Each (candidate, receiver) value of the search's evaluator is the scalar
+    rcs() of a plate in that candidate's frame and its received_power()."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), candidates=st.integers(1, 4),
+                      nu=st.integers(1, 4), nv=st.integers(1, 4))
+    def check(seed, candidates, nu, nv):
+        rng = np.random.default_rng(seed)
+        scene = random_facing_scene(rng)
+        rel = random_region(rng, nu, nv).points() - scene.plate_position
+        dist = np.linalg.norm(rel, axis=1)
+        a_obs = rel / dist[:, None]
+        frames = np.stack([random_rotation(rng).T for _ in range(candidates)])  # rows edge1, edge2, normal
+        wave, p = scene.incident_wave(), scene.plate
+        sig, power, shadow = planner._receivers(scene, wave, frames, a_obs, dist)
+        assert sig.shape == power.shape == shadow.shape == (candidates, len(dist))
+        for c, (e1, e2, n) in enumerate(frames):
+            plate = PlateGeometry(p.length1, p.length2, n, e1, e2)
+            smax = sigma_max(plate, scene.wavelength)
+            for j, a in enumerate(a_obs):
+                want = rcs(plate, wave.direction, wave.h_dir, a, scene.wavelength).sigma_m2
+                assert abs(sig[c, j] - want) <= 1e-12 * smax
+                assert abs(power[c, j] - received_power(scene.link_scenario(float(dist[j])), want)) <= 1e-9
+                assert shadow[c, j] == (float(np.dot(n, a)) <= 0.0)
+
+    check()
 
 
 def test_optimize_memory_is_bounded():
