@@ -30,7 +30,7 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 
 # Rows formatted and written per chunk of a CSV table; bounds the text held at once.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 8192
 # Largest sweep grid; about 11x the rows of a 0.001-degree step over 0..90 degrees.
 _MAX_SWEEP_ROWS = 1_000_000
 # argparse's (private) negative-number pattern plus an exponent and the
@@ -217,14 +217,15 @@ def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _observation_directions(theta_deg: np.ndarray, phi_deg: float) -> np.ndarray:
-    """(N, 3) observation unit vectors for an increasing zenith grid (degrees)."""
+    """(N, 3) observation unit vectors for an increasing zenith grid (degrees),
+    stored component-major so that each coordinate is one contiguous row."""
     theta, phi = np.radians(theta_deg), math.radians(phi_deg)
     # SphericalAngles holds the range rule.  On an increasing grid only the
     # first point and the first point past pi/2 can be the first to break it.
     for t in theta[:1].tolist() + theta[theta > math.pi / 2][:1].tolist():
         geometry.SphericalAngles(t, phi)
     st = np.sin(theta)
-    return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=-1)
+    return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)]).T
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:

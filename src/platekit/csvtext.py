@@ -21,6 +21,9 @@ the text with numpy instead:
   NUL where ``%`` prints no character, so stacking the fields into rows and
   dropping the NULs leaves the CSV text.  Fields no row of a call uses are
   left out.
+- An integer's digits are the three-digit groups of its magnitude, split off
+  by ``divmod``.  A column whose magnitudes all fit int32 (``-2**31`` does
+  not) is counted and split in int32, the rest in uint64.
 - ``%.2f`` splits ``|x|`` into its whole part, which prints as ``%d``, and
   its fraction; both are exact in float64.  The two decimals are
   ``rint(fraction * 100)``, one rounding off the exact product by less than
@@ -168,16 +171,23 @@ def _f2_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
 def _int_fields(v: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     """Fields of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden``."""
     negative = (v < 0) & ~hidden
-    u = v.astype(np.uint64)
-    u = np.where(v < 0, 0 - u, u)  # two's complement magnitude, 2**63 included
-    nd = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
+    if -(2**31 - 1) <= v.min(initial=0) and v.max(initial=0) <= 2**31 - 1:
+        # Magnitudes in int32, digits counted against the powers of ten up to the largest.
+        u = np.abs(v.astype(np.int32))
+        nd = np.ones(len(u), dtype=np.int32)
+        for p in _POW10_U64[1 : len(str(u.max(initial=0)))].astype(np.int32):
+            nd += u >= p
+    else:
+        u = v.astype(np.uint64)
+        u = np.where(v < 0, 0 - u, u)  # two's complement magnitude, 2**63 included
+        nd = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
     nd[hidden] = 0
     fields = [negative * _MINUS] if negative.any() else []
     width = int(nd.max(initial=0))
     groups = []
     for _ in range(0, width, 3):
-        u, group = np.divmod(u, np.uint64(1000))
-        groups.append(group.astype(np.int32))
+        u, group = np.divmod(u, 1000)
+        groups.append(group.astype(np.int32, copy=False))
     everywhere = int(nd.min(initial=20))
     for place in range(width - 1, -1, -1):
         digit = _PLACES[2 - place % 3].take(groups[place // 3])

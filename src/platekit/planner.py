@@ -137,14 +137,12 @@ class TargetRegion:
         return cls(point, np.zeros(3), np.zeros(3), 1, 1)
 
     def points(self) -> np.ndarray:
+        """(nu*nv, 3) positions, stored component-major (an F-ordered view of a
+        (3, nu*nv) array) so that each coordinate is one contiguous row."""
         fu = np.zeros(self.nu) if self.nu == 1 else np.arange(self.nu) / (self.nu - 1)
         fv = np.zeros(self.nv) if self.nv == 1 else np.arange(self.nv) / (self.nv - 1)
-        pts = (
-            self.corner[None, None, :]
-            + fu[:, None, None] * self.edge_u[None, None, :]
-            + fv[None, :, None] * self.edge_v[None, None, :]
-        )
-        return pts.reshape(self.nu * self.nv, 3)
+        pts = self.corner[:, None, None] + fu[:, None] * self.edge_u[:, None, None] + fv * self.edge_v[:, None, None]
+        return pts.reshape(3, self.nu * self.nv).T
 
 
 @dataclass
@@ -217,7 +215,8 @@ def orient_for_target(tx_position, plate_position, target_position) -> tuple[np.
 
 def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, a_obs: np.ndarray, dist: np.ndarray):
     """(sigma in m^2, received dBm, shadow mask) of receivers at unit
-    directions ``a_obs`` (N, 3) and distances ``dist`` (N,) from the plate,
+    directions ``a_obs`` (N, 3), best stored component-major, and distances
+    ``dist`` (N,) from the plate,
     for plate frames with rows edge1, edge2, normal: the plate's own (3, 3)
     frame gives (N,) arrays, a (C, 3, 3) stack of candidate frames (C, N)
     arrays.  Receivers on or behind the plate plane (normal . a_obs <= 0)
@@ -239,7 +238,8 @@ def coverage_map_points(scene: Scene, points) -> CoverageMap:
     shadow = np.empty(len(pts), dtype=bool)
     for start in range(0, len(pts), _PAIRS_PER_CHUNK):
         part = slice(start, start + _PAIRS_PER_CHUNK)
-        a_obs = pts[part] - scene.plate_position
+        # Component-major: each coordinate of the chunk is one contiguous row.
+        a_obs = (pts[part].T - scene.plate_position[:, None]).T
         dist = np.linalg.norm(a_obs, axis=1)
         coincident = dist < 1e-12
         dist[coincident] = 1.0
@@ -265,17 +265,19 @@ def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, obje
     from the transmitter score -inf."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    a_obs = points - scene.plate_position
+    a_obs = (points.T - scene.plate_position[:, None]).T
     dist = np.linalg.norm(a_obs, axis=1)
     if np.any(dist < 1e-12):
         raise ValueError("region contains the plate position")
     a_obs /= dist[:, None]
     wave = scene.incident_wave()
-    facing = frames[:, 2] @ wave.direction < 0.0
-    values = np.empty(len(frames))
+    # Candidates facing away from the transmitter score -inf unevaluated.
+    facing = np.flatnonzero(frames[:, 2] @ wave.direction < 0.0)
+    values = np.full(len(frames), -np.inf)
     step = max(1, _PAIRS_PER_CHUNK // len(points))
-    for start in range(0, len(frames), step):
-        _, power, shadow = _receivers(scene, wave, frames[start : start + step], a_obs, dist)
+    for start in range(0, len(facing), step):
+        chunk = facing[start : start + step]
+        _, power, shadow = _receivers(scene, wave, frames[chunk], a_obs, dist)
         if objective == "max-min-dbm":
             v = np.min(np.where(shadow, np.inf, power), axis=1)
             v[v == np.inf] = -np.inf  # every point shadowed
@@ -285,8 +287,8 @@ def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, obje
             v = np.full(len(total), -np.inf)
             ok = (counts > 0) & (total > 0.0)
             v[ok] = 10.0 * np.log10(total[ok] / counts[ok])
-        values[start : start + step] = v
-    return np.where(facing, values, -np.inf)
+        values[chunk] = v
+    return values
 
 
 def orientation_objective(scene: Scene, region: TargetRegion, objective: str) -> float:

@@ -178,12 +178,16 @@ def sinc(x):
 def _sigma_max(length1, length2, wl: Wavelength):
     """4*pi*L1^2*L2^2/lambda^2 for scalar or per-row edge lengths.  Every
     closed-form evaluation passes through here: a value that overflows
-    float64 (inf, or inf * 0 from squares) raises ValueError; a subnormal one passes."""
+    float64 (inf, or inf * 0 from squares) or underflows to 0 raises
+    ValueError; a subnormal one passes."""
     with np.errstate(over="ignore", invalid="ignore"):
         smax = 4.0 * math.pi * np.square(length1) * np.square(length2) / wl.meters**2
     if not np.all(np.isfinite(smax)):
         raise ValueError(f"plate too large for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 overflows "
                          f"float64 (lambda = {wl.meters} m)")
+    if np.any(smax == 0.0):
+        raise ValueError(f"plate too small for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 underflows "
+                         f"to 0 in float64 (lambda = {wl.meters} m)")
     return smax
 
 

@@ -22,8 +22,12 @@ def plate_5wl(wl_3ghz) -> PlateGeometry:
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q = rng.normal(size=4)
-    w, x, y, z = q / np.linalg.norm(q)
+    return quaternion_rotation(rng.normal(size=4))
+
+
+def quaternion_rotation(q) -> np.ndarray:
+    """The rotation matrix of the nonzero quaternion ``q`` (w, x, y, z), normalized first."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],

@@ -311,12 +311,12 @@ def test_frequency_whose_wavelength_square_leaves_float64_is_rejected(capsys, tm
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("command", ["rcs", "sweep", "coverage", "optimize"])
-def test_plate_whose_sigma_max_overflows_is_rejected(capsys, tmp_path, command):
-    """Edges of 1e300 wavelengths, or of 1e150 m in a scene: 4*pi*L1^2*L2^2/lambda^2
-    overflows float64.  These runs printed nan, or wrote an all-nan column, with exit 0."""
+def run_with_plate_edges(capsys, tmp_path, command, scene_edge_m, edge_wl):
+    """``command`` with plate edges of ``scene_edge_m`` in a scene, or a first
+    edge of ``edge_wl`` wavelengths on the command line; every output asked
+    for, warnings as errors."""
     cfg = json.loads((COVERAGE_GOLDEN_DIR / "open_scene.json").read_text())
-    cfg["plate"]["length1_m"] = cfg["plate"]["length2_m"] = 1e150
+    cfg["plate"]["length1_m"] = cfg["plate"]["length2_m"] = scene_edge_m
     scene = str(write_config(tmp_path, cfg))
     csv, svg, out_json = (str(tmp_path / name) for name in ("out.csv", "out.svg", "out.json"))
     argv = {
@@ -326,12 +326,30 @@ def test_plate_whose_sigma_max_overflows_is_rejected(capsys, tmp_path, command):
         "optimize": ["optimize", scene, "--out-json", out_json],
     }[command]
     if "--l1-wl" in argv:
-        argv[argv.index("--l1-wl") + 1] = "1e300"
+        argv[argv.index("--l1-wl") + 1] = edge_wl
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, argv)
+        return run(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["rcs", "sweep", "coverage", "optimize"])
+def test_plate_whose_sigma_max_overflows_is_rejected(capsys, tmp_path, command):
+    """Edges of 1e300 wavelengths, or of 1e150 m in a scene: 4*pi*L1^2*L2^2/lambda^2
+    overflows float64.  These runs printed nan, or wrote an all-nan column, with exit 0."""
+    code, out, err = run_with_plate_edges(capsys, tmp_path, command, 1e150, "1e300")
     assert (code, out) == (2, "")
     assert err.startswith("error: plate too large for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 overflows")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
+
+
+@pytest.mark.parametrize("command", ["rcs", "sweep", "coverage", "optimize"])
+def test_plate_whose_sigma_max_underflows_is_rejected(capsys, tmp_path, command):
+    """An edge of 1e-300 wavelengths, or edges of 1e-150 m in a scene: 4*pi*L1^2*L2^2/lambda^2
+    underflows to 0.  These runs printed sigma_max_m2=0 and 0,-inf rows, or
+    wrote an all -inf column, with exit 0."""
+    code, out, err = run_with_plate_edges(capsys, tmp_path, command, 1e-150, "1e-300")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: plate too small for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 underflows")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
 
 

@@ -24,6 +24,8 @@ EDGE_FLOATS = [
     1.0, -1.0, 10.0, 100.0, 0.1, 0.25, -52.1234567, 3.14159265358979,
 ]
 EDGE_INTS = [0, 1, -1, 9, 10, -10, 999, 1000, 10**18, -(10**18), 2**63 - 1, -(2**63)]
+# Columns of only these take the int32 path; -2**31, whose magnitude int32 lacks, does not.
+EDGE_INTS32 = [0, 1, -1, 9, 10, -10, 99, 100, 999, 1000, -1000, 10**9 - 1, 10**9, 2**31 - 1, -(2**31 - 1)]
 
 
 def percent_text(values, spec: str) -> bytes:
@@ -53,6 +55,21 @@ def test_edge_values_match_printf():
     assert format_rows([wide]) == percent_text(wide.tolist(), "%d")
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+def test_int32_range_columns_match_printf(dtype):
+    """Every column whose values fit int32 in magnitude, and the first ones
+    past it (-2**31 and 2**31 take the uint64 path), prints as %d."""
+    for values in ([0], [9], [10, 0], [999, 1000, 1], [7] * 5, EDGE_INTS32, EDGE_INTS32[::-1],
+                   [-(2**31), 0, 5], [2**31, -1, 10]):
+        column = np.array(values, dtype=np.int64)
+        if dtype is not np.int64:
+            if column.min() < np.iinfo(dtype).min or column.max() > np.iinfo(dtype).max:
+                continue
+            column = column.astype(dtype)
+        assert format_rows([column]) == percent_text(values, "%d"), values
+        assert format_rows([column, column]) == "".join("%d,%d\n" % (v, v) for v in values).encode(), values
+
+
 def test_every_value_matches_printf():
     """Any float64 prints as "%.9g" % x, any int64 as "%d" % i, whatever else
     shares its column (the fields laid out depend on the whole column)."""
@@ -63,12 +80,16 @@ def test_every_value_matches_printf():
     ties = st.builds(lambda m, k: (m + 0.5) * 10.0**k, st.integers(10**8, 10**9 - 1), st.integers(-14, 12))
     floats = st.floats() | bit_patterns | decades | ties | st.sampled_from(EDGE_FLOATS)
     ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(EDGE_INTS)
+    # Columns of these all take the int32 path.
+    small_ints = st.integers(-1100, 1100) | st.integers(-(2**31 - 1), 2**31 - 1) | st.sampled_from(EDGE_INTS32)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.lists(floats, min_size=1, max_size=40), st.lists(ints, min_size=1, max_size=40))
-    def check(xs, iv):
+    @hypothesis.given(st.lists(floats, min_size=1, max_size=40), st.lists(ints, min_size=1, max_size=40),
+                      st.lists(small_ints, min_size=1, max_size=40))
+    def check(xs, iv, small):
         assert format_rows([np.array(xs, dtype=np.float64)]) == percent_text(xs, "%.9g")
         assert format_rows([np.array(iv, dtype=np.int64)]) == percent_text(iv, "%d")
+        assert format_rows([np.array(small, dtype=np.int64)]) == percent_text(small, "%d")
 
     check()
 

@@ -341,6 +341,33 @@ def test_coverage_independent_of_chunking(monkeypatch, receivers):
         assert np.array_equal(getattr(cov, name), getattr(reference, name), equal_nan=True), name
 
 
+@pytest.mark.parametrize("nu, nv", [(1, 1), (1, 7), (6, 1), (13, 11)])
+def test_region_points_are_the_broadcast_grid_component_major(nu, nv):
+    """points() is corner + fu*edge_u + fv*edge_v bit for bit, each coordinate one contiguous row."""
+    rng = np.random.default_rng(79)
+    region = random_region(rng, nu, nv)
+    fu = np.zeros(nu) if nu == 1 else np.arange(nu) / (nu - 1)
+    fv = np.zeros(nv) if nv == 1 else np.arange(nv) / (nv - 1)
+    want = (region.corner[None, None, :] + fu[:, None, None] * region.edge_u[None, None, :]
+            + fv[None, :, None] * region.edge_v[None, None, :]).reshape(nu * nv, 3)
+    pts = region.points()
+    assert pts.shape == (nu * nv, 3) and pts.T.flags.c_contiguous
+    assert pts.tobytes() == want.tobytes()
+
+
+def test_coverage_independent_of_point_layout():
+    """Row-major and component-major copies of the same receivers give the same bits."""
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        scene = random_facing_scene(rng)
+        pts = random_region(rng, int(rng.integers(1, 30)), int(rng.integers(1, 30))).points()
+        row_major, component_major = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        assert row_major.flags.c_contiguous and component_major.T.flags.c_contiguous
+        a, b = coverage_map_points(scene, row_major), coverage_map_points(scene, component_major)
+        for name in ("sigma_m2", "power_dbm", "shadow"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 def test_coverage_memory_is_bounded():
     # 500 x 500 receivers: evaluating every receiver at once held 31 MB of
     # temporaries beyond the returned arrays here.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EX, EY, EZ, deg, random_rotation, random_unit, rel_close
+from conftest import EX, EY, EZ, deg, quaternion_rotation, random_rotation, random_unit, rel_close
 from platekit import (
     PlateGeometry,
     PolarizationAngle,
@@ -184,6 +184,35 @@ def test_factor_bounds_random(wl_3ghz, plate_5wl):
     af = f_af(plate_5wl, a_inc, a_obs, wl_3ghz)
     assert np.all((js >= 0.0) & (js <= 1.0))
     assert np.all((af >= 0.0) & (af <= 1.0))
+
+
+def test_factor_bounds_property():
+    """0 <= f_js <= 1 and 0 <= f_af <= 1 for any plate frame and size, wave
+    triad and observation directions.  f_js is a squared norm of products of
+    unit vectors that are unit only to rounding, so it may pass 1 by a few ulps."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coordinate = st.floats(-1.0, 1.0)
+    frames = st.tuples(*[coordinate] * 4).filter(lambda q: math.fsum(c * c for c in q) > 1e-6).map(
+        quaternion_rotation)
+    units = st.tuples(*[coordinate] * 3).filter(lambda v: math.fsum(c * c for c in v) > 1e-6).map(
+        lambda v: np.array(v) / np.linalg.norm(v))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(plate_frame=frames, wave_frame=frames, a_obs=st.lists(units, min_size=1, max_size=20),
+                      sides_wl=st.tuples(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)), freq_hz=st.floats(1e6, 1e12))
+    def check(plate_frame, wave_frame, a_obs, sides_wl, freq_hz):
+        wl = Wavelength.from_frequency(freq_hz)
+        e1, e2, n = plate_frame.T
+        plate = PlateGeometry(sides_wl[0] * wl.meters, sides_wl[1] * wl.meters, n, e1, e2)
+        a_inc, h_dir = wave_frame[:, 0], wave_frame[:, 2]  # columns direction, e_dir, h_dir
+        a_obs = np.array(a_obs)
+        js = f_js(plate.normal, h_dir, a_obs)
+        af = f_af(plate, a_inc, a_obs, wl)
+        assert np.all((js >= 0.0) & (js <= 1.0 + 8 * np.finfo(float).eps)), js
+        assert np.all((af >= 0.0) & (af <= 1.0)), af
+
+    check()
 
 
 def test_specular_direction():
