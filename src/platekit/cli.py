@@ -72,6 +72,24 @@ def _write_json(path: str, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False).encode("utf-8") + b"\n")
 
 
+def _print_fields(fields: dict) -> None:
+    """Print one ``key=value`` line per field: floats as %.9g (``csvtext``),
+    vectors as [x,y,z], booleans as true/false and None as unavailable."""
+
+    def show(value) -> str:
+        if value is None:
+            return "unavailable"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (str, int)):
+            return str(value)
+        if isinstance(value, np.ndarray):
+            return "[" + ",".join(map(_fmt, value)) + "]"
+        return _fmt(value)
+
+    print("\n".join(f"{key}={show(value)}" for key, value in fields.items()))
+
+
 def _write_table(path: str | None, header: str, columns: list, shadow=None) -> None:
     """Write equal-length numeric columns as CSV to ``path`` (stdout if None).
 
@@ -161,15 +179,8 @@ def _cmd_rcs(args) -> int:
         geometry.SphericalAngles.from_degrees(args.theta_r_deg, args.phi_r_deg)
     )
     b = rcs_breakdown(plate, a_inc, h_dir, obs, wl)
-    lines = [
-        f"sigma_m2={_fmt(b.sigma_m2)}",
-        f"sigma_dbsm={_fmt(b.sigma_dbsm)}",
-        f"sigma_max_m2={_fmt(b.sigma_max_m2)}",
-        f"f_js={_fmt(b.f_js)}",
-        f"f_af={_fmt(b.f_af)}",
-        f"front_side_valid={'true' if b.front_side_valid else 'false'}",
-    ]
-    print("\n".join(lines))
+    _print_fields({key: getattr(b, key) for key in
+                   ("sigma_m2", "sigma_dbsm", "sigma_max_m2", "f_js", "f_af", "front_side_valid")})
     return EXIT_OK
 
 
@@ -177,28 +188,43 @@ def _cmd_rcs(args) -> int:
 # sweep
 
 
-_LINK_FLAGS = ("p_t_dbm", "g_t_dbi", "g_r_dbi", "d_t_m", "d_r_m")
+# The link-budget flags, by argparse dest, and the link.LinkScenario field each sets.
+_LINK_FIELDS = {
+    "p_t_dbm": "tx_power_dbm",
+    "amp_db": "amp_gain_db",
+    "g_t_dbi": "tx_gain_dbi",
+    "g_r_dbi": "rx_gain_dbi",
+    "d_t_m": "tx_distance_m",
+    "d_r_m": "rx_distance_m",
+}
+# compare's flags and the measure.ExperimentConfig field each sets, in --help
+# order; the config's link fields carry LinkScenario's names.
+_CONFIG_FIELDS = {
+    "freq_hz": "freq_hz",
+    "theta_t_deg": "theta_t_deg",
+    "l1_wl": "plate_l1_wavelengths",
+    "l2_wl": "plate_l2_wavelengths",
+    **_LINK_FIELDS,
+}
+
+
+def _given(args, fields: dict) -> dict:
+    """{field: value} for each flag of ``fields`` (dest -> field) given on the
+    command line, so that the library's own default fills every other field."""
+    return {field: getattr(args, dest) for dest, field in fields.items() if getattr(args, dest) is not None}
 
 
 def _link_from_args(args, wl: Wavelength) -> link.LinkScenario | None:
-    given = [f for f in _LINK_FLAGS if getattr(args, f) is not None]
-    if args.amp_db is not None and not given:
-        raise ValueError("--amp-db requires the other link flags")
-    if not given:
+    required = [dest for dest in _LINK_FIELDS if dest != "amp_db"]
+    missing = [dest for dest in required if getattr(args, dest) is None]
+    if len(missing) == len(required):
+        if args.amp_db is not None:
+            raise ValueError("--amp-db requires the other link flags")
         return None
-    missing = [f for f in _LINK_FLAGS if getattr(args, f) is None]
     if missing:
         flags = ", ".join("--" + f.replace("_", "-") for f in missing)
         raise ValueError(f"incomplete link budget: missing {flags}")
-    return link.LinkScenario(
-        tx_power_dbm=args.p_t_dbm,
-        tx_gain_dbi=args.g_t_dbi,
-        rx_gain_dbi=args.g_r_dbi,
-        tx_distance_m=args.d_t_m,
-        rx_distance_m=args.d_r_m,
-        wavelength=wl,
-        amp_gain_db=args.amp_db if args.amp_db is not None else 0.0,
-    )
+    return link.LinkScenario(wavelength=wl, **_given(args, _LINK_FIELDS))
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -287,8 +313,8 @@ def _cmd_sweep(args) -> int:
 def _add_validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--nodes-per-edge", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--nodes-per-edge", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--freq-hz", type=float, default=3e9)
 
 
@@ -299,7 +325,7 @@ def _cmd_validate(args) -> int:
         seed=args.seed,
         wavelength=wl,
         nodes_per_edge=args.nodes_per_edge,
-        tolerance=args.tol,
+        **_given(args, {"tol": "tolerance"}),
     )
     print("\n".join(report.lines()))
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -418,7 +444,7 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
         tx_gain_dbi=float(_need(cfg, "tx_gain_dbi", path)),
         rx_gain_dbi=float(_need(cfg, "rx_gain_dbi", path)),
         wavelength=wl,
-        amp_gain_db=float(cfg.get("amp_gain_db", 0.0)),
+        **({"amp_gain_db": float(cfg["amp_gain_db"])} if "amp_gain_db" in cfg else {}),
     )
     objective = cfg.get("objective", "max-min-dbm")
     if objective not in planner.OBJECTIVES:
@@ -472,31 +498,18 @@ def _cmd_optimize(args) -> int:
     scene, region, objective = load_scene_config(args.config)
     initial = planner.orientation_objective(scene, region, objective)
     result = planner.optimize_orientation(scene, region, objective)
-    lines = [
-        f"objective={objective}",
-        f"initial_objective_dbm={_fmt(initial)}",
-        f"best_zenith_deg={_fmt(result.zenith_deg)}",
-        f"best_azimuth_deg={_fmt(result.azimuth_deg)}",
-        f"best_objective_dbm={_fmt(result.value_dbm)}",
-        f"normal=[{_fmt(result.normal[0])},{_fmt(result.normal[1])},{_fmt(result.normal[2])}]",
-        f"evaluations={result.evaluations}",
-    ]
-    print("\n".join(lines))
+    fields = {
+        "objective": objective,
+        "initial_objective_dbm": initial,
+        "best_zenith_deg": result.zenith_deg,
+        "best_azimuth_deg": result.azimuth_deg,
+        "best_objective_dbm": result.value_dbm,
+        "normal": result.normal,
+        "evaluations": result.evaluations,
+    }
+    _print_fields(fields)
     if args.out_json is not None:
-        payload = _json_ready(
-            {
-                "objective": objective,
-                "initial_objective_dbm": initial,
-                "best_zenith_deg": result.zenith_deg,
-                "best_azimuth_deg": result.azimuth_deg,
-                "best_objective_dbm": result.value_dbm,
-                "normal": result.normal,
-                "edge1": result.edge1,
-                "edge2": result.edge2,
-                "evaluations": result.evaluations,
-            }
-        )
-        _write_json(args.out_json, payload)
+        _write_json(args.out_json, _json_ready({**fields, "edge1": result.edge1, "edge2": result.edge2}))
     return EXIT_OK
 
 
@@ -506,17 +519,9 @@ def _cmd_optimize(args) -> int:
 
 def _add_compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("measurement", help="measurement CSV path")
-    p.add_argument("--pol-case", choices=list(POLARIZATION_CASES), default=None)
-    p.add_argument("--freq-hz", type=float, default=None)
-    p.add_argument("--theta-t-deg", type=float, default=None)
-    p.add_argument("--l1-wl", type=float, default=5.0)
-    p.add_argument("--l2-wl", type=float, default=5.0)
-    p.add_argument("--p-t-dbm", type=float, default=0.0)
-    p.add_argument("--amp-db", type=float, default=38.861)
-    p.add_argument("--g-t-dbi", type=float, default=16.0)
-    p.add_argument("--g-r-dbi", type=float, default=16.0)
-    p.add_argument("--d-t-m", type=float, default=8.0)
-    p.add_argument("--d-r-m", type=float, default=8.0)
+    p.add_argument("--pol-case", choices=list(POLARIZATION_CASES))
+    for dest in _CONFIG_FIELDS:
+        p.add_argument("--" + dest.replace("_", "-"), type=float)
     p.add_argument("--out-json", help="optional JSON report path")
     p.add_argument("--out-svg", help="optional overlay SVG path")
 
@@ -532,53 +537,19 @@ def _cmd_compare(args) -> int:
             pol_case = "parallel"
     if pol_case is None:
         raise ValueError("no --pol-case given and none recoverable from file metadata")
-    config = measure.ExperimentConfig(
-        freq_hz=args.freq_hz if args.freq_hz is not None else (series.freq_hz or 3e9),
-        plate_l1_wavelengths=args.l1_wl,
-        plate_l2_wavelengths=args.l2_wl,
-        theta_t_deg=(
-            args.theta_t_deg
-            if args.theta_t_deg is not None
-            else (series.theta_t_deg if series.theta_t_deg is not None else 45.0)
-        ),
-        tx_power_dbm=args.p_t_dbm,
-        amp_gain_db=args.amp_db,
-        tx_gain_dbi=args.g_t_dbi,
-        rx_gain_dbi=args.g_r_dbi,
-        tx_distance_m=args.d_t_m,
-        rx_distance_m=args.d_r_m,
-    )
+    # Each field: the flag, else the file's metadata, else ExperimentConfig's default.
+    metadata = {key: getattr(series, key) for key in ("freq_hz", "theta_t_deg") if getattr(series, key) is not None}
+    config = measure.ExperimentConfig(**{**metadata, **_given(args, _CONFIG_FIELDS)})
     curve = measure.theoretical_curve(config, pol_case, series.theta_r_deg)
-    report = measure.compare(series, curve)
-
-    def show(value):
-        if value is None:
-            return "unavailable"
-        return _fmt(value)
-
-    lines = [
-        f"pol_case={pol_case}",
-        f"theta_t_deg={_fmt(config.theta_t_deg)}",
-        f"offset_db={show(report.offset_db)}",
-        f"peak_angle_error_deg={show(report.peak_angle_error_deg)}",
-        f"hpbw_error_deg={show(report.hpbw_error_deg)}",
-        f"rmse_db={show(report.rmse_db)}",
-        f"mainlobe_sidelobe_gap_db={show(report.mainlobe_sidelobe_gap_db)}",
-        f"peak_angle_measured_deg={show(report.peak_angle_measured_deg)}",
-        f"peak_angle_theory_deg={show(report.peak_angle_theory_deg)}",
-        f"hpbw_measured_deg={show(report.hpbw_measured_deg)}",
-        f"hpbw_theory_deg={show(report.hpbw_theory_deg)}",
-        f"n_points={report.n_points}",
-    ]
-    print("\n".join(lines))
+    report = measure.compare(series, curve).to_dict()
+    _print_fields({"pol_case": pol_case, "theta_t_deg": config.theta_t_deg, **report})
     if args.out_json is not None:
-        payload = _json_ready({"pol_case": pol_case, **report.to_dict()})
-        _write_json(args.out_json, payload)
+        _write_json(args.out_json, _json_ready({"pol_case": pol_case, **report}))
     if args.out_svg is not None:
         with _output(args.out_svg) as fh:
             svgplot.line_plot(
                 series.theta_r_deg,
-                [series.power_dbm, curve[1] + report.offset_db],
+                [series.power_dbm, curve[1] + report["offset_db"]],
                 ["measured", "model + offset"],
                 title="measured vs model sweep",
                 xlabel="observation zenith angle (deg)",

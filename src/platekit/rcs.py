@@ -191,6 +191,22 @@ def _sigma_max(length1, length2, wl: Wavelength):
     return smax
 
 
+# Longest edge, in wavelengths, whose phase k*L/2 * (d . edge) keeps its digits:
+# |d . edge| <= 2 and float64 forms the phase to about k*L * 2**-53, which is
+# 7e-7 rad at 1e9 wavelengths (a 100,000 km plate at 3 GHz, 500 m at 600 THz).
+_MAX_EDGE_WAVELENGTHS = 1e9
+
+
+def _half_phase(length, wl: Wavelength):
+    """k*L/2 for scalar or per-row edge lengths, the factor of every closed-form
+    phase; an edge over _MAX_EDGE_WAVELENGTHS raises ValueError."""
+    if np.any(np.greater(length, _MAX_EDGE_WAVELENGTHS * wl.meters)):
+        raise ValueError(f"plate electrically too large: an edge of {float(np.max(length))} m is over "
+                         f"{_MAX_EDGE_WAVELENGTHS:g} wavelengths (lambda = {wl.meters} m), where its phase k*L/2 "
+                         f"loses its digits in float64")
+    return 0.5 * wl.k * length
+
+
 def sigma_max(plate: PlateGeometry, wl: Wavelength) -> float:
     """Largest attainable RCS, 4*pi*L1^2*L2^2/lambda^2 (m^2)."""
     return float(_sigma_max(plate.length1, plate.length2, wl))
@@ -210,8 +226,8 @@ def f_js(normal, h_dir, a_obs):
 def _array_factor(length1, length2, edge1, edge2, a_inc, a_obs, wl: Wavelength):
     """sinc^2 * sinc^2 of the deflection projections, per row of lengths and edges."""
     d = a_obs - a_inc
-    x1 = 0.5 * wl.k * length1 * _dot(d, edge1)
-    x2 = 0.5 * wl.k * length2 * _dot(d, edge2)
+    x1 = _half_phase(length1, wl) * _dot(d, edge1)
+    x2 = _half_phase(length2, wl) * _dot(d, edge2)
     return np.square(sinc(x1)) * np.square(sinc(x2))
 
 
@@ -342,8 +358,8 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
         cv * np.sin(dphi) + sv * ct * np.cos(dphi)
     ) ** 2
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
-    x1 = 0.5 * wl.k * length1 * (sr * np.cos(phi_r) + st * np.cos(phi_t))
-    x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) + st * np.sin(phi_t))
+    x1 = _half_phase(length1, wl) * (sr * np.cos(phi_r) + st * np.cos(phi_t))
+    x2 = _half_phase(length2, wl) * (sr * np.sin(phi_r) + st * np.sin(phi_t))
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
 
@@ -359,8 +375,8 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (ct * cr * np.cos(phi_r)) ** 2 + (ct * np.sin(phi_r)) ** 2
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
-    x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
-    x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
+    x1 = _half_phase(length1, wl) * sr * np.cos(phi_r)
+    x2 = _half_phase(length2, wl) * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
 
@@ -372,7 +388,7 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     """
     theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
-    x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
+    x2 = _half_phase(length2, wl) * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
 
@@ -388,8 +404,8 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (cr * np.sin(phi_r)) ** 2 + np.cos(phi_r) ** 2
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
-    x1 = 0.5 * wl.k * length1 * sr * np.cos(phi_r)
-    x2 = 0.5 * wl.k * length2 * (sr * np.sin(phi_r) - st)
+    x1 = _half_phase(length1, wl) * sr * np.cos(phi_r)
+    x2 = _half_phase(length2, wl) * (sr * np.sin(phi_r) - st)
     out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)
 
@@ -404,6 +420,6 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     """
     theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
-    x2 = 0.5 * wl.k * length2 * (np.sin(theta_r) - np.sin(theta_t))
+    x2 = _half_phase(length2, wl) * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2
     return _scalar_or_array(out)

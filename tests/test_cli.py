@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import warnings
@@ -351,6 +352,28 @@ def test_plate_whose_sigma_max_underflows_is_rejected(capsys, tmp_path, command)
     assert (code, out) == (2, "")
     assert err.startswith("error: plate too small for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 underflows")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
+
+
+@pytest.mark.parametrize("command", ["rcs", "sweep", "coverage", "optimize"])
+def test_plate_over_the_electrical_size_bound_is_rejected(capsys, tmp_path, command):
+    """A first edge of 1e10 wavelengths, or edges of 1e9 m (8e9 wavelengths) in
+    a scene: past 1e9 wavelengths the array-factor phase k*L/2 * (d . edge)
+    rounds by more than about 1e-6 rad.  These runs printed or wrote their
+    output with exit 0."""
+    code, out, err = run_with_plate_edges(capsys, tmp_path, command, 1e9, "1e10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: plate electrically too large: an edge of ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
+
+
+def test_sweep_of_a_metre_plate_at_1e150_hz_is_rejected(capsys):
+    """The specular phase is 0 in exact arithmetic but rounded to about
+    1e126 rad, so the specular row read 2.03e32 m^2 against a sigma_max of
+    about 1.4e284 m^2, with exit 0."""
+    code, out, err = run(capsys, ["sweep", "--freq-hz", "1e150", "--l1-m", "1", "--l2-m", "1",
+                                  "--theta-t-deg", "30", "--pol-deg", "90"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: plate electrically too large: an edge of 1.0 m is over 1e+09 wavelengths")
 
 
 def test_validate_pass_and_fail(capsys):
@@ -884,6 +907,57 @@ def test_compare_rejects_residuals_that_overflow(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: measured-minus-model residuals overflow float64 when averaged or squared\n"
     assert not out_json.exists()
+
+
+def test_compare_rejects_zero_frequency_metadata(capsys, tmp_path):
+    """A file declaring freq_hz=0 was compared at 3 GHz with exit 0: the
+    metadata fell back to the default on a falsy value."""
+    meas, out_json, out_svg = tmp_path / "meas.csv", tmp_path / "report.json", tmp_path / "overlay.svg"
+    grid = np.arange(0.0, 91.0, 5.0)
+    save_series(MeasurementSeries(grid, -40.0 - 0.02 * (grid - 45.0) ** 2, freq_hz=0.0), meas)
+    assert "# freq_hz=0\n" in meas.read_text()
+    code, out, err = run(capsys, ["compare", str(meas), "--pol-case", "perpendicular",
+                                  "--out-json", str(out_json), "--out-svg", str(out_svg)])
+    assert (code, out, err) == (2, "", "error: frequency must be positive and finite: 0.0\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meas.csv"]
+
+
+# Each ExperimentConfig field and the compare flag that sets it.
+CONFIG_FLAGS = {
+    "freq_hz": "--freq-hz", "plate_l1_wavelengths": "--l1-wl", "plate_l2_wavelengths": "--l2-wl",
+    "theta_t_deg": "--theta-t-deg", "tx_power_dbm": "--p-t-dbm", "amp_gain_db": "--amp-db",
+    "tx_gain_dbi": "--g-t-dbi", "rx_gain_dbi": "--g-r-dbi", "tx_distance_m": "--d-t-m",
+    "rx_distance_m": "--d-r-m",
+}
+
+
+@pytest.mark.parametrize(
+    "metadata, flags, config",
+    [
+        ({"theta_t_deg": 30.0, "freq_hz": 2.4e9}, [], ExperimentConfig(theta_t_deg=30.0, freq_hz=2.4e9)),
+        (
+            {"theta_t_deg": 30.0, "freq_hz": 2.4e9},
+            ["--theta-t-deg", "40", "--freq-hz", "5e9"],
+            ExperimentConfig(theta_t_deg=40.0, freq_hz=5e9),
+        ),
+        ({}, [], ExperimentConfig()),
+    ],
+    ids=["metadata-without-flags", "flags-over-metadata", "defaults"],
+)
+def test_compare_takes_each_field_from_flag_then_metadata_then_default(capsys, tmp_path, metadata, flags, config):
+    """The run prints what the same sweep, without metadata, prints with every
+    field of ``config`` spelled out as a flag."""
+    grid = np.arange(0.0, 91.0, 2.5)
+    power = -40.0 - 0.02 * (grid - 35.0) ** 2 + np.random.default_rng(3).normal(0.0, 0.5, grid.size)
+    with_meta, bare = tmp_path / "meta.csv", tmp_path / "bare.csv"
+    save_series(MeasurementSeries(grid, power, **metadata), with_meta)
+    save_series(MeasurementSeries(grid, power), bare)
+    code, out, _ = run(capsys, ["compare", str(with_meta), "--pol-case", "perpendicular", *flags])
+    assert code == 0
+    assert float(parse_kv(out)["theta_t_deg"]) == config.theta_t_deg
+    spelled = [word for field, value in dataclasses.asdict(config).items()
+               for word in (CONFIG_FLAGS[field], repr(value))]
+    assert run(capsys, ["compare", str(bare), "--pol-case", "perpendicular", *spelled]) == (0, out, "")
 
 
 def test_compare_missing_file(capsys, tmp_path):

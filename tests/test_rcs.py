@@ -378,6 +378,37 @@ def test_angle_forms_check_lengths(wl_3ghz):
                 form(*angles, l1, l2, wl_3ghz)
 
 
+def test_phase_of_an_edge_over_1e9_wavelengths_is_rejected(wl_3ghz):
+    """Every closed-form phase k*L/2 * projection goes through one bound: an
+    edge of 1e9 wavelengths evaluates, a longer one raises.  Only edges that
+    enter a phase count: the principal cuts have no L1 term, and sigma_max
+    alone takes any edge whose square fits float64."""
+    lam = wl_3ghz.meters
+    bound, over = 1e9 * lam, 1.5e9 * lam
+    a_inc, h_dir = np.array([0.0, 0.6, -0.8]), EX
+    a_obs = np.array([0.0, 0.6, 0.8])
+    forms = (
+        (rcs_xy_plate, (0.3, 0.0, 1.0, 0.3, 0.0), True),
+        (rcs_perpendicular, (0.3, 0.3, 0.0), True),
+        (rcs_parallel, (0.3, 0.3, 0.0), True),
+        (rcs_perpendicular_cut, (0.3, 0.3), False),
+        (rcs_parallel_cut, (0.3, 0.3), False),
+        (lambda l1, l2, wl: f_af(PlateGeometry.xy_plane(l1, l2), a_inc, a_obs, wl), (), True),
+        (lambda l1, l2, wl: sigma(PlateGeometry.xy_plane(l1, l2), a_inc, h_dir, a_obs, wl), (), True),
+        (lambda l1, l2, wl: rcs(PlateGeometry.xy_plane(l1, l2), a_inc, h_dir, a_obs, wl).sigma_m2, (), True),
+    )
+    for form, angles, phase_on_l1 in forms:
+        assert 0.0 <= form(*angles, bound, bound, wl_3ghz) < math.inf
+        with pytest.raises(ValueError, match="plate electrically too large: an edge of"):
+            form(*angles, lam, over, wl_3ghz)
+        if phase_on_l1:
+            with pytest.raises(ValueError, match="plate electrically too large: an edge of"):
+                form(*angles, over, lam, wl_3ghz)
+        else:
+            assert 0.0 <= form(*angles, over, lam, wl_3ghz) < math.inf
+    assert 0.0 < sigma_max(PlateGeometry.xy_plane(over, over), wl_3ghz) < math.inf
+
+
 def test_rotation_invariance(wl_3ghz, plate_5wl):
     rng = np.random.default_rng(47)
     smax = sigma_max(plate_5wl, wl_3ghz)
