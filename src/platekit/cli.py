@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
+import shutil
 import sys
 from types import SimpleNamespace
 
@@ -347,19 +349,29 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a float; null, booleans, strings, lists and objects
+    are rejected, as is an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{path}: number too large: {value}") from None
+
+
 def _vec3(value, path: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
+    if not isinstance(value, list) or len(value) != 3:
         raise ValueError(f"{path}: expected a 3-element vector")
-    return arr
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _plate_from_config(cfg: dict, path: str) -> PlateGeometry:
     _reject_unknown(
         cfg, {"length1_m", "length2_m", "normal", "edge1", "euler_zyz_deg", "xy_plane"}, path
     )
-    l1 = float(_need(cfg, "length1_m", path))
-    l2 = float(_need(cfg, "length2_m", path))
+    l1 = _number(_need(cfg, "length1_m", path), f"{path}.length1_m")
+    l2 = _number(_need(cfg, "length2_m", path), f"{path}.length2_m")
     modes = [k for k in ("normal", "euler_zyz_deg", "xy_plane") if k in cfg]
     if len(modes) != 1:
         raise ValueError(f"{path}: specify exactly one of normal+edge1, euler_zyz_deg, xy_plane")
@@ -368,9 +380,7 @@ def _plate_from_config(cfg: dict, path: str) -> PlateGeometry:
             raise ValueError(f"{path}: xy_plane must be true when present")
         return PlateGeometry.xy_plane(l1, l2)
     if "euler_zyz_deg" in cfg:
-        angles = np.asarray(cfg["euler_zyz_deg"], dtype=float)
-        if angles.shape != (3,):
-            raise ValueError(f"{path}: euler_zyz_deg must have 3 entries")
+        angles = _vec3(cfg["euler_zyz_deg"], f"{path}.euler_zyz_deg")
         a, b, g = (math.radians(v) for v in angles)
         return PlateGeometry.from_euler_zyz(l1, l2, a, b, g)
     normal = geometry.unit(_vec3(_need(cfg, "normal", path), f"{path}.normal"))
@@ -424,7 +434,10 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: top-level config must be an object")
     _reject_unknown(cfg, _SCENE_KEYS, path)
-    wl = Wavelength.from_frequency(float(_need(cfg, "frequency_hz", path)))
+    def number(key):
+        return _number(_need(cfg, key, path), f"{path}.{key}")
+
+    wl = Wavelength.from_frequency(number("frequency_hz"))
     plate_cfg = _need(cfg, "plate", path)
     if not isinstance(plate_cfg, dict):
         raise ValueError(f"{path}.plate: must be an object")
@@ -437,14 +450,12 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
         tx_position=_vec3(_need(cfg, "tx_position_m", path), f"{path}.tx_position_m"),
         plate_position=_vec3(_need(cfg, "plate_position_m", path), f"{path}.plate_position_m"),
         plate=plate,
-        polarization=geometry.PolarizationAngle.from_degrees(
-            float(_need(cfg, "polarization_deg", path))
-        ),
-        tx_power_dbm=float(_need(cfg, "tx_power_dbm", path)),
-        tx_gain_dbi=float(_need(cfg, "tx_gain_dbi", path)),
-        rx_gain_dbi=float(_need(cfg, "rx_gain_dbi", path)),
+        polarization=geometry.PolarizationAngle.from_degrees(number("polarization_deg")),
+        tx_power_dbm=number("tx_power_dbm"),
+        tx_gain_dbi=number("tx_gain_dbi"),
+        rx_gain_dbi=number("rx_gain_dbi"),
         wavelength=wl,
-        **({"amp_gain_db": float(cfg["amp_gain_db"])} if "amp_gain_db" in cfg else {}),
+        **({"amp_gain_db": number("amp_gain_db")} if "amp_gain_db" in cfg else {}),
     )
     objective = cfg.get("objective", "max-min-dbm")
     if objective not in planner.OBJECTIVES:
@@ -579,17 +590,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     spelled out as the usage metavar, so usage lines read as the full
     parser's.  Without one, every subcommand is built (``--help``, unknown
     commands): argparse names the metavar in its invalid-choice message, so
-    the full build keeps the default."""
+    the full build keeps the default.
+
+    argparse makes a HelpFormatter per added argument, and each asks the
+    terminal for its width; every parser here shares one query instead, at
+    the width the default formatter would compute."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="platekit",
         description="Reflection modelling for rectangular metal plate reflectors",
+        formatter_class=formatter,
     )
     names = list(_COMMANDS) if command is None else [command]
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_text, add_flags, _ = _COMMANDS[name]
-        add_flags(sub.add_parser(name, help=help_text))
+        add_flags(sub.add_parser(name, help=help_text, formatter_class=formatter))
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser

@@ -122,13 +122,20 @@ def spherical_unit_vectors(direction) -> tuple[np.ndarray, np.ndarray]:
 
 def _spherical_frames(d) -> tuple[np.ndarray, np.ndarray]:
     """spherical_unit_vectors at each row of a (..., 3) stack of unit directions.
-    The angles come from math.acos/atan2 row by row: numpy's SIMD arccos and
-    arctan2 differ from libm's in the last bit (on AVX-512, for one)."""
-    theta = np.asarray(np.frompyfunc(math.acos, 1, 1)(np.clip(d[..., 2], -1.0, 1.0)), dtype=float)
-    phi = np.asarray(np.frompyfunc(math.atan2, 2, 1)(d[..., 1], d[..., 0]), dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    theta_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+
+    Built from the components, with no angles: with rho = hypot(d_x, d_y),
+    theta_hat = (d_z*d_x/rho, d_z*d_y/rho, -rho) and phi_hat = (-d_y/rho,
+    d_x/rho, 0); at rho = 0 the phi = 0 convention (cos phi = 1, sin phi = 0).
+    An angle taken back from d_z (acos) keeps only half the digits next to
+    the z axis; these frames are orthogonal to d to rounding at any angle.
+    """
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    rho = np.hypot(x, y)
+    pole = rho == 0.0
+    rho_safe = np.where(pole, 1.0, rho)
+    cp = np.where(pole, 1.0, x / rho_safe)
+    sp = np.where(pole, 0.0, y / rho_safe)
+    theta_hat = np.stack([z * cp, z * sp, -rho], axis=-1)
     phi_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
     return theta_hat, phi_hat
 

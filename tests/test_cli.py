@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shutil
 import warnings
 from pathlib import Path
 
@@ -376,6 +377,18 @@ def test_sweep_of_a_metre_plate_at_1e150_hz_is_rejected(capsys):
     assert err.startswith("error: plate electrically too large: an edge of 1.0 m is over 1e+09 wavelengths")
 
 
+def test_build_parser_asks_the_terminal_width_once(monkeypatch):
+    """argparse's default made a HelpFormatter, and asked for the terminal
+    width, per added argument."""
+    calls = []
+    query = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or query(*args))
+    for command in (*cli._COMMANDS, None):
+        calls.clear()
+        cli.build_parser(command).format_help()
+        assert len(calls) == 1, command
+
+
 def test_validate_pass_and_fail(capsys):
     code, out, _ = run(capsys, ["validate", "--trials", "20", "--seed", "1"])
     assert code == 0
@@ -425,8 +438,10 @@ def test_validate_matches_golden(capsys, name):
     """validate stdout is byte-identical to the recorded files.  Their error
     digits move with any change of rounding in either route and with the
     quadrature rule: they were recorded with the Halley Gauss-Legendre rules
-    of po_oracle._gauss_legendre_rules (one-row rcs() and po_rcs() queries
-    give the same rows; test_validate::test_stacked_rows_equal_scalar_queries)."""
+    of po_oracle._gauss_legendre_rules, edge sums taken in node order over
+    sorted rows padded to their chunk's largest rule, and wave frames built
+    from the direction's components (one-row rcs() and po_rcs() queries give
+    the same rows; test_validate::test_stacked_rows_equal_scalar_queries)."""
     code, out, _ = run(capsys, ["validate", *VALIDATE_GOLDEN[name]])
     assert code == 0
     assert out == (VALIDATE_GOLDEN_DIR / f"{name}.out").read_text()
@@ -557,6 +572,21 @@ def test_coverage_matches_golden(capsys, tmp_path, monkeypatch, chunk_rows):
     assert out_csv.read_bytes() == (COVERAGE_GOLDEN_DIR / "open.csv").read_bytes()
 
 
+def test_coverage_with_the_transmitter_next_to_the_plate_normal(capsys, tmp_path):
+    """The wave arrives 1e-6 rad off the z axis.  With wave frames taken from
+    acos(d_z) this exited 2 with 'wave triad must satisfy direction = e_dir x h_dir'."""
+    cfg = json.loads((COVERAGE_GOLDEN_DIR / "open_scene.json").read_text())
+    cfg["plate_position_m"] = [0.0, 0.0, 0.0]
+    cfg["plate"]["euler_zyz_deg"] = [0.0, 0.0, 0.0]
+    cfg["tx_position_m"] = [0.0, 1e-5, 10.0]
+    cfg["polarization_deg"] = 45.0
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run(capsys, ["coverage", str(write_config(tmp_path, cfg)), "--out-csv", str(out_csv)])
+    assert (code, err) == (0, "")
+    assert out.startswith("cells=437 ")
+    assert "nan" not in out_csv.read_text()
+
+
 @pytest.mark.parametrize("flag", ["--db-min", "--db-max"])
 def test_coverage_rejects_non_finite_color_bounds(capsys, tmp_path, flag):
     out_csv = tmp_path / "cov.csv"
@@ -634,6 +664,38 @@ def test_config_rejects_non_finite_numbers(capsys, tmp_path):
     path.write_text(json.dumps(SCENE_CONFIG).replace("38.861", "1e999"))
     code, _, err = run(capsys, ["coverage", str(path), "--out-csv", str(tmp_path / "c.csv")])
     assert code == 2 and "non-finite number 1e999" in err
+
+
+# Every number a scene holds, by its path in the JSON; one entry of each vector.
+SCENE_NUMBER_KEYS = [
+    ("frequency_hz",), ("polarization_deg",), ("tx_power_dbm",), ("amp_gain_db",),
+    ("tx_gain_dbi",), ("rx_gain_dbi",), ("tx_position_m", 0), ("plate_position_m", 1),
+    ("plate", "length1_m"), ("plate", "length2_m"), ("plate", "normal", 2), ("plate", "edge1", 0),
+    ("plate", "euler_zyz_deg", 1), ("region", "corner_m", 0), ("region", "edge_u_m", 1),
+    ("region", "edge_v_m", 2), ("region", "nu"), ("region", "nv"),
+]
+
+
+@pytest.mark.parametrize("value", [None, True, False, "1", [1.0], {"value": 1.0}, 10**400],
+                         ids=["null", "true", "false", "string", "list", "object", "int-1e400"])
+@pytest.mark.parametrize("key", SCENE_NUMBER_KEYS, ids=lambda key: ".".join(map(str, key)))
+def test_config_rejects_a_non_number_on_each_numeric_key(capsys, tmp_path, key, value):
+    """null, a list or an object ended in a TypeError traceback (exit 1), and
+    true was read as 1.0."""
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    if "euler_zyz_deg" in key:
+        cfg["plate"] = {"length1_m": 0.4997, "length2_m": 0.4997, "euler_zyz_deg": [-90.0, 90.0, 0.0]}
+    *parents, last = key
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    path = write_config(tmp_path, cfg)
+    out_csv, out_svg = tmp_path / "c.csv", tmp_path / "c.svg"
+    code, out, err = run(capsys, ["coverage", str(path), "--out-csv", str(out_csv), "--out-svg", str(out_svg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
 
 
 @pytest.mark.parametrize("count", [2.7, 3.0, True, "3"])

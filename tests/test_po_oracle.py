@@ -391,3 +391,65 @@ def test_po_rcs_rotation_invariance(wl_3ghz):
             sigma, rel=1e-9, abs=1e-14 * sigma_max(plate, wl_3ghz))
 
     check()
+
+
+def test_wave_triads_hold_next_to_the_z_axis(wl_3ghz):
+    """Arrival directions 1e-12 to 1e-3 rad from +z or -z, at any polarization:
+    the triad error |e_dir x h_dir - direction| stays within a few ulps.  With
+    theta taken back from acos(d_z), which keeps half the digits there, it
+    reached 2.4e-11 at 1e-6 rad and from_direction raised."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        off_axis=st.floats(1e-12, 1e-3),
+        azimuth=st.floats(0.0, 2.0 * math.pi),
+        pole=st.sampled_from([1.0, -1.0]),
+        pol=st.floats(0.0, 2.0 * math.pi),
+    )
+    def check(off_axis, azimuth, pole, pol):
+        s = math.sin(off_axis)
+        a_inc = np.array([s * math.cos(azimuth), s * math.sin(azimuth), pole * math.cos(off_axis)])
+        wave = IncidentWave.from_direction(a_inc, pol, wl_3ghz)
+        assert np.linalg.norm(np.cross(wave.e_dir, wave.h_dir) - wave.direction) <= 4 * np.finfo(float).eps
+        theta_hat, phi_hat = spherical_unit_vectors(-wave.direction)
+        assert abs(np.dot(theta_hat, wave.direction)) <= 4 * np.finfo(float).eps
+        assert abs(np.dot(phi_hat, wave.direction)) <= 4 * np.finfo(float).eps
+
+    check()
+
+
+def test_mixed_rule_sizes_equal_one_row_queries(wl_3ghz):
+    """A stack mixing default rule sizes from 19 to 512 nodes, summed in sorted
+    chunks padded to their largest rule, equals bit for bit the one-row
+    po_rcs of each row.  run_validation's 0.5-10 wavelength plates never
+    reach past 76 nodes; these edges are set explicitly, and the 60 rows
+    span several chunks."""
+    lam = wl_3ghz.meters
+    longest = np.linspace(0.5, (_MAX_NODES_PER_EDGE - 16) / 6.0, 60) * lam
+    rng = np.random.default_rng(29)
+    rng.shuffle(longest)
+    plates, waves, observers = [], [], []
+    for i, edge in enumerate(longest):
+        plate, wave, a_obs = random_scenario(rng, wl_3ghz)
+        short = edge * rng.uniform(0.1, 1.0)
+        l1, l2 = (edge, short) if i % 2 else (short, edge)
+        plates.append(PlateGeometry(l1, l2, plate.normal, plate.edge1, plate.edge2))
+        waves.append(wave)
+        observers.append(a_obs)
+    nodes = _default_nodes(longest, wl_3ghz)
+    assert nodes.min() == 19 and nodes.max() == _MAX_NODES_PER_EDGE
+    assert 2 * nodes.sum() > po_oracle._TERMS_PER_CHUNK  # more than one chunk
+    stacked = po_oracle._po_sigmas(
+        np.array([[p.length1, p.length2] for p in plates]),
+        np.array([[p.edge1, p.edge2, p.normal] for p in plates]),
+        np.array([w.direction for w in waves]),
+        np.array([w.h_dir for w in waves]),
+        np.array(observers),
+        None,
+        wl_3ghz,
+        distance_m=1e5,
+    )
+    for i, (plate, wave, a_obs) in enumerate(zip(plates, waves, observers)):
+        assert po_rcs(plate, wave, a_obs, distance_m=1e5) == stacked[i], i
