@@ -317,16 +317,15 @@ def _add_validate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--nodes-per-edge", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--freq-hz", type=float, default=3e9)
+    p.add_argument("--freq-hz", type=float)
 
 
 def _cmd_validate(args) -> int:
-    wl = Wavelength.from_frequency(args.freq_hz)
     report = validate.run_validation(
         trials=args.trials,
         seed=args.seed,
-        wavelength=wl,
         nodes_per_edge=args.nodes_per_edge,
+        **({} if args.freq_hz is None else {"wavelength": Wavelength.from_frequency(args.freq_hz)}),
         **_given(args, {"tol": "tolerance"}),
     )
     print("\n".join(report.lines()))
@@ -473,8 +472,8 @@ def _add_coverage_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_coverage(args) -> int:
     _check_finite(args, ("db_min", "db_max"))
-    if args.db_min is not None and args.db_max is not None and args.db_min >= args.db_max:
-        raise ValueError(f"--db-min must be below --db-max, got {args.db_min} and {args.db_max}")
+    if args.db_min is not None and args.db_max is not None and not 0.0 < args.db_max - args.db_min < math.inf:
+        raise ValueError(f"--db-min must be below --db-max by a finite span, got {args.db_min} and {args.db_max}")
     scene, region, _ = load_scene_config(args.config)
     cov = planner.coverage_map(scene, region)
     iu, iv = np.indices(cov.shape).reshape(2, -1)

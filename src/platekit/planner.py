@@ -30,12 +30,12 @@ OBJECTIVES = ("max-min-dbm", "max-mean-mw")
 
 _EX = np.array([1.0, 0.0, 0.0])
 
-# Orientation search schedule: global coarse pass, then window refinements
-# shrinking the step by REFINE_FACTOR each level.  The scheduled levels
-# always run (a level that fails to improve is not evidence of convergence
-# when the objective is flat in dB near its peak); past the schedule,
-# refinement continues only while a level still improves by
-# MIN_IMPROVEMENT_DB, up to MAX_REFINE_LEVELS.
+# Orientation search schedule: level 0 is a global grid at COARSE_STEP_DEG,
+# each later level a window around the incumbent with the step shrunk by
+# REFINE_FACTOR.  The scheduled levels always run (a level that fails to
+# improve is not evidence of convergence when the objective is flat in dB
+# near its peak); past the schedule, refinement continues only while a level
+# still improves by MIN_IMPROVEMENT_DB, up to MAX_REFINE_LEVELS.
 COARSE_STEP_DEG = 5.0
 REFINE_FACTOR = 5.0
 SCHEDULED_REFINE_LEVELS = 3
@@ -316,50 +316,39 @@ def optimize_orientation(
 ) -> OrientationResult:
     """Coarse-to-fine grid search over the plate normal's tilt angles.
 
-    Starts from a global 5-degree grid plus the scene's own normal, then
-    refines around the incumbent with steps of 1, 0.2, and 0.04 degrees
-    (factor 5 per level), keeping the incumbent at every level so the
-    objective never decreases.  Beyond the scheduled levels, refinement
-    continues only while a level still improves the objective by at least
-    0.01 dB.  If the result still scores below the scene's own frame (whose
-    edges need not follow the horizontal-edge convention), that frame is
-    returned instead.  Raises ValueError when every candidate scores -inf,
+    One loop over levels.  Level 0 scores a global 5-degree grid plus the
+    scene's own normal and takes its best candidate as the incumbent; each
+    later level scores a window of +-1 old step around the incumbent at a
+    step 5 times finer (1, 0.2, 0.04 degrees, ...) and replaces the
+    incumbent only on a strict gain, so the objective never decreases.
+    Levels 1-3 always run; past them, refinement continues only while a
+    level still improves the objective by at least 0.01 dB, up to level 8.
+    If the result still scores below the scene's own frame (whose edges
+    need not follow the horizontal-edge convention), that frame is returned
+    instead.  Raises ValueError when every candidate scores -inf,
     as when the whole region lies behind any plate facing the transmitter.
     """
     points = region.points()
-    step = COARSE_STEP_DEG
-    zen = np.arange(0.0, 180.0 + 0.5 * step, step)
-    az = np.arange(0.0, 360.0, step)
-    zz, aa = np.meshgrid(zen, az, indexing="ij")
-    cand_z, cand_a = zz.ravel(), aa.ravel()
-    # Poles: azimuth is degenerate, keep a single representative.
-    keep = ~(((cand_z == 0.0) | (cand_z == 180.0)) & (cand_a != 0.0))
     n0 = scene.plate.normal
     own_z = math.degrees(math.acos(min(1.0, max(-1.0, float(n0[2])))))
     own_a = math.degrees(math.atan2(float(n0[1]), float(n0[0]))) % 360.0
-    cand_z = np.append(cand_z[keep], own_z)
-    cand_a = np.append(cand_a[keep], own_a)
-
-    frames = _angle_frames(np.radians(cand_z), np.radians(cand_a))
-    values = _objective_values(scene, points, frames, objective)
-    best = int(np.argmax(values))
-    best_z, best_a, best_v = float(cand_z[best]), float(cand_a[best]), float(values[best])
-    evaluations = len(cand_z)
-
-    for level in range(1, MAX_REFINE_LEVELS + 1):
-        prev_step = step
-        step = step / REFINE_FACTOR
-        offsets = np.arange(-prev_step, prev_step + 0.5 * step, step)
-        zen = np.clip(best_z + offsets, 0.0, 180.0)
-        az = (best_a + offsets) % 360.0
-        zz, aa = np.meshgrid(zen, az, indexing="ij")
-        cand_z, cand_a = zz.ravel(), aa.ravel()
-        frames = _angle_frames(np.radians(cand_z), np.radians(cand_a))
-        values = _objective_values(scene, points, frames, objective)
+    step, best_v, evaluations = COARSE_STEP_DEG, -math.inf, 0
+    for level in range(MAX_REFINE_LEVELS + 1):
+        if level == 0:
+            zz, aa = np.meshgrid(np.arange(0.0, 180.0 + 0.5 * step, step), np.arange(0.0, 360.0, step), indexing="ij")
+            # Poles: azimuth is degenerate, keep a single representative.
+            keep = ~(((zz == 0.0) | (zz == 180.0)) & (aa != 0.0))
+            cand_z, cand_a = np.append(zz[keep], own_z), np.append(aa[keep], own_a)
+        else:
+            offsets = np.arange(-step, step + 0.5 * step / REFINE_FACTOR, step / REFINE_FACTOR)
+            step /= REFINE_FACTOR
+            zz, aa = np.meshgrid(np.clip(best_z + offsets, 0.0, 180.0), (best_a + offsets) % 360.0, indexing="ij")
+            cand_z, cand_a = zz.ravel(), aa.ravel()
+        values = _objective_values(scene, points, _angle_frames(np.radians(cand_z), np.radians(cand_a)), objective)
         evaluations += len(cand_z)
         i = int(np.argmax(values))
         improvement = float(values[i]) - best_v
-        if improvement > 0.0:
+        if level == 0 or improvement > 0.0:
             best_z, best_a, best_v = float(cand_z[i]), float(cand_a[i]), float(values[i])
         if level >= SCHEDULED_REFINE_LEVELS and improvement < MIN_IMPROVEMENT_DB:
             break

@@ -56,7 +56,8 @@ def _finite_range(values) -> tuple[float, float]:
     lo = float(np.min(values, where=finite, initial=math.inf))
     hi = float(np.max(values, where=finite, initial=-math.inf))
     if hi == lo:
-        lo, hi = lo - 0.5, hi + 0.5
+        # lo -+ 0.5 rounds back to lo at large |lo| (2**53 and up): widen by at least one ulp.
+        lo, hi = min(lo - 0.5, math.nextafter(lo, -math.inf)), max(hi + 0.5, math.nextafter(hi, math.inf))
     return lo, hi
 
 
@@ -223,7 +224,7 @@ def heatmap(
     The document is written to the binary file ``out`` a chunk of rows at a
     time, or returned as a string without it.  Bounds given as ``vmax <
     vmin`` are rejected; equal ones, or a lone bound beyond the data, widen
-    the scale to one unit above the lower bound.
+    the scale to one unit (at least one ulp) above the lower bound.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
@@ -241,7 +242,13 @@ def heatmap(
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"heatmap colour bounds must be finite, got {lo} and {hi}")
     if hi <= lo:
-        hi = lo + 1.0
+        # lo + 1 rounds back to lo once |lo| >= 2**53: widen by at least one
+        # ulp, downward from the largest float.
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+        if hi == math.inf:
+            lo, hi = math.nextafter(lo, 0.0), lo
+    if hi - lo == math.inf:
+        raise ValueError(f"heatmap colour bounds must be a finite span apart, got {lo} and {hi}")
     return _emit(_heatmap_chunks(grid, shadow, lo, hi, title, legend), out)
 
 

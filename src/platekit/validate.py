@@ -125,13 +125,14 @@ def run_validation(
     nodes_per_edge: int | None = None,
     tolerance: float = 1e-6,
 ) -> ValidationReport:
-    """Compare the closed form against quadrature on seeded random scenarios."""
+    """Compare the closed form against quadrature on seeded random scenarios
+    at ``wavelength`` (default: that of 3 GHz, as ``platekit validate``)."""
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be non-negative and finite, got {tolerance}")
     if wavelength is None:
-        wavelength = Wavelength(0.1)
+        wavelength = Wavelength.from_frequency(3e9)
     if nodes_per_edge is not None:
         QuadratureSpec(nodes_per_edge)  # rejects a malformed rule before any trial
     rng = np.random.default_rng(seed)

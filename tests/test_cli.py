@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -600,7 +601,7 @@ def test_coverage_rejects_non_finite_color_bounds(capsys, tmp_path, flag):
 
 def test_coverage_rejects_inverted_color_bounds(capsys, tmp_path):
     out_csv, out_svg = tmp_path / "cov.csv", tmp_path / "cov.svg"
-    for low, high in (("0", "-10"), ("-5", "-5")):
+    for low, high in (("0", "-10"), ("-5", "-5"), ("-1e308", "1e308")):
         code, out, err = run(capsys, [
             "coverage", str(write_config(tmp_path, SCENE_CONFIG)), "--out-csv", str(out_csv),
             "--out-svg", str(out_svg), "--db-min", low, "--db-max", high,
@@ -1124,29 +1125,98 @@ def test_negative_values_with_an_exponent_parse_as_numbers(capsys, tmp_path, com
     assert outputs[0] == outputs[1]
 
 
-def _float_flags(command: str) -> list:
+def _numeric_flags(command: str) -> list:
+    """(flag, position, nargs) for each value position of each float or int flag of ``command``."""
     parser = argparse.ArgumentParser()
     cli._COMMANDS[command][1](parser)  # the subcommand's flag adder
-    return [(a.option_strings[0], a.nargs or 1) for a in parser._actions if a.type is float]
+    return [(a.option_strings[0], k, a.nargs or 1) for a in parser._actions if a.type in (float, int)
+            for k in range(a.nargs or 1)]
 
 
-SWEEP_FLOAT_FLAGS = _float_flags("sweep")
+NUMERIC_FLAGS = [(command, *entry) for command in cli._COMMANDS for entry in _numeric_flags(command)]
+BOUNDARY_VALUES = ["1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "0", "-1",
+                   "nan", "inf", "-inf", "-nan", "-Infinity", "-NaN"]
+_NON_FINITE_WORD = re.compile(r"(?i)(?<![a-z])-?(?:nan|inf(?:inity)?)(?![a-z])")
 
 
+def _boundary_base(tmp_path, command: str) -> tuple[list, dict]:
+    """Positional words and {flag: values} of a run of ``command`` that exits
+    0, writing every output it can: to stdout or to files under ``tmp_path``."""
+    plate = {"--xy-plane": [], "--l1-wl": ["5"], "--l2-wl": ["5"], "--freq-hz": ["3e9"], "--theta-t-deg": ["45"],
+             "--pol-deg": ["90"]}
+    link = {"--p-t-dbm": ["0"], "--amp-db": ["0"], "--g-t-dbi": ["1"], "--g-r-dbi": ["1"], "--d-t-m": ["2"],
+            "--d-r-m": ["2"]}
+    svg = [str(tmp_path / "out.svg")]
+    if command == "coverage":
+        return [str(write_config(tmp_path, SCENE_CONFIG))], {"--out-csv": [str(tmp_path / "out.csv")], "--out-svg": svg}
+    if command == "compare":
+        return [_measurement_file(tmp_path)], {"--out-json": [str(tmp_path / "out.json")], "--out-svg": svg}
+    return [], {"rcs": {**plate, "--theta-r-deg": ["30"]}, "sweep": {**plate, **link, "--svg": svg},
+                "validate": {"--trials": ["3"]}}[command]
+
+
+def _assert_finite_output(text: str, where: str) -> None:
+    """No nan or inf in ``text``; -inf only as the dB value of an RCS that is
+    exactly 0 (sigma_m2 printed as 0 in the same CSV row, or in rcs's fields)."""
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    for line in lines:
+        for word in _NON_FINITE_WORD.findall(line):
+            zero_rcs = "sigma_m2=0" in lines or dict(zip(header, line.split(","))).get("sigma_m2") == "0"
+            assert word == "-inf" and zero_rcs, f"{word} in {where}: {line}"
+
+
+def _boundary_run(capsys, tmp_path, command: str, flag: str, position: int, nargs: int, value: str) -> None:
+    """One row of the boundary table: ``value`` at ``position`` of ``flag`` in
+    a run of ``command`` that exits 0 without it.  The run must end in one of
+    three ways:
+    - exit 0, no nan in stdout or any output file, and -inf only as the dB
+      value of an RCS that is exactly 0;
+    - exit 3 from validate, the tolerance below the measured error, with the
+      report on stdout;
+    - exit 2 with an error line, empty stdout and no output file.
+    A non-finite value always exits 2.  A negative non-finite word reads as
+    the flag's value, as -10 does, so a float flag rejects it as non-finite
+    (or, for an angle, out of range), not as a missing value."""
+    positionals, options = _boundary_base(tmp_path, command)
+    options.pop({"--l1-m": "--l1-wl", "--l2-m": "--l2-wl", "--euler-deg": "--xy-plane"}.get(flag), None)
+    words = ["0"] * nargs
+    words[position] = value
+    argv = [command, *positionals, *(w for f, vs in {**options, flag: words}.items() for w in (f, *vs))]
+    inputs = set(tmp_path.iterdir())
+    code, out, err = run(capsys, argv)
+    outputs = set(tmp_path.iterdir()) - inputs
+    texts = {path.name: path.read_text() for path in outputs}
+    for path in outputs:
+        path.unlink()
+    case = f"{argv}: exit {code}, stderr {err!r}"
+    if code == 2:
+        assert out == "" and not outputs and "error: " in err, case
+        if value.startswith("-") and _NON_FINITE_WORD.fullmatch(value) and "invalid int value" not in err:
+            assert err.startswith("error: ") and ("finite" in err or "out of range" in err), case
+        return
+    assert not _NON_FINITE_WORD.fullmatch(value), case
+    assert code == 0 or (code == 3 and command == "validate" and "result=FAIL" in out), case
+    for name, text in {"stdout": out, **texts}.items():
+        _assert_finite_output(text, f"{name} of {case}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, flag, position, nargs", NUMERIC_FLAGS,
+                         ids=[f"{c}{f}[{k}]" for c, f, k, _ in NUMERIC_FLAGS])
+def test_numeric_flags_take_every_boundary_value(capsys, tmp_path, command, flag, position, nargs):
+    """Every float and int flag position of every subcommand, each value of the ladder."""
+    assert len(NUMERIC_FLAGS) == 51
+    for value in BOUNDARY_VALUES:
+        _boundary_run(capsys, tmp_path, command, flag, position, nargs, value)
+
+
+SWEEP_FLOAT_FLAGS = [(f, n) for c, f, k, n in NUMERIC_FLAGS if c == "sweep" and k == 0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-NaN"])
 @pytest.mark.parametrize("flag, nargs", SWEEP_FLOAT_FLAGS, ids=[f for f, _ in SWEEP_FLOAT_FLAGS])
-def test_negative_non_finite_values_get_the_finite_value_error(capsys, flag, nargs, value):
-    """A negative non-finite word reads as the flag's value, as -10 does, so
-    every float flag of sweep rejects that value (as non-finite, or for an
-    angle as out of range), not a missing one."""
-    options = {
-        "--xy-plane": [], "--l1-wl": ["5"], "--l2-wl": ["5"], "--freq-hz": ["3e9"], "--theta-t-deg": ["45"],
-        "--pol-deg": ["90"], "--p-t-dbm": ["0"], "--amp-db": ["0"], "--g-t-dbi": ["1"], "--g-r-dbi": ["1"],
-        "--d-t-m": ["2"], "--d-r-m": ["2"],
-    }
-    drop = {"--l1-m": "--l1-wl", "--l2-m": "--l2-wl", "--euler-deg": "--xy-plane"}.get(flag)
-    options.pop(drop, None)
-    options[flag] = [value] + ["0"] * (nargs - 1)
-    code, out, err = run(capsys, ["sweep"] + [word for item in options.items() for word in (item[0], *item[1])])
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and ("finite" in err or "angle out of range" in err), err
+def test_negative_non_finite_values_get_the_finite_value_error(capsys, tmp_path, flag, nargs, value):
+    """The sweep rows of the boundary table with negative non-finite words."""
+    _boundary_run(capsys, tmp_path, "sweep", flag, 0, nargs, value)

@@ -1,7 +1,9 @@
 import io
 import math
 import os
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +109,8 @@ def test_streamed_heatmap_memory_is_bounded():
 def test_heatmap_rejects_inverted_color_bounds():
     with pytest.raises(ValueError, match="inverted"):
         heatmap([[-50.0, -40.0]], vmin=0.0, vmax=-10.0)
+    with pytest.raises(ValueError, match="finite span"):
+        heatmap([[-50.0, -40.0]], vmin=-1e308, vmax=1e308)
     # A lone bound beyond the data is not inverted bounds: the scale widens.
     assert ">-30.00</text>" in heatmap([[-50.0, -40.0]], vmin=-31.0)
 
@@ -117,6 +121,26 @@ def test_heatmap_rejects_non_finite_color_bounds(bound):
         heatmap(np.zeros((2, 2)), vmin=bound)
     with pytest.raises(ValueError, match="finite"):
         heatmap(np.zeros((2, 2)), vmax=bound)
+
+
+@pytest.mark.parametrize(
+    "grid, vmin",
+    [
+        (np.full((2, 2), -50.0), 1e17),  # vmin + 1 == vmin
+        (np.full((2, 2), -50.0), 1e300),
+        (np.full((2, 2), -50.0), sys.float_info.max),  # nothing above vmin
+        (np.full((2, 2), 1e300), None),  # data +- 0.5 == data
+        (np.full((2, 2), -1e300), None),
+    ],
+)
+def test_heatmap_colour_scale_is_never_zero_wide(grid, vmin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = heatmap(grid, vmin=vmin)
+        line = line_plot([0.0, 1.0], [grid[0]], ["flat"])
+    assert svg.count("<rect") == heatmap(np.zeros_like(grid)).count("<rect")
+    assert "nan" not in svg and "nan" not in line
+    assert line.count("<polyline") == 1
 
 
 def test_line_plot_gaps_match_golden():

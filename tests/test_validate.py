@@ -116,7 +116,7 @@ def assert_draws_match_reference(seed, trials, lam):
 
 
 def test_draw_matches_reference_on_criterion_1_stream():
-    assert_draws_match_reference(20240301, 1000, Wavelength(0.1).meters)
+    assert_draws_match_reference(20240301, 1000, Wavelength.from_frequency(3e9).meters)
 
 
 def test_draw_matches_reference_property():
