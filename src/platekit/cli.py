@@ -365,6 +365,15 @@ def _vec3(value, path: str) -> np.ndarray:
     return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
+def _direction(value, path: str) -> np.ndarray:
+    """A JSON 3-vector normalized by geometry.unit; one whose squared norm
+    overflows is rejected first, in Python floats, which overflow silently."""
+    v = _vec3(value, path)
+    if not sum(x * x for x in v.tolist()) < math.inf:
+        raise ValueError(f"{path}: vector too large to normalize")
+    return geometry.unit(v)
+
+
 def _plate_from_config(cfg: dict, path: str) -> PlateGeometry:
     _reject_unknown(
         cfg, {"length1_m", "length2_m", "normal", "edge1", "euler_zyz_deg", "xy_plane"}, path
@@ -382,8 +391,8 @@ def _plate_from_config(cfg: dict, path: str) -> PlateGeometry:
         angles = _vec3(cfg["euler_zyz_deg"], f"{path}.euler_zyz_deg")
         a, b, g = (math.radians(v) for v in angles)
         return PlateGeometry.from_euler_zyz(l1, l2, a, b, g)
-    normal = geometry.unit(_vec3(_need(cfg, "normal", path), f"{path}.normal"))
-    edge1 = geometry.unit(_vec3(_need(cfg, "edge1", path), f"{path}.edge1"))
+    normal = _direction(_need(cfg, "normal", path), f"{path}.normal")
+    edge1 = _direction(_need(cfg, "edge1", path), f"{path}.edge1")
     return PlateGeometry.from_frame(l1, l2, normal, edge1)
 
 

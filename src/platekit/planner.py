@@ -46,6 +46,19 @@ MIN_IMPROVEMENT_DB = 0.01
 _PAIRS_PER_CHUNK = 1 << 16
 # Largest receiver grid, 1000 x 1000 cells; the region's points alone are 24 MB.
 _MAX_REGION_CELLS = 1_000_000
+# Farthest a scene position or region vertex may lie from the origin.  Any two
+# such points are at most 2e153 m apart, so every difference, squared norm and
+# the link budget's 4*pi*d_t*d_r (under 5.1e307) stays finite.
+_MAX_POSITION_M = 1e153
+
+
+def _check_position(name: str, point) -> None:
+    """Reject a finite 3-vector farther than _MAX_POSITION_M from the origin;
+    math.hypot of Python floats, so no overflow warning on the way."""
+    distance = math.hypot(*point)
+    if not distance <= _MAX_POSITION_M:
+        raise ValueError(f"{name} lies {distance:.3g} m from the origin, beyond the {_MAX_POSITION_M:.0e} m "
+                         "bound on scene positions")
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,8 @@ class Scene:
         levels = [self.tx_power_dbm, self.tx_gain_dbi, self.rx_gain_dbi, self.amp_gain_db]
         if not np.all(np.isfinite(np.concatenate([self.tx_position, self.plate_position, levels]))):
             raise ValueError("scene positions, powers and gains must be finite")
+        _check_position("tx_position", self.tx_position.tolist())
+        _check_position("plate_position", self.plate_position.tolist())
         if not isinstance(self.polarization, PolarizationAngle):
             object.__setattr__(self, "polarization", PolarizationAngle(float(self.polarization)))
         if float(np.linalg.norm(self.plate_position - self.tx_position)) < 1e-12:
@@ -123,6 +138,11 @@ class TargetRegion:
         for name in ("corner", "edge_u", "edge_v"):
             if getattr(self, name).shape != (3,) or not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be a finite 3-vector")
+        # Every grid point lies in the parallelogram of these four vertices.
+        corner, edge_u, edge_v = self.corner.tolist(), self.edge_u.tolist(), self.edge_v.tolist()
+        for name, fu, fv in (("corner", 0, 0), ("corner + edge_u", 1, 0), ("corner + edge_v", 0, 1),
+                             ("corner + edge_u + edge_v", 1, 1)):
+            _check_position(f"region {name}", [c + fu * u + fv * v for c, u, v in zip(corner, edge_u, edge_v)])
         for name, count in (("nu", self.nu), ("nv", self.nv)):
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {count!r}")

@@ -1,10 +1,10 @@
 """Brute-force physical-optics validation path for the closed-form RCS.
 
 The scattered field is obtained by integrating the induced surface current
-over the plate with a tensor-product Gauss-Legendre rule (nodes by Halley's
-method on the Legendre recurrence), projecting onto the spherical field
-components at the observation direction, and normalizing the scattered power
-density by the incident one.
+over the plate with a tensor-product Gauss-Legendre rule (nodes by one
+Halley step on the Legendre recurrence from Hale and Townsend's asymptotic
+guesses), projecting onto the spherical field components at the observation
+direction, and normalizing the scattered power density by the incident one.
 The current is a constant vector times a phase linear in the surface point,
 so the 2-D sum factors exactly into one 1-D sum per edge.  Nothing here
 reuses the closed form: the edge sums are quadratures, not sinc terms, and
@@ -13,11 +13,12 @@ the current, not through the cross-product identity the closed form uses,
 so agreement between the two routes is a real check rather than a tautology.
 
 One array pass evaluates a stack of plates, each with its own frame, wave,
-observer and rule size; the rules of all sizes are solved together.  The
-rows are sorted by rule size and their edge sums taken in chunks of up to
-_TERMS_PER_CHUNK terms, each row's rule padded with zero-weight nodes to the
-largest in its chunk.  Every edge sum runs in node order, so the padding adds
-exact zeros after a row's own terms and a row has the same bits in any stack.
+observer and rule size; the rules of all sizes are solved together, straight
+into one table padded with zero-weight nodes to the largest.  The rows are
+sorted by rule size and their edge sums taken in chunks of up to
+_TERMS_PER_CHUNK terms, each row's rule sliced from the table to the largest
+in its chunk.  Every edge sum runs in node order, so the padding adds exact
+zeros after a row's own terms and a row has the same bits in any stack.
 po_far_field and po_rcs check one scenario and run it as a one-row stack.
 """
 
@@ -36,12 +37,13 @@ from .rcs import PlateGeometry, Wavelength
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
 # Largest quadrature rule.  Its Halley solve costs n/2 nodes x n recurrence
-# steps x _HALLEY_STEPS: about 2.5 ms at this size (2-vCPU x86-64 VM).
+# steps, one pass: about 1 ms at this size (2-vCPU x86-64 VM).
 _MAX_NODES_PER_EDGE = 512
-# Halley steps from Tricomi's guess: each cubes the error, so 2 reach full
-# float64 precision for every n in 2..512 (nodes within 1e-16 of a 40-digit
-# reference; test_po_oracle).
-_HALLEY_STEPS = 2
+# Smallest rule solved by one Halley step.  From the Olver and Tricomi guesses
+# one step reaches full float64 precision for every n from 8 to 512 (nodes
+# within 1.1e-16 of a 40-digit reference; test_po_oracle); at n = 2..6 it
+# leaves up to 3e-9, so the smaller rules take a second step.
+_TWO_STEP_SIZE = 8
 # Edge-sum terms (rows x 2 edges x the chunk's largest rule) evaluated at
 # once; bounds the quadrature's memory for any number of rows and any rule
 # size, and how many rule sizes one chunk pads to its largest.  Of a 1024-row
@@ -194,47 +196,114 @@ def _legendre(x, n, starts):
     return table[parity, index], table[1 - parity, index]
 
 
+_J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911012, 11.79153443901428,
+                      14.93091770848779, 18.07106396791092, 21.21163662987926, 24.35247153074930])
+
+
+def _bessel_j0_zeros(k):
+    """k-th positive zeros of J_0 for float ``k`` >= 1: tabulated up to the
+    8th (A&S Table 9.5), McMahon's expansion beyond (3.1e-15 relative at the
+    9th, less further on)."""
+    beta = (k - 0.25) * math.pi
+    r = 1.0 / (8.0 * beta)
+    r2 = r * r
+    zeros = beta + r * (1.0 + r2 * (-124.0 / 3.0 + r2 * (120928.0 / 15.0 + r2 * (
+        -401743168.0 / 105.0 + r2 * (1071187749376.0 / 315.0)))))
+    tabulated = k <= len(_J0_ZEROS)
+    zeros[tabulated] = np.take(_J0_ZEROS, k[tabulated].astype(int) - 1)
+    return zeros
+
+
+def _halley_step(x, n, starts):
+    """One Halley step on P_n from the nodes ``x`` of rule sizes ``n`` (sorted,
+    those of each size from ``starts``), and the weights at the stepped nodes.
+
+    Legendre's equation (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n gives the second
+    derivative from the recurrence's P_n and P_n', so the step costs one
+    recurrence pass, as a Newton step does.  The weight 2/g with
+    g = (1 - x^2) P_n'^2 is taken at the stepped node by a second-order Taylor
+    expansion of g along the step (g'' also from Legendre's equation), so
+    node rounding does not reach it.
+    """
+    p, p_prev = _legendre(x, n, starts)
+    one_minus_sq = (1.0 - x) * (1.0 + x)
+    slope = n * (p_prev - x * p) / one_minus_sq
+    newton = p / slope
+    nn = n * (n + 1.0)
+    # Halley: newton / (1 - newton * P''/(2 P')), P''/P' from Legendre's equation
+    step = newton / (1.0 - newton * (x - 0.5 * nn * newton) / one_minus_sq)
+    curvature = 2.0 * x * slope - nn * p  # (1 - x^2) P''
+    g = (one_minus_sq * slope * slope - step * slope * (2.0 * x * slope - 2.0 * nn * p)
+         + step * step * ((1.0 - nn) * slope * slope + curvature * curvature / one_minus_sq))
+    return x - step, 2.0 / g
+
+
+def _gauss_legendre_table(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rules on [-1, 1] of each distinct n in ``sizes``: the
+    sizes in ascending order and (sizes, largest) node and weight tables, row
+    i the nodes and weights of the rule of sizes[i] in ascending node order,
+    padded with zero nodes of zero weight.
+
+    The nonnegative nodes of all sizes are solved at once, from Hale and
+    Townsend's guesses (SIAM J. Sci. Comput. 35(2), 2013), by one Halley step
+    (_halley_step), and mirrored.  For the k-th largest node of P_n:
+    - near x = 1, where phi = j_0,k/rho < 0.8 with rho = n + 1/2, Olver's
+      x = cos(phi + (phi cot phi - 1)/(8 phi rho^2));
+    - elsewhere Tricomi's, to O(n^-4),
+      x = (1 - (n-1)/(8n^3) - (39 - 28/sin^2 theta)/(384n^4)) cos theta with
+      theta = pi(4k-1)/(4n+2).
+    Rules under _TWO_STEP_SIZE nodes, whose guesses are too coarse for one
+    step, take a second step.  The transcendentals are math calls and every
+    other operation is elementwise within one size's nodes, so a rule is the
+    same bits whatever other sizes it is built with.
+    """
+    # Not np.unique: its first call in a process raises peak RSS by 1.6 MB.
+    sizes = np.array(sorted(set(sizes)))
+    half = (sizes + 1) // 2
+    starts = np.cumsum(half) - half
+    n = np.repeat(sizes.astype(float), half)
+    # Nonnegative nodes in ascending order: the k-th largest has index
+    # j = n + 1 - 2k in (n-1) % 2, ..., n-3, n-1 and cos(theta) = sin(pi*j/(2n+1)),
+    # which is 0 exactly at the middle node of an odd rule.
+    j = (n - 1.0) % 2.0 + 2.0 * (np.arange(len(n)) - np.repeat(starts, half))
+    rho = n + 0.5
+    phi = _bessel_j0_zeros((n + 1.0 - j) * 0.5) / rho
+    olver = phi < 0.8
+    x = np.empty(len(n))
+    phi, rho_sq = phi[olver], rho[olver] ** 2
+    theta = phi + (phi / np.fromiter(map(math.tan, phi.tolist()), float, len(phi)) - 1.0) / (8.0 * phi * rho_sq)
+    x[olver] = np.fromiter(map(math.cos, theta.tolist()), float, len(theta))
+    tricomi = ~olver
+    m, j = n[tricomi], j[tricomi]
+    c = np.fromiter(map(math.sin, (math.pi * j / (2.0 * m + 1.0)).tolist()), float, len(j))
+    x[tricomi] = (1.0 - (m - 1.0) / (8.0 * m**3) - (39.0 - 28.0 / ((1.0 - c) * (1.0 + c))) / (384.0 * m**4)) * c
+    x, weights = _halley_step(x, n, starts)
+    small = int(np.searchsorted(n, _TWO_STEP_SIZE))  # the sorted nodes' prefix of small rules
+    if small:
+        x[:small], weights[:small] = _halley_step(x[:small], n[:small], starts[starts < small])
+    # Mirror: row i's column c < half is -x[start + half - 1 - c], the rest
+    # x[start + c - half + n % 2]; columns past n are padding.
+    cols = np.arange(sizes[-1])
+    below = cols < half[:, None]
+    index = starts[:, None] + np.where(below, half[:, None] - 1 - cols, cols - half[:, None] + sizes[:, None] % 2)
+    pad = cols >= sizes[:, None]
+    node_table = np.take(x, index, mode="clip")
+    np.negative(node_table, out=node_table, where=below)
+    node_table[pad] = 0.0
+    weight_table = np.take(weights, index, mode="clip")
+    weight_table[pad] = 0.0
+    return sizes, node_table, weight_table
+
+
 def _gauss_legendre_rules(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """n-point Gauss-Legendre nodes and weights on [-1, 1] for each distinct n
-    in ``sizes``, keyed by n in ascending order.
-
-    The nonnegative nodes of all sizes are solved at once by _HALLEY_STEPS
-    Halley steps on P_n from Tricomi's guess, and mirrored.  Legendre's
-    equation (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n gives the second
-    derivative from the recurrence's P_n and P_n', so a Halley step costs one
-    recurrence pass, as a Newton step does.  The weight is
-    2/((1 - x^2) P_n'(x)^2) at the last iterate, moved to first order along
-    its last step, so node rounding does not reach it.  Every operation is
-    elementwise within one size's nodes, so a rule is the same bits whatever
-    other sizes it is built with.
-    """
-    sizes = sorted(set(sizes))
-    half = [(n + 1) // 2 for n in sizes]
-    starts = np.cumsum([0] + half[:-1])
-    n = np.repeat(np.array(sizes, dtype=float), half)
-    # Tricomi: x_j = (1 - (n-1)/(8n^3)) sin(pi*j/(2n+1)), j = n-1, n-3, ... >= 0;
-    # math.sin keeps the guess independent of the node's place in the array.
-    j = np.concatenate([np.arange((m - 1) % 2, m, 2) for m in sizes])
-    x = np.fromiter(map(math.sin, math.pi * j / (2.0 * n + 1.0)), float, len(j))
-    x *= 1.0 - (n - 1.0) / (8.0 * n**3)
-    for _ in range(_HALLEY_STEPS):
-        p, p_prev = _legendre(x, n, starts)
-        one_minus_sq = (1.0 - x) * (1.0 + x)
-        slope = n * (p_prev - x * p) / one_minus_sq
-        newton = p / slope
-        # Halley: newton / (1 - newton * P''/(2 P')), P''/P' from Legendre's equation
-        step = newton / (1.0 - newton * (x - 0.5 * n * (n + 1.0) * newton) / one_minus_sq)
-        last, x = x, x - step
-    weights = 2.0 / (one_minus_sq * slope * slope) * (1.0 + 2.0 * last * step / one_minus_sq)
-    rules = {}
-    for m, start, h in zip(sizes, starts, half):
-        t, w = x[start : start + h], weights[start : start + h]
-        rules[m] = np.concatenate((-t[::-1], t[m % 2 :])), np.concatenate((w[::-1], w[m % 2 :]))
-    return rules
+    in ``sizes``, keyed by n in ascending order; see _gauss_legendre_table."""
+    sizes, node_table, weight_table = _gauss_legendre_table(sizes)
+    return {int(m): (t[:m], w[:m]) for m, t, w in zip(sizes, node_table, weight_table)}
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1]; see _gauss_legendre_rules."""
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]; see _gauss_legendre_table."""
     return _gauss_legendre_rules([n])[n]
 
 
@@ -259,12 +328,7 @@ def _far_fields(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength
         nodes = _default_nodes(lengths.max(axis=1), wavelength)
     else:
         nodes = np.full(len(lengths), nodes_per_edge)
-    rules = _gauss_legendre_rules(nodes.tolist())
-    # One row per rule size, padded with zero-weight nodes to the largest.
-    sizes = np.array(list(rules))
-    node_table, weight_table = np.zeros((2, len(sizes), sizes[-1]))
-    for row, (t, w) in enumerate(rules.values()):
-        node_table[row, : len(t)], weight_table[row, : len(w)] = t, w
+    sizes, node_table, weight_table = _gauss_legendre_table(nodes.tolist())
     order = np.argsort(nodes, kind="stable")
     sorted_nodes = nodes[order]
     rule = np.searchsorted(sizes, sorted_nodes)

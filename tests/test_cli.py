@@ -438,8 +438,8 @@ VALIDATE_GOLDEN = {
 def test_validate_matches_golden(capsys, name):
     """validate stdout is byte-identical to the recorded files.  Their error
     digits move with any change of rounding in either route and with the
-    quadrature rule: they were recorded with the Halley Gauss-Legendre rules
-    of po_oracle._gauss_legendre_rules, edge sums taken in node order over
+    quadrature rule: they were recorded with the one-step Halley
+    Gauss-Legendre rules of po_oracle._gauss_legendre_table, edge sums taken in node order over
     sorted rows padded to their chunk's largest rule, and wave frames built
     from the direction's components (one-row rcs() and po_rcs() queries give
     the same rows; test_validate::test_stacked_rows_equal_scalar_queries)."""
@@ -1166,23 +1166,16 @@ def _assert_finite_output(text: str, where: str) -> None:
             assert word == "-inf" and zero_rcs, f"{word} in {where}: {line}"
 
 
-def _boundary_run(capsys, tmp_path, command: str, flag: str, position: int, nargs: int, value: str) -> None:
-    """One row of the boundary table: ``value`` at ``position`` of ``flag`` in
-    a run of ``command`` that exits 0 without it.  The run must end in one of
+def _boundary_run(capsys, tmp_path, argv: list, value: str) -> tuple[int, str]:
+    """One row of a boundary table: a run of ``argv``, which carries ``value``
+    where a run that exits 0 has a valid number.  The run must end in one of
     three ways:
     - exit 0, no nan in stdout or any output file, and -inf only as the dB
       value of an RCS that is exactly 0;
     - exit 3 from validate, the tolerance below the measured error, with the
       report on stdout;
     - exit 2 with an error line, empty stdout and no output file.
-    A non-finite value always exits 2.  A negative non-finite word reads as
-    the flag's value, as -10 does, so a float flag rejects it as non-finite
-    (or, for an angle, out of range), not as a missing value."""
-    positionals, options = _boundary_base(tmp_path, command)
-    options.pop({"--l1-m": "--l1-wl", "--l2-m": "--l2-wl", "--euler-deg": "--xy-plane"}.get(flag), None)
-    words = ["0"] * nargs
-    words[position] = value
-    argv = [command, *positionals, *(w for f, vs in {**options, flag: words}.items() for w in (f, *vs))]
+    A non-finite value always exits 2.  Returns the exit code and stderr."""
     inputs = set(tmp_path.iterdir())
     code, out, err = run(capsys, argv)
     outputs = set(tmp_path.iterdir()) - inputs
@@ -1192,13 +1185,27 @@ def _boundary_run(capsys, tmp_path, command: str, flag: str, position: int, narg
     case = f"{argv}: exit {code}, stderr {err!r}"
     if code == 2:
         assert out == "" and not outputs and "error: " in err, case
-        if value.startswith("-") and _NON_FINITE_WORD.fullmatch(value) and "invalid int value" not in err:
-            assert err.startswith("error: ") and ("finite" in err or "out of range" in err), case
-        return
+        return code, err
     assert not _NON_FINITE_WORD.fullmatch(value), case
-    assert code == 0 or (code == 3 and command == "validate" and "result=FAIL" in out), case
+    assert code == 0 or (code == 3 and argv[0] == "validate" and "result=FAIL" in out), case
     for name, text in {"stdout": out, **texts}.items():
         _assert_finite_output(text, f"{name} of {case}")
+    return code, err
+
+
+def _flag_boundary_run(capsys, tmp_path, command: str, flag: str, position: int, nargs: int, value: str) -> None:
+    """_boundary_run with ``value`` at ``position`` of ``flag`` in a run of
+    ``command``.  A negative non-finite word reads as the flag's value, as -10
+    does, so a float flag rejects it as non-finite (or, for an angle, out of
+    range), not as a missing value."""
+    positionals, options = _boundary_base(tmp_path, command)
+    options.pop({"--l1-m": "--l1-wl", "--l2-m": "--l2-wl", "--euler-deg": "--xy-plane"}.get(flag), None)
+    words = ["0"] * nargs
+    words[position] = value
+    argv = [command, *positionals, *(w for f, vs in {**options, flag: words}.items() for w in (f, *vs))]
+    code, err = _boundary_run(capsys, tmp_path, argv, value)
+    if code == 2 and value.startswith("-") and _NON_FINITE_WORD.fullmatch(value) and "invalid int value" not in err:
+        assert err.startswith("error: ") and ("finite" in err or "out of range" in err), f"{argv}: stderr {err!r}"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1208,7 +1215,51 @@ def test_numeric_flags_take_every_boundary_value(capsys, tmp_path, command, flag
     """Every float and int flag position of every subcommand, each value of the ladder."""
     assert len(NUMERIC_FLAGS) == 51
     for value in BOUNDARY_VALUES:
-        _boundary_run(capsys, tmp_path, command, flag, position, nargs, value)
+        _flag_boundary_run(capsys, tmp_path, command, flag, position, nargs, value)
+
+
+def _scene_numbers(cfg: dict, prefix: str = "") -> list:
+    """(name, keys) of every number in a scene config, vector components one by one."""
+    numbers = []
+    for key, value in cfg.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            numbers += [(n, (key, *keys)) for n, keys in _scene_numbers(value, f"{name}.")]
+        elif isinstance(value, list):
+            numbers += [(f"{name}[{i}]", (key, i)) for i in range(len(value))]
+        elif not isinstance(value, str):
+            numbers.append((name, (key,)))
+    return numbers
+
+
+SCENE_NUMBERS = _scene_numbers(SCENE_CONFIG)
+# The optimize subset: the positions that reach the search's distances, an
+# edge length, the polarization, a level and a grid count.
+OPTIMIZE_SCENE_NUMBERS = ["tx_position_m[0]", "plate_position_m[2]", "plate.length1_m", "polarization_deg",
+                          "amp_gain_db", "region.corner_m[0]", "region.edge_u_m[0]", "region.nv"]
+SCENE_BOUNDARY_RUNS = [("coverage", *entry) for entry in SCENE_NUMBERS] + [
+    ("optimize", *entry) for entry in SCENE_NUMBERS if entry[0] in OPTIMIZE_SCENE_NUMBERS]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, name, keys", SCENE_BOUNDARY_RUNS,
+                         ids=[f"{c}-{n}" for c, n, _ in SCENE_BOUNDARY_RUNS])
+def test_scene_numbers_take_every_boundary_value(capsys, tmp_path, command, name, keys):
+    """Each value of the ladder, as written in the JSON text, at one number of
+    the scene config; every number on coverage, a subset on optimize."""
+    assert len(SCENE_NUMBERS) == 31 and len(SCENE_BOUNDARY_RUNS) == 39
+    outputs = {"coverage": ["--out-csv", str(tmp_path / "out.csv"), "--out-svg", str(tmp_path / "out.svg")],
+               "optimize": ["--out-json", str(tmp_path / "out.json")]}[command]
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    *parents, last = keys
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = "@VALUE@"
+    for value in BOUNDARY_VALUES:
+        path = write_config(tmp_path, cfg)
+        path.write_text(path.read_text().replace('"@VALUE@"', value))
+        _boundary_run(capsys, tmp_path, [command, str(path), *outputs], value)
 
 
 SWEEP_FLOAT_FLAGS = [(f, n) for c, f, k, n in NUMERIC_FLAGS if c == "sweep" and k == 0]
@@ -1219,4 +1270,4 @@ SWEEP_FLOAT_FLAGS = [(f, n) for c, f, k, n in NUMERIC_FLAGS if c == "sweep" and 
 @pytest.mark.parametrize("flag, nargs", SWEEP_FLOAT_FLAGS, ids=[f for f, _ in SWEEP_FLOAT_FLAGS])
 def test_negative_non_finite_values_get_the_finite_value_error(capsys, tmp_path, flag, nargs, value):
     """The sweep rows of the boundary table with negative non-finite words."""
-    _boundary_run(capsys, tmp_path, "sweep", flag, 0, nargs, value)
+    _flag_boundary_run(capsys, tmp_path, "sweep", flag, 0, nargs, value)

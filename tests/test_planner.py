@@ -60,6 +60,46 @@ def test_region_cell_cap():
         TargetRegion(np.zeros(3), EX, EY, np.int64(10**10), np.int64(10**10))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("far", [1e300, -1e300, 1.5e153])
+def test_positions_beyond_the_bound_are_rejected_before_any_array_math(far):
+    """A scene position or region vertex beyond 1e153 m from the origin is a
+    ValueError, with no overflow warning first (differences, spans and norms
+    of such points can overflow)."""
+    with pytest.raises(ValueError, match="tx_position lies .* m from the origin"):
+        make_scene(tx_position=np.array([far, -8.0, 0.0]))
+    with pytest.raises(ValueError, match="plate_position lies .* m from the origin"):
+        make_scene(plate_position=np.array([0.0, 0.0, far]))
+    with pytest.raises(ValueError, match="region corner lies"):
+        TargetRegion(np.array([far, 0.0, 0.0]), EX, EY, 2, 2)
+    with pytest.raises(ValueError, match="region corner \\+ edge_u lies"):
+        TargetRegion(np.zeros(3), np.array([far, 0.0, 0.0]), EY, 2, 2)
+    with pytest.raises(ValueError, match="region corner \\+ edge_v lies"):
+        TargetRegion(np.zeros(3), EX, np.array([0.0, far, 0.0]), 2, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_region_span_that_overflows_is_rejected():
+    """Corner and edges each in range, their sum past 1e153 m; edges whose
+    sum overflows to inf."""
+    with pytest.raises(ValueError, match="region corner \\+ edge_u \\+ edge_v lies 1.41e\\+153 m"):
+        TargetRegion(np.zeros(3), np.array([1e153, 0.0, 0.0]), np.array([0.0, 1e153, 0.0]), 2, 2)
+    with pytest.raises(ValueError, match="region corner \\+ edge_u lies 1.5e\\+308 m"):
+        TargetRegion(np.zeros(3), np.array([1.5e308, 0.0, 0.0]), np.array([1.5e308, 0.0, 0.0]), 2, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coverage_at_the_position_bound_stays_finite():
+    """Plate and transmitter at the bound on opposite sides of the origin, the
+    receivers near the transmitter: distances near 2e153 m, and the link
+    budget's 4*pi*d_t*d_r (about 5e307) stays finite."""
+    scene = make_scene(tx_position=np.array([0.0, -1e153, 0.0]), plate_position=np.array([0.0, 1e153, 0.0]))
+    region = TargetRegion(np.array([-1e152, -9.8e152, -1e152]), np.array([2e152, 0.0, 0.0]),
+                          np.array([0.0, 0.0, 2e152]), 3, 3)
+    cov = coverage_map(scene, region)
+    assert not cov.shadow.any() and np.isfinite(cov.power_dbm).all()
+
+
 def test_orient_for_target_bisects():
     s = 1 / math.sqrt(2)
     tx = np.array([0.0, -10.0, 10.0])  # incident direction (0, s, -s)

@@ -128,6 +128,32 @@ def test_gauss_legendre_rule_against_40_digit_reference(n):
     assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
 
 
+# Golub-Welsch relative weight errors, as above, at the sizes from the
+# smallest one Halley step solves (_TWO_STEP_SIZE) to the automatic rule's
+# smallest, and at two large sizes.  Its node errors there are 1.4e-16 to 6.4e-16.
+_ONE_STEP_GOLUB_WELSCH_WEIGHT_ERROR = {
+    8: 2.5e-15, 9: 1.9e-15, 10: 3.6e-15, 11: 3.6e-15, 12: 6.4e-15, 13: 1.1e-14, 14: 1.6e-14,
+    15: 1.8e-14, 16: 1.1e-14, 17: 9.0e-15, 18: 9.3e-15, 200: 2.2e-12, 400: 6.0e-12,
+}
+
+
+@pytest.mark.parametrize("n", sorted(_ONE_STEP_GOLUB_WELSCH_WEIGHT_ERROR))
+def test_one_step_rule_against_40_digit_reference(n):
+    """A rule one Halley step solves from its asymptotic guess has every node
+    within half an ulp of 1 of the 40-digit reference and weights at least as
+    accurate as Golub-Welsch."""
+    assert n >= po_oracle._TWO_STEP_SIZE
+    ref_t, ref_w = _reference_rule(n)
+    t, w = _gauss_legendre(n)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        node_error = max(abs(Decimal(float(a)) - b) for a, b in zip(t[n // 2 :], ref_t, strict=True))
+        weight_error = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(w[n // 2 :], ref_w, strict=True))
+    assert node_error <= Decimal("1.1e-16")
+    assert weight_error <= Decimal(_ONE_STEP_GOLUB_WELSCH_WEIGHT_ERROR[n])
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+
+
 def test_gauss_legendre_rules_against_40_digit_reference_over_automatic_sizes(wl_3ghz):
     """Every size the automatic rule picks for validate's 0.5-10 wavelength
     edges.  Over these sizes the four-step Newton rule this one replaced was
@@ -150,13 +176,20 @@ def test_gauss_legendre_rules_against_40_digit_reference_over_automatic_sizes(wl
 
 @pytest.mark.parametrize("sizes", [[2], [3, 76], list(range(19, 77)), list(range(2, _MAX_NODES_PER_EDGE + 1, 17))])
 def test_gauss_legendre_rules_make_two_recurrence_passes(monkeypatch, sizes):
-    """Legendre's equation gives Halley's second derivative for free: two
-    recurrence passes build any batch of rules."""
+    """At most two recurrence passes build any batch of rules: from the
+    asymptotic guesses one Halley step, one pass over every nonnegative node;
+    only the rules under _TWO_STEP_SIZE = 8 nodes take the second pass, over
+    their own nodes alone, so a batch with none of them makes just the first."""
     passes = []
     legendre = po_oracle._legendre
-    monkeypatch.setattr(po_oracle, "_legendre", lambda *args: passes.append(args) or legendre(*args))
+    monkeypatch.setattr(po_oracle, "_legendre", lambda x, n, starts: passes.append(n) or legendre(x, n, starts))
     assert list(_gauss_legendre_rules(sizes)) == sorted(sizes)
-    assert len(passes) == 2
+    assert po_oracle._TWO_STEP_SIZE == 8
+    nonnegative = [(m + 1) // 2 for m in sizes]
+    small = [(m + 1) // 2 for m in sizes if m < 8]
+    assert [len(n) for n in passes] == [sum(nonnegative)] + ([sum(small)] if small else [])
+    if small:
+        assert passes[1].max() < 8  # at most 7 recurrence steps
 
 
 def test_gauss_legendre_rule_independent_of_its_batch():

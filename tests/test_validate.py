@@ -6,7 +6,7 @@ import pytest
 from conftest import random_rotation, random_unit
 from platekit import QuadratureSpec, Wavelength, po_oracle, po_rcs, rcs, run_validation, validate
 from platekit.geometry import PolarizationAngle
-from platekit.validate import _draw, _evaluate_block, random_scenario
+from platekit.validate import _draw_scenarios, _evaluate_block, random_scenario
 
 
 @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", 0, -1])
@@ -107,12 +107,18 @@ def reference_draw(rng, lam):
 
 def assert_draws_match_reference(seed, trials, lam):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(trials):
-        for got, want in zip(_draw(rng, lam), reference_draw(reference_rng, lam), strict=True):
-            assert type(got) is type(want)
-            got, want = np.asarray(got), np.asarray(want)
-            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    assert_block_matches_reference(rng, reference_rng, trials, lam)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def assert_block_matches_reference(rng, reference_rng, trials, lam):
+    """Row i of one block draw of ``trials`` scenarios has the bits of the
+    i-th reference_draw, column by column."""
+    block = _draw_scenarios(rng, trials, lam)
+    for i in range(trials):
+        for column, want in zip(block, reference_draw(reference_rng, lam), strict=True):
+            got, want = column[i], np.asarray(want)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
 def test_draw_matches_reference_on_criterion_1_stream():
@@ -133,3 +139,41 @@ def test_draw_matches_reference_property():
         assert_draws_match_reference(seed, trials, Wavelength.from_frequency(freq_hz).meters)
 
     check()
+
+
+class _ScriptedGenerator:
+    """A generator stub that returns scripted draws, with Generator's uniform
+    and normal written over random and standard_normal as numpy writes them."""
+
+    def __init__(self, uniforms, normals):
+        self.uniforms, self.normals = list(uniforms), list(normals)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self, size):
+        draw = np.array(self.normals.pop(0), dtype=float)
+        assert draw.shape == (size,)
+        return draw
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+    def normal(self, size):
+        return self.standard_normal(size)
+
+
+def test_draw_decides_near_threshold_tests_exactly(monkeypatch):
+    """Arrival and observation cosines within the margin of +-1e-6 go to the
+    exact ndarray test, and the block still equals the reference draw.  The
+    identity quaternion makes the normal +z; (1, 0, -+1e-6) has cosine
+    -+1e-6 (1 - 5e-13), just short of either threshold, so each is redrawn."""
+    uniforms = [0.25, 0.75, 0.5]
+    normals = [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, -1e-6], [0.0, 0.6, -0.8], [1.0, 0.0, 1e-6], [0.0, -0.6, 0.8]]
+    exact = []
+    cosine = validate._exact_cosine
+    monkeypatch.setattr(validate, "_exact_cosine", lambda q, v: exact.append(v.tolist()) or cosine(q, v))
+    stub, reference_stub = _ScriptedGenerator(uniforms, normals), _ScriptedGenerator(uniforms, normals)
+    assert_block_matches_reference(stub, reference_stub, 1, Wavelength.from_frequency(3e9).meters)
+    assert exact == [normals[1], normals[3]]
+    assert stub.uniforms == stub.normals == reference_stub.uniforms == reference_stub.normals == []
