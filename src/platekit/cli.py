@@ -593,27 +593,30 @@ _COMMANDS = {  # name: (help, flag adder, handler)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The platekit parser.  With a known ``command`` it holds only that
-    subcommand, which is all one run parses; the subcommand list is then
-    spelled out as the usage metavar, so usage lines read as the full
-    parser's.  Without one, every subcommand is built (``--help``, unknown
-    commands): argparse names the metavar in its invalid-choice message, so
-    the full build keeps the default.
+    """The platekit parser.  With a known ``command`` it is that subcommand's
+    parser alone, ``platekit <command>``, which is all one run parses: it reads
+    the command word through a hidden positional, so it takes the whole argv,
+    and its help, usage and errors are the full parser's.  Without one it is
+    the full parser, every subcommand under one subparsers action; main uses
+    it for ``--help``, unknown commands and unrecognized arguments.
 
     argparse makes a HelpFormatter per added argument, and each asks the
     terminal for its width; every parser here shares one query instead, at
     the width the default formatter would compute."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"platekit {command}", formatter_class=formatter)
+        parser.add_argument("command", choices=[command], help=argparse.SUPPRESS)
+        _COMMANDS[command][1](parser)
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
+        return parser
     parser = argparse.ArgumentParser(
         prog="platekit",
         description="Reflection modelling for rectangular metal plate reflectors",
         formatter_class=formatter,
     )
-    names = list(_COMMANDS) if command is None else [command]
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_flags, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
         add_flags(sub.add_parser(name, help=help_text, formatter_class=formatter))
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
@@ -623,7 +626,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args, extra = build_parser(argv[0]).parse_known_args(argv)
+            if extra:  # words the command does not take: the full parser's top-level error names them
+                args = build_parser().parse_args(argv)
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

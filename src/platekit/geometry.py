@@ -47,6 +47,9 @@ def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndar
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    # A component above 2 fails before the norm, whose squares could overflow.
+    if np.any(np.abs(v) > 2.0):
+        raise ValueError(f"{name} is not unit length: a component is above 2 in magnitude, {v.tolist()}")
     # Written so that a NaN norm fails too.
     if not abs(float(np.linalg.norm(v)) - 1.0) <= tol:
         raise ValueError(f"{name} is not unit length: |v| = {np.linalg.norm(v)!r}")

@@ -248,11 +248,22 @@ def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, a_obs: np.n
 
 
 def coverage_map_points(scene: Scene, points) -> CoverageMap:
-    """Coverage at explicit receiver positions (row order preserved),
-    evaluated _PAIRS_PER_CHUNK receivers at a time."""
+    """Coverage at explicit receiver positions (row order preserved).  Each
+    must be finite and within the _MAX_POSITION_M bound on scene positions."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("receiver points must be finite")
+    # A point with every component within half the bound is within the bound.
+    for point in pts[np.abs(pts).max(axis=1) > 0.5 * _MAX_POSITION_M].tolist():
+        _check_position("receiver point", point)
+    return _coverage(scene, pts)
+
+
+def _coverage(scene: Scene, pts: np.ndarray) -> CoverageMap:
+    """Coverage at the checked receiver positions ``pts`` (N, 3), evaluated
+    _PAIRS_PER_CHUNK receivers at a time."""
     wave, frame = scene.incident_wave(), np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])
     sig, power = np.empty(len(pts)), np.empty(len(pts))
     shadow = np.empty(len(pts), dtype=bool)
@@ -273,7 +284,7 @@ def coverage_map_points(scene: Scene, points) -> CoverageMap:
 
 def coverage_map(scene: Scene, region: TargetRegion) -> CoverageMap:
     """Coverage over a region grid, row-major over (u, v)."""
-    cov = coverage_map_points(scene, region.points())
+    cov = _coverage(scene, region.points())  # TargetRegion bounds its vertices
     cov.shape = (region.nu, region.nv)
     return cov
 

@@ -281,11 +281,11 @@ def _gauss_legendre_table(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     small = int(np.searchsorted(n, _TWO_STEP_SIZE))  # the sorted nodes' prefix of small rules
     if small:
         x[:small], weights[:small] = _halley_step(x[:small], n[:small], starts[starts < small])
-    # Mirror: row i's column c < half is -x[start + half - 1 - c], the rest
-    # x[start + c - half + n % 2]; columns past n are padding.
+    # Mirror: row i's column c is x[start + |2c - (n - 1)| // 2], negated
+    # below the middle (c < half); columns past n are padding.
     cols = np.arange(sizes[-1])
     below = cols < half[:, None]
-    index = starts[:, None] + np.where(below, half[:, None] - 1 - cols, cols - half[:, None] + sizes[:, None] % 2)
+    index = starts[:, None] + np.abs(2 * cols - (sizes - 1)[:, None]) // 2
     pad = cols >= sizes[:, None]
     node_table = np.take(x, index, mode="clip")
     np.negative(node_table, out=node_table, where=below)

@@ -337,7 +337,8 @@ def _check_angles(theta_t, phi_t=None, varphi_t=None, theta_r=None, phi_r=None) 
         # Written as "inside" so that NaN fails too.
         inside = (arr >= 0.0) & ((arr <= hi) if hi_closed else (arr < hi))
         if not np.all(inside):
-            raise ValueError(f"{name} out of range: {val}")
+            bad = val if arr.ndim == 0 else float(arr[~inside][0])  # an array's first, not the whole array
+            raise ValueError(f"{name} out of range: {bad}")
         arrays.append(arr)
     return np.broadcast_arrays(*arrays)
 

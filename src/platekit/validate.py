@@ -37,6 +37,17 @@ _TRIALS_PER_BLOCK = 1024
 _THRESHOLD_MARGIN = 1e-12
 
 
+# The plate frame of a unit quaternion (w, x, y, z), rows edge1, edge2, normal:
+#   1 - 2(yy + zz)   2(xy + zw)       2(xz - yw)
+#   2(xy - zw)       1 - 2(xx + zz)   2(yz + xw)
+#   2(xz + yw)       2(yz - xw)       1 - 2(xx + yy)
+# Each entry is 2*(a + sign*b), and 1 minus that on the diagonal, with a and b
+# at these indices 4*i + j of the table of pairwise products of components i, j.
+_FRAME_FIRST = np.array([[10, 6, 7], [6, 5, 11], [7, 11, 5]])
+_FRAME_SECOND = np.array([[15, 12, 8], [12, 15, 4], [8, 4, 10]])
+_FRAME_SIGN = np.array([[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+
+
 def _exact_cosine(q, v):
     """normal . v/|v| for the plate normal of the quaternion ``q``, rounded as
     _draw_scenarios's frames and directions and ndarray.dot round it."""
@@ -88,15 +99,11 @@ def _draw_scenarios(rng: np.random.Generator, count: int, lam: float):
     varphi = 2.0 * math.pi * u[2]
     varphi[varphi == 0.0] = 2.0 * math.pi  # PolarizationAngle's closed end
     q = np.array(quaternions)
-    w, x, y, z = (q / np.sqrt(np.vecdot(q, q))[:, None]).T
-    frames = np.stack(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y + z * w), 2 * (x * z - y * w),
-            2 * (x * y - z * w), 1 - 2 * (x * x + z * z), 2 * (y * z + x * w),
-            2 * (x * z + y * w), 2 * (y * z - x * w), 1 - 2 * (x * x + y * y),
-        ],
-        axis=-1,
-    ).reshape(count, 3, 3)
+    q /= np.sqrt(np.vecdot(q, q))[:, None]
+    products = (q[:, :, None] * q[:, None, :]).reshape(count, 16)
+    frames = products[:, _FRAME_FIRST] + _FRAME_SIGN * products[:, _FRAME_SECOND]
+    frames *= 2.0
+    np.subtract(1.0, frames, out=frames, where=np.eye(3, dtype=bool))
     a_inc, a_obs = np.array(arrivals), np.array(observers)
     a_inc /= np.sqrt(np.vecdot(a_inc, a_inc))[:, None]
     a_obs /= np.sqrt(np.vecdot(a_obs, a_obs))[:, None]

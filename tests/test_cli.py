@@ -1076,16 +1076,61 @@ def test_subcommand_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
     assert run(capsys, argv) == (code, out, err)
 
 
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("command", PARSE_CASES)
+def test_subcommand_help_reads_as_the_full_parser_at_any_width(capsys, monkeypatch, command, columns):
+    """--help of the one-command parser, with usage lines wrapped at a narrow
+    and a wide terminal, is the full parser's byte for byte."""
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err = run(capsys, [command, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: platekit {command} [-h]")
+    assert shutil.get_terminal_size().columns == int(columns)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert run(capsys, [command, "--help"]) == (code, out, err)
+
+
+def test_unrecognized_arguments_fall_back_to_the_full_parser(capsys, monkeypatch):
+    """A run parses with its command's parser alone; only leftover arguments
+    rebuild the full parser, whose top-level error names them."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    assert run(capsys, ["validate", "--trials", "3"])[0] == 0
+    assert built == ["validate"]
+    built.clear()
+    code, out, err = run(capsys, ["validate", "--trials", "3", "--bogus", "extra"])
+    assert built == ["validate", None]
+    assert (code, out) == (2, "") and err.startswith("usage: platekit [-h]")
+    assert err.endswith("\nplatekit: error: unrecognized arguments: --bogus extra\n")
+
+
+NAMESPACE_ARGV = [valid for valid, _, _ in PARSE_CASES.values()] + [
+    ["validate", "--tri", "3", "--seed=-7", "--tol", "-1e-3"],
+    ["optimize", "--", "scene.json"],
+    ["coverage", "--out-csv", "c.csv", "--", "scene.json"],
+    ["compare", "--", "m.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", NAMESPACE_ARGV, ids=[" ".join(argv) for argv in NAMESPACE_ARGV])
+def test_subcommand_parser_reads_the_full_parsers_namespace(argv):
+    args, extra = cli.build_parser(argv[0]).parse_known_args(argv)
+    assert extra == [] and vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
 def test_subcommand_parser_holds_only_its_own_flags():
     def flags(parser):
-        sub = next(a for a in parser._actions if a.dest == "command")
-        return {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
+        return [o for a in parser._actions for o in a.option_strings]
 
-    full = flags(cli.build_parser())
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    full = {name: flags(p) for name, p in sub.choices.items()}
     assert list(full) == list(PARSE_CASES) and all(full.values())
     assert full["validate"] == ["-h", "--help", "--trials", "--seed", "--nodes-per-edge", "--tol", "--freq-hz"]
     for name in PARSE_CASES:
-        assert flags(cli.build_parser(name)) == {name: full[name]}
+        parser = cli.build_parser(name)
+        assert {name: flags(parser)} == {name: full[name]}
+        assert [a.dest for a in parser._actions if a.dest != "command"] == [a.dest for a in sub.choices[name]._actions]
 
 
 def _measurement_file(tmp_path):
@@ -1233,6 +1278,8 @@ def _scene_numbers(cfg: dict, prefix: str = "") -> list:
 
 
 SCENE_NUMBERS = _scene_numbers(SCENE_CONFIG)
+# JSON values that are not numbers: the ladder's words that only a scene config can hold.
+JSON_ONLY_VALUES = ["null", "true", '"1"', "[1]", '{"a": 1}']
 # The optimize subset: the positions that reach the search's distances, an
 # edge length, the polarization, a level and a grid count.
 OPTIMIZE_SCENE_NUMBERS = ["tx_position_m[0]", "plate_position_m[2]", "plate.length1_m", "polarization_deg",
@@ -1245,8 +1292,9 @@ SCENE_BOUNDARY_RUNS = [("coverage", *entry) for entry in SCENE_NUMBERS] + [
 @pytest.mark.parametrize("command, name, keys", SCENE_BOUNDARY_RUNS,
                          ids=[f"{c}-{n}" for c, n, _ in SCENE_BOUNDARY_RUNS])
 def test_scene_numbers_take_every_boundary_value(capsys, tmp_path, command, name, keys):
-    """Each value of the ladder, as written in the JSON text, at one number of
-    the scene config; every number on coverage, a subset on optimize."""
+    """Each value of the ladder and each JSON-only value, as written in the
+    JSON text, at one number of the scene config; every number on coverage, a
+    subset on optimize.  A JSON value that is not a number always exits 2."""
     assert len(SCENE_NUMBERS) == 31 and len(SCENE_BOUNDARY_RUNS) == 39
     outputs = {"coverage": ["--out-csv", str(tmp_path / "out.csv"), "--out-svg", str(tmp_path / "out.svg")],
                "optimize": ["--out-json", str(tmp_path / "out.json")]}[command]
@@ -1256,10 +1304,11 @@ def test_scene_numbers_take_every_boundary_value(capsys, tmp_path, command, name
     for key in parents:
         node = node[key]
     node[last] = "@VALUE@"
-    for value in BOUNDARY_VALUES:
+    for value in BOUNDARY_VALUES + JSON_ONLY_VALUES:
         path = write_config(tmp_path, cfg)
         path.write_text(path.read_text().replace('"@VALUE@"', value))
-        _boundary_run(capsys, tmp_path, [command, str(path), *outputs], value)
+        code, err = _boundary_run(capsys, tmp_path, [command, str(path), *outputs], value)
+        assert code == 2 or value not in JSON_ONLY_VALUES, (name, value)
 
 
 SWEEP_FLOAT_FLAGS = [(f, n) for c, f, k, n in NUMERIC_FLAGS if c == "sweep" and k == 0]
@@ -1271,3 +1320,36 @@ SWEEP_FLOAT_FLAGS = [(f, n) for c, f, k, n in NUMERIC_FLAGS if c == "sweep" and 
 def test_negative_non_finite_values_get_the_finite_value_error(capsys, tmp_path, flag, nargs, value):
     """The sweep rows of the boundary table with negative non-finite words."""
     _flag_boundary_run(capsys, tmp_path, "sweep", flag, 0, nargs, value)
+
+
+# One angle cell (the last row's, so that a large angle keeps the angles
+# increasing), one power cell and each metadata line of a measurement CSV.
+MEASUREMENT_FIELDS = ["theta_r_deg", "p_rx_dbm", "theta_t_deg", "varphi_t_deg", "freq_hz"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", MEASUREMENT_FIELDS)
+def test_measurement_fields_take_every_boundary_value(capsys, tmp_path, field):
+    """Each value of the ladder at one field of the measurement file of a
+    compare run that takes its polarization case and frequency from the file."""
+    grid = np.arange(0.0, 91.0, 5.0)
+    curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", grid)
+    base = tmp_path / "base.csv"
+    save_series(MeasurementSeries(curve[0], curve[1], theta_t_deg=45.0, varphi_t_deg=90.0, freq_hz=3e9), base)
+    lines = base.read_text().splitlines()
+    base.unlink()
+    meta = {line[2:].split("=")[0]: i for i, line in enumerate(lines) if line.startswith("# ")}
+    assert sorted(meta) == sorted(MEASUREMENT_FIELDS[2:]) and len(lines) == len(meta) + 1 + len(grid)
+    path = tmp_path / "meas.csv"
+    outputs = ["--out-json", str(tmp_path / "out.json"), "--out-svg", str(tmp_path / "out.svg")]
+    for value in BOUNDARY_VALUES:
+        text = list(lines)
+        if field in meta:
+            text[meta[field]] = f"# {field}={value}"
+        else:
+            row = len(text) - 1 if field == "theta_r_deg" else len(text) - len(grid) // 2
+            cells = text[row].split(",")
+            cells[MEASUREMENT_FIELDS.index(field)] = value
+            text[row] = ",".join(cells)
+        path.write_text("\n".join(text) + "\n")
+        _boundary_run(capsys, tmp_path, ["compare", str(path), *outputs], value)

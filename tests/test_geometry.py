@@ -139,6 +139,23 @@ def test_check_unit_rejects_non_finite():
             PlateGeometry(l1, l2, EZ, EX, EY)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("huge", [1e300, -1e300, 1e160, 2.0000000000000004])
+def test_check_unit_rejects_a_component_above_2_before_the_norm(huge):
+    """A component above 2 cannot be part of a unit vector; the norm of a
+    huge one would overflow, so it is rejected first, with no warning."""
+    from platekit import PlateGeometry
+    from platekit.geometry import check_unit
+
+    with pytest.raises(ValueError, match="normal is not unit length: a component is above 2"):
+        PlateGeometry.from_frame(1.0, 1.0, [huge, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="edge1 is not unit length: a component is above 2"):
+        PlateGeometry(1.0, 1.0, EZ, [0.0, huge, 0.0], EY)
+    with pytest.raises(ValueError, match="v is not unit length: a component is above 2"):
+        check_unit([0.0, 0.0, huge], "v")
+    assert check_unit([0.0, 0.0, -1.0]).tolist() == [0.0, 0.0, -1.0]
+
+
 # One pair of 3-vectors, row pairs, a vector against a stack, a candidate
 # stack against shared receivers, and a transposed (non-contiguous) view.
 @pytest.mark.parametrize("shape_u, shape_v, transposed", [

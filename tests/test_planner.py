@@ -100,6 +100,24 @@ def test_coverage_at_the_position_bound_stays_finite():
     assert not cov.shadow.any() and np.isfinite(cov.power_dbm).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("point, message", [
+    ([0.0, -1e300, 0.0], "receiver point lies 1e\\+300 m from the origin"),
+    ([0.0, -8e152, 8e152], "receiver point lies 1.13e\\+153 m from the origin"),
+    ([math.inf, 0.0, 0.0], "receiver points must be finite"),
+    ([0.0, math.nan, 0.0], "receiver points must be finite"),
+])
+def test_coverage_points_beyond_the_bound_are_rejected_before_any_array_math(point, message):
+    """coverage_map_points takes the position bound of Scene and TargetRegion:
+    a receiver beyond 1e153 m from the origin, or not finite, is a ValueError
+    with no overflow warning first; one just inside the bound is evaluated."""
+    scene = make_scene()
+    with pytest.raises(ValueError, match=message):
+        coverage_map_points(scene, [[1.0, -3.0, 0.0], point])
+    cov = coverage_map_points(scene, [[0.0, -9.9e152, 0.0], [0.0, -7e152, 7e152]])
+    assert not cov.shadow.any() and np.isfinite(cov.power_dbm).all()
+
+
 def test_orient_for_target_bisects():
     s = 1 / math.sqrt(2)
     tx = np.array([0.0, -10.0, 10.0])  # incident direction (0, s, -s)

@@ -359,8 +359,17 @@ def test_xy_plate_rejects_nan_angle(wl_3ghz):
 
 def test_perpendicular_cut_rejects_nan_angle(wl_3ghz):
     lam = wl_3ghz.meters
-    with pytest.raises(ValueError, match="theta_r out of range"):
+    with pytest.raises(ValueError, match="^theta_r out of range: nan$"):
         rcs_perpendicular_cut(deg(45), np.array([0.1, math.nan]), lam, lam, wl_3ghz)
+
+
+def test_angle_check_names_an_arrays_first_value_out_of_range(wl_3ghz):
+    """Not the whole array: a measured sweep's angles can be a million rows."""
+    lam = wl_3ghz.meters
+    angles = np.linspace(0.0, 1.5, 2000)
+    angles[[700, 1500]] = [1.75e298, -2.0]
+    with pytest.raises(ValueError, match="^theta_r out of range: 1.75e\\+298$"):
+        rcs_perpendicular_cut(deg(45), angles, lam, lam, wl_3ghz)
 
 
 def test_angle_forms_check_lengths(wl_3ghz):
