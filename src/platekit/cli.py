@@ -515,11 +515,10 @@ def _add_optimize_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_optimize(args) -> int:
     scene, region, objective = load_scene_config(args.config)
-    initial = planner.orientation_objective(scene, region, objective)
     result = planner.optimize_orientation(scene, region, objective)
     fields = {
         "objective": objective,
-        "initial_objective_dbm": initial,
+        "initial_objective_dbm": result.initial_dbm,
         "best_zenith_deg": result.zenith_deg,
         "best_azimuth_deg": result.azimuth_deg,
         "best_objective_dbm": result.value_dbm,

@@ -174,13 +174,18 @@ def theoretical_curve(
     ``pol_case`` selects the polarization of the principal-cut model:
     "perpendicular" (E normal to the vertical incidence plane) or
     "parallel" (E in that plane).  The default grid is 0..90 degrees in
-    5-degree steps.  Grazing nulls yield -inf entries.
+    5-degree steps.  Grazing nulls yield -inf entries.  An angle outside
+    [0, 90] degrees raises ValueError naming it in degrees, as it was given.
     """
     if pol_case not in POLARIZATION_CASES:
         raise ValueError(f"pol_case must be one of {POLARIZATION_CASES}, got {pol_case!r}")
     if theta_r_deg is None:
         theta_r_deg = np.arange(0.0, 91.0, 5.0)
     theta_r_deg = np.asarray(theta_r_deg, dtype=float)
+    for name, deg in (("theta_t_deg", np.atleast_1d(float(config.theta_t_deg))), ("theta_r_deg", theta_r_deg.ravel())):
+        outside = ~((deg >= 0.0) & (deg <= 90.0))  # NaN is outside too
+        if outside.any():
+            raise ValueError(f"{name} out of range [0, 90]: {float(deg[outside][0])}")
     wl = config.wavelength()
     l1 = config.plate_l1_wavelengths * wl.meters
     l2 = config.plate_l2_wavelengths * wl.meters

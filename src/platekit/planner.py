@@ -3,9 +3,9 @@
 A Scene fixes the transmitter, the plate position, the wave polarization,
 and the link parameters; receiver positions come from a TargetRegion grid.
 Coverage maps (the plate's own frame) and the orientation search (stacks of
-candidate frames) score receivers through one evaluator.  Back-side
-(shadowed) points are marked and excluded from planning objectives: the
-reflection model holds only on the lit side.
+candidate frames) score receiver positions through one evaluator.  Points
+behind the plate or at it are shadowed: marked in coverage and excluded from
+planning objectives, since the reflection model holds only on the lit side.
 
 The orientation search runs over the two tilt angles of the plate normal
 only; the rotation about the normal is fixed by the horizontal-edge
@@ -233,18 +233,23 @@ def orient_for_target(tx_position, plate_position, target_position) -> tuple[np.
     return n, e1[0], e2[0]
 
 
-def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, a_obs: np.ndarray, dist: np.ndarray):
-    """(sigma in m^2, received dBm, shadow mask) of receivers at unit
-    directions ``a_obs`` (N, 3), best stored component-major, and distances
-    ``dist`` (N,) from the plate,
-    for plate frames with rows edge1, edge2, normal: the plate's own (3, 3)
-    frame gives (N,) arrays, a (C, 3, 3) stack of candidate frames (C, N)
-    arrays.  Receivers on or behind the plate plane (normal . a_obs <= 0)
-    are shadowed."""
+def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, pts: np.ndarray):
+    """(sigma in m^2, received dBm, shadow mask) of receivers at the checked
+    positions ``pts`` (N, 3), for plate frames with rows edge1, edge2, normal:
+    the plate's own (3, 3) frame gives (N,) arrays, a (C, 3, 3) stack of
+    candidate frames (C, N) arrays.  Receivers on or behind the plate plane
+    (normal . a_obs <= 0) or within 1e-12 m of the plate are shadowed.  Each
+    value depends only on its frame and receiver, not on what else is scored."""
+    # Component-major: each coordinate of the directions is one contiguous row.
+    a_obs = (pts.T - scene.plate_position[:, None]).T
+    dist = np.linalg.norm(a_obs, axis=1)
+    coincident = dist < 1e-12
+    dist[coincident] = 1.0
+    a_obs /= dist[:, None]
     e1, e2, n = (frames[..., None, k, :] for k in range(3))  # (1, 3) or (C, 1, 3): broadcast against a_obs
     p = scene.plate
     sig = _closed_form(p.length1, p.length2, n, e1, e2, wave.direction, wave.h_dir, a_obs, scene.wavelength)[0]
-    return sig, received_dbm(scene.link_scenario(dist), sig), frames[..., 2, :] @ a_obs.T <= 0.0
+    return sig, received_dbm(scene.link_scenario(dist), sig), (frames[..., 2, :] @ a_obs.T <= 0.0) | coincident
 
 
 def coverage_map_points(scene: Scene, points) -> CoverageMap:
@@ -265,18 +270,10 @@ def _coverage(scene: Scene, pts: np.ndarray) -> CoverageMap:
     """Coverage at the checked receiver positions ``pts`` (N, 3), evaluated
     _PAIRS_PER_CHUNK receivers at a time."""
     wave, frame = scene.incident_wave(), np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])
-    sig, power = np.empty(len(pts)), np.empty(len(pts))
-    shadow = np.empty(len(pts), dtype=bool)
+    sig, power, shadow = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts), dtype=bool)
     for start in range(0, len(pts), _PAIRS_PER_CHUNK):
         part = slice(start, start + _PAIRS_PER_CHUNK)
-        # Component-major: each coordinate of the chunk is one contiguous row.
-        a_obs = (pts[part].T - scene.plate_position[:, None]).T
-        dist = np.linalg.norm(a_obs, axis=1)
-        coincident = dist < 1e-12
-        dist[coincident] = 1.0
-        a_obs /= dist[:, None]
-        sig[part], power[part], shadow[part] = _receivers(scene, wave, frame, a_obs, dist)
-        shadow[part] |= coincident
+        sig[part], power[part], shadow[part] = _receivers(scene, wave, frame, pts[part])
     sig[shadow] = np.nan
     power[shadow] = np.nan
     return CoverageMap(pts, sig, power, shadow, (pts.shape[0], 1))
@@ -290,17 +287,13 @@ def coverage_map(scene: Scene, region: TargetRegion) -> CoverageMap:
 
 
 def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, objective: str) -> np.ndarray:
-    """Objective for a (C, 3, 3) stack of candidate frames (rows edge1, edge2,
-    normal), _PAIRS_PER_CHUNK candidate x point pairs at a time.  Shadowed
-    points are excluded; candidates that shadow every point or face away
-    from the transmitter score -inf."""
+    """Objective at the checked receiver positions ``points`` (N, 3) for a
+    (C, 3, 3) stack of candidate frames (rows edge1, edge2, normal), scored
+    through _receivers _PAIRS_PER_CHUNK candidate x point pairs at a time.
+    Shadowed points (behind the plate or at it) are excluded; candidates that
+    shadow every point or face away from the transmitter score -inf."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    a_obs = (points.T - scene.plate_position[:, None]).T
-    dist = np.linalg.norm(a_obs, axis=1)
-    if np.any(dist < 1e-12):
-        raise ValueError("region contains the plate position")
-    a_obs /= dist[:, None]
     wave = scene.incident_wave()
     # Candidates facing away from the transmitter score -inf unevaluated.
     facing = np.flatnonzero(frames[:, 2] @ wave.direction < 0.0)
@@ -308,7 +301,7 @@ def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, obje
     step = max(1, _PAIRS_PER_CHUNK // len(points))
     for start in range(0, len(facing), step):
         chunk = facing[start : start + step]
-        _, power, shadow = _receivers(scene, wave, frames[chunk], a_obs, dist)
+        _, power, shadow = _receivers(scene, wave, frames[chunk], points)
         if objective == "max-min-dbm":
             v = np.min(np.where(shadow, np.inf, power), axis=1)
             v[v == np.inf] = -np.inf  # every point shadowed
@@ -330,7 +323,8 @@ def orientation_objective(scene: Scene, region: TargetRegion, objective: str) ->
 
 @dataclass
 class OrientationResult:
-    """Best orientation found by the search, with the achieved objective."""
+    """Best orientation found by the search, with the achieved objective
+    ``value_dbm`` and ``initial_dbm``, the objective of the scene's own frame."""
 
     normal: np.ndarray
     edge1: np.ndarray
@@ -340,6 +334,7 @@ class OrientationResult:
     objective: str
     value_dbm: float
     evaluations: int
+    initial_dbm: float
 
 
 def optimize_orientation(
@@ -389,6 +384,6 @@ def optimize_orientation(
         raise ValueError("no candidate orientation lights any receiver in the region")
     if own_v > best_v:
         p = scene.plate
-        return OrientationResult(p.normal, p.edge1, p.edge2, own_z, own_a, objective, own_v, evaluations + 1)
+        return OrientationResult(p.normal, p.edge1, p.edge2, own_z, own_a, objective, own_v, evaluations + 1, own_v)
     n, e1, e2 = orientation_from_angles(math.radians(best_z), math.radians(best_a))
-    return OrientationResult(n, e1, e2, best_z, best_a, objective, best_v, evaluations + 1)
+    return OrientationResult(n, e1, e2, best_z, best_a, objective, best_v, evaluations + 1, own_v)

@@ -819,6 +819,24 @@ def test_optimize_rejects_region_behind_the_plate(capsys, tmp_path, objective):
     assert not out_json.exists()
 
 
+def test_optimize_leaves_out_a_receiver_at_the_plate(capsys, tmp_path):
+    """A region whose corner is the plate position: coverage shadows that
+    cell, and the search leaves it out of the objective instead of exiting 2."""
+    cfg = json.loads(json.dumps(SCENE_CONFIG))
+    cfg["region"] = {"corner_m": cfg["plate_position_m"], "edge_u_m": [4.0, -6.0, 0.0],
+                     "edge_v_m": [0.0, -6.0, 4.0], "nu": 3, "nv": 3}
+    path, out_csv, out_json = write_config(tmp_path, cfg), tmp_path / "c.csv", tmp_path / "best.json"
+    code, out, _ = run(capsys, ["coverage", str(path), "--out-csv", str(out_csv)])
+    rows = out_csv.read_text().splitlines()[1:]
+    assert code == 0 and rows[0].endswith(",shadow") and not any(r.endswith("shadow") for r in rows[1:])
+    code, out, err = run(capsys, ["optimize", str(path), "--out-json", str(out_json)])
+    assert (code, err) == (0, "")
+    payload = json.loads(out_json.read_text())
+    scene, region, objective = load_scene_config(str(path))
+    assert payload["initial_objective_dbm"] == orientation_objective(scene, region, objective) > -math.inf
+    assert payload["best_objective_dbm"] >= payload["initial_objective_dbm"]
+
+
 def _reject_constant(name):
     raise AssertionError(f"bare {name} in JSON output")
 
@@ -983,6 +1001,23 @@ def test_compare_rejects_zero_frequency_metadata(capsys, tmp_path):
                                   "--out-json", str(out_json), "--out-svg", str(out_svg)])
     assert (code, out, err) == (2, "", "error: frequency must be positive and finite: 0.0\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["meas.csv"]
+
+
+# A last row at 1e300 degrees; a file theta_t of -1 degree; a flag theta_t
+# of 95 degrees.  These errors named the angles in radians.
+@pytest.mark.parametrize("last_row, theta_t, flags, message", [
+    ("1e300", "45", [], "theta_r_deg out of range [0, 90]: 1e+300"),
+    ("90", "-1", [], "theta_t_deg out of range [0, 90]: -1.0"),
+    ("90", "45", ["--theta-t-deg", "95"], "theta_t_deg out of range [0, 90]: 95.0"),
+])
+def test_compare_names_out_of_range_angles_in_degrees(capsys, tmp_path, last_row, theta_t, flags, message):
+    meas, out_json = tmp_path / "meas.csv", tmp_path / "report.json"
+    rows = "".join(f"{angle},-50\n" for angle in ["0", "20", "40", "60", last_row])
+    meas.write_text(f"# theta_t_deg={theta_t}\ntheta_r_deg,p_rx_dbm\n{rows}")
+    code, out, err = run(capsys, ["compare", str(meas), "--pol-case", "perpendicular", *flags,
+                                  "--out-json", str(out_json)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_json.exists()
 
 
 # Each ExperimentConfig field and the compare flag that sets it.

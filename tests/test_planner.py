@@ -249,6 +249,7 @@ def test_optimize_never_below_initial_orientation():
         initial = orientation_objective(scene, region, objective)
         result = optimize_orientation(scene, region, objective)
         assert result.value_dbm >= initial - 1e-12
+        assert result.initial_dbm == initial
 
 
 def test_optimize_symmetric_region():
@@ -320,12 +321,19 @@ def test_objective_values_independent_of_chunking(monkeypatch, pairs):
         monkeypatch.undo()
 
 
+# Only the corner cell of this region lies at the plate (the others are in
+# front of it): coverage shadows that cell, and the objectives leave it out.
+AT_PLATE_REGION = TargetRegion(np.zeros(3), 4 * EX - 6 * EY, 4 * EZ - 6 * EY, 3, 3)
+
+
 def test_objective_equals_coverage_over_lit_cells():
     rng = np.random.default_rng(73)
+    cases = [(random_facing_scene(rng), random_region(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+             for _ in range(40)]
+    at_plate = coverage_map(make_scene(), AT_PLATE_REGION).shadow
+    assert at_plate[0] and not at_plate[1:].any()
     checked = 0
-    for _ in range(40):
-        scene = random_facing_scene(rng)
-        region = random_region(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+    for scene, region in cases + [(make_scene(), AT_PLATE_REGION)]:
         lit = coverage_map(scene, region).power_dbm
         lit = lit[~np.isnan(lit)]
         if lit.size == 0:
@@ -352,12 +360,13 @@ def test_candidate_stack_equals_scalar_rcs_and_link_budget():
     def check(seed, candidates, nu, nv):
         rng = np.random.default_rng(seed)
         scene = random_facing_scene(rng)
-        rel = random_region(rng, nu, nv).points() - scene.plate_position
+        pts = random_region(rng, nu, nv).points()
+        rel = pts - scene.plate_position
         dist = np.linalg.norm(rel, axis=1)
         a_obs = rel / dist[:, None]
         frames = np.stack([random_rotation(rng).T for _ in range(candidates)])  # rows edge1, edge2, normal
         wave, p = scene.incident_wave(), scene.plate
-        sig, power, shadow = planner._receivers(scene, wave, frames, a_obs, dist)
+        sig, power, shadow = planner._receivers(scene, wave, frames, pts)
         assert sig.shape == power.shape == shadow.shape == (candidates, len(dist))
         for c, (e1, e2, n) in enumerate(frames):
             plate = PlateGeometry(p.length1, p.length2, n, e1, e2)
@@ -367,6 +376,36 @@ def test_candidate_stack_equals_scalar_rcs_and_link_budget():
                 assert abs(sig[c, j] - want) <= 1e-12 * smax
                 assert abs(power[c, j] - received_power(scene.link_scenario(float(dist[j])), want)) <= 1e-9
                 assert shadow[c, j] == (float(np.dot(n, a)) <= 0.0)
+
+    check()
+
+
+def test_receivers_do_not_depend_on_the_batch_or_the_receiver_subset():
+    """One candidate scored on every 7th receiver gives the bits of its row
+    and those columns in a call on the whole stack and the whole region."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), candidates=st.integers(1, 50),
+                      nu=st.integers(1, 30), nv=st.integers(1, 30), at_plate=st.booleans())
+    def check(seed, candidates, nu, nv, at_plate):
+        rng = np.random.default_rng(seed)
+        scene = random_facing_scene(rng)
+        region = random_region(rng, nu, nv)
+        if at_plate:  # the first receiver, which every subset keeps, at the plate
+            region = TargetRegion(scene.plate_position, region.edge_u, region.edge_v, nu, nv)
+        pts = region.points()
+        frames = np.stack([random_rotation(rng).T for _ in range(candidates)])  # rows edge1, edge2, normal
+        wave = scene.incident_wave()
+        full = planner._receivers(scene, wave, frames, pts)
+        c = int(rng.integers(candidates))
+        part = planner._receivers(scene, wave, frames[c : c + 1], pts[::7])
+        for whole, sub in zip(full, part):
+            assert sub.shape == (1, len(pts[::7]))
+            assert sub[0].tobytes() == whole[c, ::7].tobytes()
+        if at_plate:
+            assert full[2][:, 0].all()  # shadowed under every frame
 
     check()
 
