@@ -163,6 +163,9 @@ def _plate_from_args(args, wl: Wavelength) -> PlateGeometry:
 
 
 def _wave_vectors_from_args(args):
+    geometry.check_degrees("--theta-t-deg", args.theta_t_deg, 90.0)
+    geometry.check_degrees("--phi-t-deg", args.phi_t_deg, 360.0, upper_open=True)
+    geometry.check_degrees("--pol-deg", args.pol_deg, 360.0)
     angles = geometry.SphericalAngles.from_degrees(args.theta_t_deg, args.phi_t_deg)
     pol = geometry.PolarizationAngle.from_degrees(args.pol_deg)
     _, h_dir, a_inc = geometry.polarization_triad(angles, pol)
@@ -177,6 +180,8 @@ def _cmd_rcs(args) -> int:
     wl = Wavelength.from_frequency(args.freq_hz)
     plate = _plate_from_args(args, wl)
     a_inc, h_dir = _wave_vectors_from_args(args)
+    geometry.check_degrees("--theta-r-deg", args.theta_r_deg, 90.0)
+    geometry.check_degrees("--phi-r-deg", args.phi_r_deg, 360.0, upper_open=True)
     obs = geometry.observation_direction(
         geometry.SphericalAngles.from_degrees(args.theta_r_deg, args.phi_r_deg)
     )
@@ -246,12 +251,14 @@ def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 def _observation_directions(theta_deg: np.ndarray, phi_deg: float) -> np.ndarray:
     """(N, 3) observation unit vectors for an increasing zenith grid (degrees),
-    stored component-major so that each coordinate is one contiguous row."""
+    stored component-major so that each coordinate is one contiguous row.
+    A grid that breaks the [0, 90] range is reported in degrees: by its first
+    point, as --theta-r-start, or else by its first point past 90, as
+    --theta-r-stop."""
+    geometry.check_degrees("--theta-r-start", theta_deg[:1], 90.0)
+    geometry.check_degrees("--theta-r-stop", theta_deg, 90.0)
+    geometry.check_degrees("--phi-r-deg", phi_deg, 360.0, upper_open=True)
     theta, phi = np.radians(theta_deg), math.radians(phi_deg)
-    # SphericalAngles holds the range rule.  On an increasing grid only the
-    # first point and the first point past pi/2 can be the first to break it.
-    for t in theta[:1].tolist() + theta[theta > math.pi / 2][:1].tolist():
-        geometry.SphericalAngles(t, phi)
     st = np.sin(theta)
     return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)]).T
 

@@ -14,16 +14,25 @@ the text with numpy instead:
   which ``%`` rounds half to even, are among them) the value is formatted by
   ``%`` on its own, as are non-finite values and magnitudes outside
   [1e-13, 1e22).
-- Digits come from tables of the 1000 three-digit groups.  The text is laid
-  out as byte fields, one (rows,) uint8 array per character position of a
-  row: sign, ``0.`` and zeros before a small fraction, each digit and each
-  place a decimal point can follow it, the exponent, the commas.  A byte is
-  NUL where ``%`` prints no character, so stacking the fields into rows and
-  dropping the NULs leaves the CSV text.  Fields no row of a call uses are
-  left out.
+- Digits come from tables of the 1000 three-digit groups, split off the
+  nine-digit integer in float64 (exact below 1e9) and indexed as intp, the
+  type ``take`` indexes with.  A row's digit count comes from a table on its
+  last group (its two others only where that group is 000).  A digit that
+  not every row prints is read from a table indexed by (digits the row
+  shows in that group, group), NUL at the places it does not show.  The
+  text is laid out as byte fields, one (rows,) uint8 array per character
+  position of a row: sign, ``0.`` and zeros before a small fraction, each
+  digit and each place a decimal point can follow it, the exponent, the
+  commas.  A byte is NUL where ``%`` prints no character, so stacking the
+  fields into rows and dropping the NULs leaves the CSV text.  Fields no row
+  of a call uses are left out.
 - An integer's digits are the three-digit groups of its magnitude, split off
-  by ``divmod``.  A column whose magnitudes all fit int32 (``-2**31`` does
-  not) is counted and split in int32, the rest in uint64.
+  by floor division; the most significant group is what is left.  A column
+  whose magnitudes all fit int32 (``-2**31`` does not) is counted and split
+  in int32, the rest in uint64.
+- A column whose values all have one bit pattern (a horizontal region's
+  ``z_m``) is formatted from its first value alone, each byte of that text
+  repeated down the rows.
 - ``%.2f`` splits ``|x|`` into its whole part, which prints as ``%d``, and
   its fraction; both are exact in float64.  The two decimals are
   ``rint(fraction * 100)``, one rounding off the exact product by less than
@@ -46,8 +55,16 @@ _POW10_U64 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.uint64))
 _GROUPS = np.arange(1000)
 # The ASCII digit at each place (hundreds, tens, ones) of the groups 000..999.
 _PLACES = (np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10]) + ord("0")).astype(np.uint8)
-# Trailing zeros of each group; 000 has 3.
-_TRAILING_ZEROS = ((_GROUPS % 10 == 0).astype(np.int8) + (_GROUPS % 100 == 0) + (_GROUPS % 1000 == 0)).astype(np.int8)
+# The digits of a group that a count of shown digits 0..3 keeps, by place:
+# row (count * 1000 + group).  A float's digits are shown from the first
+# place of a group on, an integer's up to the last.
+_LEAD_PLACES = np.stack([(p < np.arange(4))[:, None] * _PLACES[p] for p in range(3)]).reshape(3, 4000)
+_TAIL_PLACES = np.stack([(p >= 3 - np.arange(4))[:, None] * _PLACES[p] for p in range(3)]).reshape(3, 4000)
+# Row offset into those tables of group g (places 3g..3g+2) for 0..20 shown digits.
+_SHOWN_ROWS = np.clip(np.arange(21) - 3 * np.arange(7)[:, None], 0, 3) * 1000
+# Significant digits of a nine-digit number whose last group is g != 0:
+# six before it, then the group up to its last non-zero digit.
+_LAST_GROUP_DIGITS = 3 - ((_GROUPS % 10 == 0).astype(np.intp) + (_GROUPS % 100 == 0) + (_GROUPS == 0))
 # Magnitudes whose exponent e keeps 8 - e within the exact powers of ten.
 _RANGE_MIN, _RANGE_MAX = 1e-13, 1e22
 # Closest a scaled value may come to a rounding midpoint and still be rounded here.
@@ -67,11 +84,14 @@ def fmt(x: float) -> str:
 def _round(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rint(a * 10**(8 - e)), and where that product lies within _MIDPOINT_MARGIN
     of a rounding midpoint.  The product is one rounding: a multiply or a
-    divide by an exact power of ten."""
+    divide by an exact power of ten (the divide only where some e > 8)."""
     k = 22 - e  # 8 - e, offset into the tables
-    p = a * _MUL.take(k) / _DIV.take(k)
+    p = a * _MUL.take(k)
+    if k.min(initial=14) < 14:
+        p /= _DIV.take(k)
     m = np.rint(p)
-    return m, np.abs(p - m) > 0.5 - _MIDPOINT_MARGIN
+    p -= m
+    return m, np.abs(p, out=p) > 0.5 - _MIDPOINT_MARGIN
 
 
 def _text_fields(n: int, rows: np.ndarray, texts: list[bytes]) -> list[np.ndarray]:
@@ -87,57 +107,85 @@ def _g9_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     a = np.abs(x)
     zero = a == 0.0
     in_range = (a >= _RANGE_MIN) & (a < _RANGE_MAX)
-    a = np.where(in_range, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int32)
+    if not in_range.all():
+        a[~in_range] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
     m, midpoint = _round(a, e)
     # log10 can be one off next to a power of ten, and rounding can carry
     # into a tenth digit: rescale those values once.
     redo = np.flatnonzero((m < 1e8) | (m >= 1e9))
     if redo.size:
-        e[redo] += np.where(m[redo] >= 1e9, 1, -1)
+        e[redo] += 2 * (m[redo] >= 1e9) - 1
         m[redo], again = _round(a[redo], e[redo])
         midpoint[redo] |= again
+    del a
     by_percent = np.flatnonzero((midpoint | ~(in_range | zero)) & ~hidden)
     blank = hidden.copy()
     blank[by_percent] = True
-    m[zero] = 0.0
-    e[blank] = 0
+    any_blank = blank.any()
+    if zero.any():
+        m[zero] = 0.0
+    if any_blank:
+        e[blank] = 0
 
-    high, low = np.divmod(m.astype(np.int32), 1000)
-    groups = (*np.divmod(high, 1000), low)
-    trailing = _TRAILING_ZEROS.take(groups[2]) + (groups[2] == 0) * (
-        _TRAILING_ZEROS.take(groups[1]) + (groups[1] == 0) * _TRAILING_ZEROS.take(groups[0])
-    )
-    nd = np.maximum(9 - trailing, 1)  # significant digits printed; a zero prints one
-    fixed = (e >= -4) & (e < 9)
+    # The three-digit groups of the nine-digit m, split in float64, exactly
+    # below 1e9: each quotient is at least 1e-6 from the next integer.
+    g0 = np.floor(m / 1e6)
+    m -= g0 * 1e6
+    g1 = np.floor(m / 1e3)
+    m -= g1 * 1e3
+    groups = (g0.astype(np.intp), g1.astype(np.intp), m.astype(np.intp))
+    del g0, g1, m
+    # Significant digits printed, from the last non-zero group; a zero prints one.
+    nd = _LAST_GROUP_DIGITS.take(groups[2]) + 6
+    short = np.flatnonzero(groups[2] == 0)
+    if short.size:
+        first, middle = groups[0][short], groups[1][short]
+        nd[short] = np.where(
+            middle > 0, _LAST_GROUP_DIGITS.take(middle) + 3, np.maximum(_LAST_GROUP_DIGITS.take(first), 1)
+        )
+    e_min, e_max = int(e.min(initial=0)), int(e.max(initial=0))
+    fixed = (e >= -4) & (e < 9) if e_min < -4 or e_max >= 9 else None
     # The digit a decimal point would follow: the ones digit in fixed notation
     # (negative for a small fraction, whose point the "0." prefix holds), else the first.
-    ones = np.where(fixed, e, 0)
+    after_ones = e + 1 if fixed is None else e * fixed + 1
     # Fixed notation prints every integer digit, zeros included.
-    shown = np.maximum(nd, ones + 1)
-    shown[blank] = 0
-    point = np.where(nd > ones + 1, ones, -1)
-    point[blank] = -1
-    has_point = np.bincount(point + 5, minlength=14)[5:] > 0
+    shown = np.maximum(nd, after_ones)
+    point = (nd > after_ones) * after_ones
+    point -= 1
+    if any_blank:
+        shown[blank] = 0
+        point[blank] = -1
+    del nd, after_ones
 
     fields = []
-    negative = np.signbit(x) & ~blank
+    negative = np.signbit(x)
+    if any_blank:
+        negative &= ~blank
     if negative.any():
         fields.append(negative * _MINUS)
-    small = fixed & (e < 0)
-    if small.any():
-        fields += [small * _ZERO, small * _DOT]
-        fields += [(small & (e <= -k)) * _ZERO for k in (2, 3, 4)]
+    if e_min < 0:
+        small = e < 0 if fixed is None else fixed & (e < 0)
+        if small.any():
+            fields += [small * _ZERO, small * _DOT]
+            fields += [(small & (e <= -k)) * _ZERO for k in (2, 3, 4)]
     everywhere = int(shown.min(initial=9))  # digits shown on every row need no mask
-    for j in range(int(shown.max(initial=0))):
-        digit = _PLACES[j % 3].take(groups[j // 3])
-        fields.append(digit if j < everywhere else digit * (shown > j))
-        if j < 8 and has_point[j]:
-            fields.append((point == j) * _DOT)
-    sci = ~fixed
-    if sci.any():
+    widest = int(shown.max(initial=0))
+    last_point = int(point.max(initial=-1))  # below 8: a point follows at most the eighth digit
+    for g in range((widest + 2) // 3):
+        if 3 * g + 3 > everywhere:
+            rows = _SHOWN_ROWS[g].take(shown) + groups[g]
+        for p in range(min(3, widest - 3 * g)):
+            j = 3 * g + p
+            fields.append(_PLACES[p].take(groups[g]) if j < everywhere else _LEAD_PLACES[p].take(rows))
+            if j <= last_point:
+                dot = point == j
+                if dot.any():
+                    fields.append(dot * _DOT)
+    if fixed is not None:
+        sci = ~fixed
         exponent = np.abs(e)
-        fields += [sci * _E, sci * np.where(e < 0, _MINUS, _PLUS)]
+        fields += [sci * _E, sci * (_PLUS + (e < 0) * (_MINUS - _PLUS))]
         fields += [sci * _PLACES[k].take(exponent) for k in (1, 2)]
     if by_percent.size:
         fields += _text_fields(x.size, by_percent, [fmt(v).encode("ascii") for v in x[by_percent].tolist()])
@@ -170,28 +218,39 @@ def _f2_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
 
 def _int_fields(v: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     """Fields of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden``."""
-    negative = (v < 0) & ~hidden
+    negative = v < 0
+    any_hidden = hidden.any()
+    if any_hidden:
+        negative &= ~hidden
     if -(2**31 - 1) <= v.min(initial=0) and v.max(initial=0) <= 2**31 - 1:
         # Magnitudes in int32, digits counted against the powers of ten up to the largest.
         u = np.abs(v.astype(np.int32))
-        nd = np.ones(len(u), dtype=np.int32)
+        nd = np.ones(len(u), dtype=np.intp)
         for p in _POW10_U64[1 : len(str(u.max(initial=0)))].astype(np.int32):
             nd += u >= p
     else:
         u = v.astype(np.uint64)
         u = np.where(v < 0, 0 - u, u)  # two's complement magnitude, 2**63 included
         nd = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
-    nd[hidden] = 0
+    if any_hidden:
+        nd[hidden] = 0
+        u[hidden] = 0  # within the visible rows' groups
     fields = [negative * _MINUS] if negative.any() else []
     width = int(nd.max(initial=0))
+    # Three-digit groups, least significant first; the last is what is left.
     groups = []
-    for _ in range(0, width, 3):
-        u, group = np.divmod(u, 1000)
-        groups.append(group.astype(np.int32, copy=False))
+    for _ in range(3, width, 3):
+        rest = u // 1000
+        groups.append((u - rest * 1000).astype(np.intp))
+        u = rest
+    groups.append(u.astype(np.intp))
     everywhere = int(nd.min(initial=20))
-    for place in range(width - 1, -1, -1):
-        digit = _PLACES[2 - place % 3].take(groups[place // 3])
-        fields.append(digit if place < everywhere else digit * (nd > place))
+    for g in range(len(groups) - 1, -1, -1):
+        if 3 * g + 3 > everywhere:
+            rows = _SHOWN_ROWS[g].take(nd) + groups[g]
+        for p in range(max(0, 3 * g + 3 - width), 3):
+            place = 3 * g + 2 - p
+            fields.append(_PLACES[p].take(groups[g]) if place < everywhere else _TAIL_PLACES[p].take(rows))
     return fields
 
 
@@ -211,13 +270,27 @@ def format_rows(columns: list, shadow=None) -> bytearray:
         if k:
             fields.append(comma)
         if np.issubdtype(column.dtype, np.integer):
-            fields += _int_fields(column, hidden)
+            kernel = _int_fields
         else:
-            fields += _g9_fields(np.asarray(column, dtype=np.float64), hidden)
+            kernel, column = _g9_fields, np.asarray(column, dtype=np.float64)
+        if not _is_constant(column):
+            fields += kernel(column, hidden)
+            continue
+        # One value's text on every row, NUL where hidden.
+        shown = ~hidden if hidden.any() else None
+        for byte in (int(field[0]) for field in kernel(column[:1], visible[:1])):
+            if byte:
+                fields.append(np.full(n, byte, dtype=np.uint8) if shown is None else shown * np.uint8(byte))
     if shadow.any():
         fields += list(shadow * _SHADOW[:, None])
     fields.append(newline)
     return _join(fields, n)
+
+
+def _is_constant(column: np.ndarray) -> bool:
+    """Whether the column has more than one value, every one with the bit pattern of the first."""
+    bits = column.view(f"u{column.itemsize}")
+    return len(bits) > 1 and bits[-1] == bits[0] and bool((bits == bits[0]).all())
 
 
 def format_points(x, y, keep) -> list[bytes]:

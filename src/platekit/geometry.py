@@ -56,6 +56,20 @@ def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndar
     return v
 
 
+def check_degrees(name: str, degrees, upper: float, *, upper_open: bool = False) -> None:
+    """Raise ValueError if a value of ``degrees`` (a number or an array) lies
+    outside [0, upper], or [0, upper) with ``upper_open``, naming ``name`` and
+    the first such value in degrees, as it was given; NaN is outside.  An
+    angle passes here exactly when its radians pass SphericalAngles and
+    PolarizationAngle (math.radians is monotone and maps 90 and 360 onto
+    pi/2 and 2*pi)."""
+    deg = np.asarray(degrees, dtype=float).ravel()
+    inside = (deg >= 0.0) & ((deg < upper) if upper_open else (deg <= upper))
+    if not inside.all():
+        bounds = f"[0, {upper:g}{')' if upper_open else ']'}"
+        raise ValueError(f"{name} out of range {bounds}: {float(deg[~inside][0])}")
+
+
 @dataclass(frozen=True)
 class SphericalAngles:
     """Zenith/azimuth direction angles in radians.

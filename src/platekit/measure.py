@@ -18,6 +18,7 @@ import numpy as np
 
 from . import link
 from .csvtext import fmt, format_rows
+from .geometry import check_degrees
 from .rcs import Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
 
 _METADATA_KEYS = {"theta_t_deg", "varphi_t_deg", "freq_hz"}
@@ -182,10 +183,8 @@ def theoretical_curve(
     if theta_r_deg is None:
         theta_r_deg = np.arange(0.0, 91.0, 5.0)
     theta_r_deg = np.asarray(theta_r_deg, dtype=float)
-    for name, deg in (("theta_t_deg", np.atleast_1d(float(config.theta_t_deg))), ("theta_r_deg", theta_r_deg.ravel())):
-        outside = ~((deg >= 0.0) & (deg <= 90.0))  # NaN is outside too
-        if outside.any():
-            raise ValueError(f"{name} out of range [0, 90]: {float(deg[outside][0])}")
+    check_degrees("theta_t_deg", config.theta_t_deg, 90.0)
+    check_degrees("theta_r_deg", theta_r_deg, 90.0)
     wl = config.wavelength()
     l1 = config.plate_l1_wavelengths * wl.meters
     l2 = config.plate_l2_wavelengths * wl.meters

@@ -24,11 +24,9 @@ import numpy as np
 from .geometry import PolarizationAngle, _cross, unit
 from .link import LinkScenario, received_dbm
 from .po_oracle import IncidentWave
-from .rcs import PlateGeometry, Wavelength, _closed_form
+from .rcs import _EX, PlateGeometry, Wavelength, _closed_form
 
 OBJECTIVES = ("max-min-dbm", "max-mean-mw")
-
-_EX = np.array([1.0, 0.0, 0.0])
 
 # Orientation search schedule: level 0 is a global grid at COARSE_STEP_DEG,
 # each later level a window around the incumbent with the step shrunk by
@@ -241,8 +239,13 @@ def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, pts: np.nda
     (normal . a_obs <= 0) or within 1e-12 m of the plate are shadowed.  Each
     value depends only on its frame and receiver, not on what else is scored."""
     # Component-major: each coordinate of the directions is one contiguous row.
-    a_obs = (pts.T - scene.plate_position[:, None]).T
-    dist = np.linalg.norm(a_obs, axis=1)
+    components = pts.T - scene.plate_position[:, None]
+    a_obs = components.T
+    # |a_obs| as np.linalg.norm takes it: the squares summed in component order.
+    dist = components[0] * components[0]
+    dist += components[1] * components[1]
+    dist += components[2] * components[2]
+    np.sqrt(dist, out=dist)
     coincident = dist < 1e-12
     dist[coincident] = 1.0
     a_obs /= dist[:, None]

@@ -295,18 +295,6 @@ def _gauss_legendre_table(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sizes, node_table, weight_table
 
 
-def _gauss_legendre_rules(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1] for each distinct n
-    in ``sizes``, keyed by n in ascending order; see _gauss_legendre_table."""
-    sizes, node_table, weight_table = _gauss_legendre_table(sizes)
-    return {int(m): (t[:m], w[:m]) for m, t, w in zip(sizes, node_table, weight_table)}
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1]; see _gauss_legendre_table."""
-    return _gauss_legendre_rules([n])[n]
-
-
 def _far_fields(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength: Wavelength,
                 h_magnitude: float, impedance_ohm: float, distance_m: float):
     """Scattered far fields (e_theta, e_phi) of a stack of plates, by surface quadrature.

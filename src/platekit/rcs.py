@@ -167,12 +167,11 @@ def sinc(x):
     """
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < 1e-6
+    if not small.any():
+        return _scalar_or_array(np.sin(arr) / arr)
     safe = np.where(small, 1.0, arr)
-    out = np.sin(safe) / safe
-    if np.any(small):
-        tiny = np.where(small, arr, 0.0)  # large elements would overflow x*x
-        out = np.where(small, 1.0 - tiny * tiny / 6.0, out)
-    return _scalar_or_array(out)
+    tiny = np.where(small, arr, 0.0)  # large elements would overflow x*x
+    return _scalar_or_array(np.where(small, 1.0 - tiny * tiny / 6.0, np.sin(safe) / safe))
 
 
 def _sigma_max(length1, length2, wl: Wavelength):

@@ -9,8 +9,9 @@ Polyline points are formatted by ``csvtext.format_points``.  Heatmap cells
 are laid out from one byte template per run of grid rows whose y text has
 one length, with each column's x, the cell size and placeholders for y and
 the fill already in place; a chunk of rows is a copy of the template per row
-with the y text and each cell's six hex digits (a 16-entry table) assigned by
-numpy indexing, so no per-cell Python string is made.
+with the y text and each cell's six hex digits assigned by numpy indexing, so
+no per-cell Python string is made.  The digits are three pairs read from a
+256-entry table, one pair per byte of the cell's 0xRRGGBB colour.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ SHADOW_COLOR = "#9e9e9e"
 _SHADOW_CODE = int(SHADOW_COLOR[1:], 16)
 # Heatmap cells rendered per chunk (whole rows; at least one row).
 _CHUNK_CELLS = 8192
-_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-# Shifts that take a 0xRRGGBB code's six hex digits, most significant first.
-_NIBBLE_SHIFTS = np.arange(20, -1, -4, dtype=np.int32)
+# The two hex digits of each byte value 00..ff, as one uint16 apiece.
+_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode("ascii"), dtype=np.uint16)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -204,9 +204,10 @@ def _rect_rows(xs: list[str], ys: list[str], width: str, height: str, colors):
             rows = slice(first, min(stop, first + rows_per_chunk))
             block = np.tile(template, (rows.stop - rows.start, 1))
             block[:, y_at] = y_text[rows.start - start : rows.stop - start, None, :]
-            nibbles = colors(rows).astype(np.int32)[:, :, None] >> _NIBBLE_SHIFTS
-            nibbles &= 15
-            block[:, fill_at] = _HEX.take(nibbles)
+            codes = colors(rows)
+            # The little-endian bytes of 0xRRGGBB are b, g, r, 0.
+            rgb = codes.astype("<u4").view(np.uint8).reshape(*codes.shape, 4)[..., 2::-1]
+            block[:, fill_at] = _HEX_PAIRS.take(rgb).view(np.uint8).reshape(*codes.shape, 6)
             yield block.data
 
 

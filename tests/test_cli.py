@@ -68,11 +68,12 @@ def test_rcs_polarization_null(capsys):
 
 
 def test_rcs_range_error(capsys):
-    argv = list(RCS_BASE)
-    argv[argv.index("--theta-r-deg") + 1] = "95"
-    code, _, err = run(capsys, argv)
-    assert code == 2
-    assert "range" in err
+    """An angle flag out of range is reported by name, in degrees as given."""
+    for flag, value, bounds in [("--theta-r-deg", "95", "[0, 90]"), ("--phi-r-deg", "360", "[0, 360)"),
+                                ("--theta-t-deg", "-0.5", "[0, 90]"), ("--pol-deg", "nan", "[0, 360]")]:
+        code, out, err = run(capsys, RCS_BASE + [flag, value])
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} out of range {bounds}: {float(value)}\n"
 
 
 def test_rcs_conflicting_sizes(capsys):
@@ -193,11 +194,15 @@ SWEEP_BASE = [
         (["--theta-r-stop", "inf"], "must be finite"),
         (["--theta-r-start", "nan"], "must be finite"),
         (["--theta-r-step", "inf"], "must be finite"),
-        (["--theta-r-stop", "95"], f"zenith angle out of range [0, pi/2]: {math.radians(95.0)}"),
+        (["--theta-r-stop", "95"], "--theta-r-stop out of range [0, 90]: 95.0"),
         # the first point past 90 degrees is reported, as a per-point check would
-        (["--theta-r-stop", "95", "--theta-r-step", "1"], f"[0, pi/2]: {math.radians(91.0)}"),
-        (["--theta-r-start", "-1", "--theta-r-step", "1"], f"[0, pi/2]: {math.radians(-1.0)}"),
-        (["--phi-r-deg", "360"], "azimuth angle out of range"),
+        (["--theta-r-stop", "95", "--theta-r-step", "1"], "--theta-r-stop out of range [0, 90]: 91.0"),
+        (["--theta-r-start", "-1", "--theta-r-step", "1"], "--theta-r-start out of range [0, 90]: -1.0"),
+        (["--phi-r-deg", "360"], "--phi-r-deg out of range [0, 360): 360.0"),
+        (["--theta-t-deg", "95"], "--theta-t-deg out of range [0, 90]: 95.0"),
+        (["--phi-t-deg", "-1"], "--phi-t-deg out of range [0, 360): -1.0"),
+        (["--pol-deg", "361"], "--pol-deg out of range [0, 360]: 361.0"),
+        (["--theta-r-start", "95", "--theta-r-stop", "99"], "--theta-r-start out of range [0, 90]: 95.0"),
     ],
 )
 def test_sweep_rejects_bad_range(capsys, flags, message):

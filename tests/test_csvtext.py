@@ -149,7 +149,7 @@ def random_table(rng, rows: int):
     """Columns of mixed kinds and magnitudes, and a shadow mask or None."""
     columns = []
     for _ in range(int(rng.integers(1, 7))):
-        kind = rng.integers(5)
+        kind = rng.integers(7)
         if kind == 0:
             columns.append(rng.integers(-(2**53), 2**53, rows))
         elif kind == 1:
@@ -158,8 +158,13 @@ def random_table(rng, rows: int):
             columns.append(rng.normal(size=rows) * 10.0 ** rng.integers(-16, 24, rows))
         elif kind == 3:
             columns.append(rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64))
-        else:
+        elif kind == 4:
             columns.append(rng.choice(np.array(EDGE_FLOATS), rows) * rng.choice([1.0, -1.0], rows))
+        elif kind == 5:
+            # One value on every row, formatted once.
+            columns.append(np.full(rows, rng.choice(np.array(EDGE_FLOATS)) * rng.choice([1.0, -1.0])))
+        else:
+            columns.append(np.full(rows, rng.choice(EDGE_INTS32)))
     shadow = None if rng.random() < 0.3 else rng.random(rows) < rng.random()
     return columns, shadow
 
@@ -171,8 +176,14 @@ def test_write_table_matches_percent_writer(tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(20260)
     path = tmp_path / "table.csv"
-    for rows in (1, 2, 13, 300, 5000 if chunk_rows is None else 60):
-        columns, shadow = random_table(rng, rows)
+    tables = [random_table(rng, rows) for rows in (1, 2, 13, 300, 5000 if chunk_rows is None else 60)]
+    # Constant columns of the special values and of an int, among others, the
+    # last one constant under a shadow mask.
+    for rows in (2, 13, 60):
+        columns = [np.full(rows, v) for v in (0.0, -0.0, float("nan"), float("inf"), float("-inf"), -52.1234567)]
+        columns += [np.full(rows, -1000), rng.normal(size=rows), np.full(rows, 1.5e-5)]
+        tables.append((columns, rng.random(rows) < 0.5))
+    for columns, shadow in tables:
         header = ",".join(f"c{k}" for k in range(len(columns)))
         cli._write_table(str(path), header, columns, shadow=shadow)
         assert path.read_text() == reference_table(header, columns, shadow)

@@ -25,8 +25,7 @@ from platekit import po_oracle
 from platekit.po_oracle import (
     _MAX_NODES_PER_EDGE,
     _default_nodes,
-    _gauss_legendre,
-    _gauss_legendre_rules,
+    _gauss_legendre_table,
     far_field_bound,
 )
 from platekit.validate import random_scenario
@@ -71,9 +70,21 @@ def test_quadrature_spec_bounds(wl_3ghz):
         QuadratureSpec.for_plate(PlateGeometry.xy_plane(400 * lam, lam), wl_3ghz)
 
 
+def _rules(sizes) -> dict:
+    """{n: (nodes, weights)} of each distinct n in ``sizes``, in ascending n:
+    the rows of one _gauss_legendre_table, each sliced to its n nodes."""
+    sizes, node_table, weight_table = _gauss_legendre_table(sizes)
+    return {int(m): (t[:m], w[:m]) for m, t, w in zip(sizes, node_table, weight_table)}
+
+
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule, alone in its table."""
+    return _rules([n])[n]
+
+
 @pytest.mark.parametrize("n", [2, 3, 19, 57, 76, 300])
 def test_gauss_legendre_rule(n):
-    t, w = _gauss_legendre(n)
+    t, w = _rule(n)
     ref_t, ref_w = leggauss(n)
     assert np.max(np.abs(t - ref_t)) <= 1e-10 and np.max(np.abs(w - ref_w)) <= 1e-10
     for degree in range(2 * n):
@@ -118,7 +129,7 @@ def test_gauss_legendre_rule_against_40_digit_reference(n):
         ctx.prec = 40
         # Each seed found its own root: the mirrored weights sum to 2.
         assert abs(2 * sum(ref_w) - (ref_w[0] if n % 2 else 0) - 2) < Decimal("1e-25")
-    t, w = _gauss_legendre(n)
+    t, w = _rule(n)
     assert len(t) == len(w) == n
     node_error = max(abs(Decimal(float(a)) - b) for a, b in zip(t[n // 2 :], ref_t, strict=True))
     weight_error = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(w[n // 2 :], ref_w, strict=True))
@@ -144,7 +155,7 @@ def test_one_step_rule_against_40_digit_reference(n):
     accurate as Golub-Welsch."""
     assert n >= po_oracle._TWO_STEP_SIZE
     ref_t, ref_w = _reference_rule(n)
-    t, w = _gauss_legendre(n)
+    t, w = _rule(n)
     with localcontext() as ctx:
         ctx.prec = 40
         node_error = max(abs(Decimal(float(a)) - b) for a, b in zip(t[n // 2 :], ref_t, strict=True))
@@ -162,7 +173,7 @@ def test_gauss_legendre_rules_against_40_digit_reference_over_automatic_sizes(wl
     the weight bound keeps the rule at least as accurate as the Newton one."""
     lo, hi = _default_nodes(np.array([0.5, 10.0]) * wl_3ghz.meters, wl_3ghz).tolist()
     assert (lo, hi) == (19, 76)
-    rules = _gauss_legendre_rules(range(lo, hi + 1))
+    rules = _rules(range(lo, hi + 1))
     node_error = weight_error = Decimal(0)
     with localcontext() as ctx:
         ctx.prec = 40
@@ -183,7 +194,7 @@ def test_gauss_legendre_rules_make_two_recurrence_passes(monkeypatch, sizes):
     passes = []
     legendre = po_oracle._legendre
     monkeypatch.setattr(po_oracle, "_legendre", lambda x, n, starts: passes.append(n) or legendre(x, n, starts))
-    assert list(_gauss_legendre_rules(sizes)) == sorted(sizes)
+    assert list(_rules(sizes)) == sorted(sizes)
     assert po_oracle._TWO_STEP_SIZE == 8
     nonnegative = [(m + 1) // 2 for m in sizes]
     small = [(m + 1) // 2 for m in sizes if m < 8]
@@ -202,8 +213,8 @@ def test_gauss_legendre_rule_independent_of_its_batch():
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @hypothesis.given(n=sizes, others=st.lists(sizes, max_size=8))
     def check(n, others):
-        alone = _gauss_legendre(n)
-        batch = _gauss_legendre_rules(others + [n])
+        alone = _rule(n)
+        batch = _rules(others + [n])
         assert list(batch) == sorted(set(others + [n]))
         for got, want in zip(batch[n], alone):
             assert got.tobytes() == want.tobytes()

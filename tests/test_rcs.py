@@ -51,6 +51,17 @@ def test_sinc_basics():
     assert sinc(1.1e-6) == pytest.approx(1 - (1.1e-6) ** 2 / 6, rel=1e-15)
     arr = sinc(np.array([0.0, math.pi / 2]))
     assert arr[0] == 1.0 and arr[1] == pytest.approx(2 / math.pi)
+    # Arrays with and without series elements, bit for bit as the form that
+    # takes both branches everywhere and picks one with np.where.
+    rng = np.random.default_rng(46)
+    x = np.concatenate([[0.0, -0.0, 1e-6, -1e-6, 2e154], rng.normal(size=200) * 10.0 ** rng.integers(-9, 3, 200)])
+    rng.shuffle(x)
+    for values in (x, x[np.abs(x) >= 1e-6], x[:1]):
+        small = np.abs(values) < 1e-6
+        safe = np.where(small, 1.0, values)
+        tiny = np.where(small, values, 0.0)
+        expected = np.where(small, 1.0 - tiny * tiny / 6.0, np.sin(safe) / safe)
+        assert sinc(values).tobytes() == expected.tobytes()
 
 
 def test_sinc_series_branch_leaves_large_elements_alone():
