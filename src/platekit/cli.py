@@ -461,11 +461,13 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
     if not isinstance(region_cfg, dict):
         raise ValueError(f"{path}.region: must be an object")
     region = _region_from_config(region_cfg, f"{path}.region")
+    polarization_deg = number("polarization_deg")
+    geometry.check_degrees(f"{path}.polarization_deg", polarization_deg, 360.0)
     scene = planner.Scene(
         tx_position=_vec3(_need(cfg, "tx_position_m", path), f"{path}.tx_position_m"),
         plate_position=_vec3(_need(cfg, "plate_position_m", path), f"{path}.plate_position_m"),
         plate=plate,
-        polarization=geometry.PolarizationAngle.from_degrees(number("polarization_deg")),
+        polarization=geometry.PolarizationAngle.from_degrees(polarization_deg),
         tx_power_dbm=number("tx_power_dbm"),
         tx_gain_dbi=number("tx_gain_dbi"),
         rx_gain_dbi=number("rx_gain_dbi"),

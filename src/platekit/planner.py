@@ -39,9 +39,12 @@ REFINE_FACTOR = 5.0
 SCHEDULED_REFINE_LEVELS = 3
 MAX_REFINE_LEVELS = 8
 MIN_IMPROVEMENT_DB = 0.01
-# Candidate x receiver pairs evaluated at once (receivers alone in coverage);
-# bounds the memory of the search and of coverage maps.
+# Candidate x receiver pairs evaluated at once, and receivers per block: _tiles
+# cuts all work into tiles of at most max(_PAIRS_PER_CHUNK, _RECEIVER_BLOCK)
+# pairs, which bounds the memory of the search and of coverage maps.  The block
+# is fixed, so the search's per-block sums do not depend on _PAIRS_PER_CHUNK.
 _PAIRS_PER_CHUNK = 1 << 16
+_RECEIVER_BLOCK = 1 << 16
 # Largest receiver grid, 1000 x 1000 cells; the region's points alone are 24 MB.
 _MAX_REGION_CELLS = 1_000_000
 # Farthest a scene position or region vertex may lie from the origin.  Any two
@@ -233,9 +236,8 @@ def orient_for_target(tx_position, plate_position, target_position) -> tuple[np.
 
 def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, pts: np.ndarray):
     """(sigma in m^2, received dBm, shadow mask) of receivers at the checked
-    positions ``pts`` (N, 3), for plate frames with rows edge1, edge2, normal:
-    the plate's own (3, 3) frame gives (N,) arrays, a (C, 3, 3) stack of
-    candidate frames (C, N) arrays.  Receivers on or behind the plate plane
+    positions ``pts`` (N, 3), as (C, N) arrays for a (C, 3, 3) stack of plate
+    frames with rows edge1, edge2, normal.  Receivers on or behind the plate plane
     (normal . a_obs <= 0) or within 1e-12 m of the plate are shadowed.  Each
     value depends only on its frame and receiver, not on what else is scored."""
     # Component-major: each coordinate of the directions is one contiguous row.
@@ -249,10 +251,10 @@ def _receivers(scene: Scene, wave: IncidentWave, frames: np.ndarray, pts: np.nda
     coincident = dist < 1e-12
     dist[coincident] = 1.0
     a_obs /= dist[:, None]
-    e1, e2, n = (frames[..., None, k, :] for k in range(3))  # (1, 3) or (C, 1, 3): broadcast against a_obs
+    e1, e2, n = (frames[:, None, k, :] for k in range(3))  # (C, 1, 3): broadcast against a_obs
     p = scene.plate
     sig = _closed_form(p.length1, p.length2, n, e1, e2, wave.direction, wave.h_dir, a_obs, scene.wavelength)[0]
-    return sig, received_dbm(scene.link_scenario(dist), sig), (frames[..., 2, :] @ a_obs.T <= 0.0) | coincident
+    return sig, received_dbm(scene.link_scenario(dist), sig), (frames[:, 2] @ a_obs.T <= 0.0) | coincident
 
 
 def coverage_map_points(scene: Scene, points) -> CoverageMap:
@@ -269,14 +271,33 @@ def coverage_map_points(scene: Scene, points) -> CoverageMap:
     return _coverage(scene, pts)
 
 
+def _own_frame(scene: Scene) -> np.ndarray:
+    """The plate's own frame as a one-frame (1, 3, 3) stack, rows edge1, edge2, normal."""
+    return np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])[None]
+
+
+def _tiles(scene: Scene, wave: IncidentWave, frames: np.ndarray, points: np.ndarray):
+    """Cut a (C, 3, 3) stack of frames x the checked receiver positions
+    ``points`` (N, 3) into tiles: receivers in blocks of _RECEIVER_BLOCK, in
+    order, and within each block candidates _PAIRS_PER_CHUNK // block at a
+    time (at least one).  Yields each tile's candidate slice, receiver slice,
+    and _receivers' (sigma, dBm, shadow) arrays for it."""
+    for start in range(0, len(points), _RECEIVER_BLOCK):
+        receivers = slice(start, start + _RECEIVER_BLOCK)
+        block = points[receivers]
+        step = max(1, _PAIRS_PER_CHUNK // len(block))
+        for first in range(0, len(frames), step):
+            candidates = slice(first, first + step)
+            yield candidates, receivers, *_receivers(scene, wave, frames[candidates], block)
+
+
 def _coverage(scene: Scene, pts: np.ndarray) -> CoverageMap:
-    """Coverage at the checked receiver positions ``pts`` (N, 3), evaluated
-    _PAIRS_PER_CHUNK receivers at a time."""
-    wave, frame = scene.incident_wave(), np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])
+    """Coverage at the checked receiver positions ``pts`` (N, 3): the plate's
+    frame as a one-frame stack, through _tiles."""
     sig, power, shadow = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts), dtype=bool)
-    for start in range(0, len(pts), _PAIRS_PER_CHUNK):
-        part = slice(start, start + _PAIRS_PER_CHUNK)
-        sig[part], power[part], shadow[part] = _receivers(scene, wave, frame, pts[part])
+    for _, part, *tile in _tiles(scene, scene.incident_wave(), _own_frame(scene), pts):
+        sig[part], power[part], shadow[part] = (values[0] for values in tile)
+        del tile  # freed before _tiles computes the next tile, which bounds the peak
     sig[shadow] = np.nan
     power[shadow] = np.nan
     return CoverageMap(pts, sig, power, shadow, (pts.shape[0], 1))
@@ -291,8 +312,9 @@ def coverage_map(scene: Scene, region: TargetRegion) -> CoverageMap:
 
 def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, objective: str) -> np.ndarray:
     """Objective at the checked receiver positions ``points`` (N, 3) for a
-    (C, 3, 3) stack of candidate frames (rows edge1, edge2, normal), scored
-    through _receivers _PAIRS_PER_CHUNK candidate x point pairs at a time.
+    (C, 3, 3) stack of candidate frames (rows edge1, edge2, normal), reduced
+    over the tiles of _tiles: a running minimum of dBm, or per-block sums of
+    mW added in block order with lit counts.
     Shadowed points (behind the plate or at it) are excluded; candidates that
     shadow every point or face away from the transmitter score -inf."""
     if objective not in OBJECTIVES:
@@ -300,28 +322,28 @@ def _objective_values(scene: Scene, points: np.ndarray, frames: np.ndarray, obje
     wave = scene.incident_wave()
     # Candidates facing away from the transmitter score -inf unevaluated.
     facing = np.flatnonzero(frames[:, 2] @ wave.direction < 0.0)
-    values = np.full(len(frames), -np.inf)
-    step = max(1, _PAIRS_PER_CHUNK // len(points))
-    for start in range(0, len(facing), step):
-        chunk = facing[start : start + step]
-        _, power, shadow = _receivers(scene, wave, frames[chunk], points)
-        if objective == "max-min-dbm":
-            v = np.min(np.where(shadow, np.inf, power), axis=1)
-            v[v == np.inf] = -np.inf  # every point shadowed
+    mean = objective == "max-mean-mw"
+    reduced = np.full(len(facing), 0.0 if mean else np.inf)
+    counts = np.zeros(len(facing), dtype=int)
+    for candidates, _, _, power, shadow in _tiles(scene, wave, frames[facing], points):
+        if mean:
+            reduced[candidates] += np.sum(np.where(shadow, 0.0, 10.0 ** (power / 10.0)), axis=1)
+            counts[candidates] += np.sum(~shadow, axis=1)
         else:
-            total = np.sum(np.where(shadow, 0.0, 10.0 ** (power / 10.0)), axis=1)
-            counts = np.sum(~shadow, axis=1)
-            v = np.full(len(total), -np.inf)
-            ok = (counts > 0) & (total > 0.0)
-            v[ok] = 10.0 * np.log10(total[ok] / counts[ok])
-        values[chunk] = v
+            reduced[candidates] = np.minimum(reduced[candidates], np.min(np.where(shadow, np.inf, power), axis=1))
+        del power, shadow  # freed before _tiles computes the next tile
+    values = np.full(len(frames), -np.inf)
+    if mean:
+        ok = (counts > 0) & (reduced > 0.0)
+        values[facing[ok]] = 10.0 * np.log10(reduced[ok] / counts[ok])
+    else:
+        values[facing] = np.where(reduced == np.inf, -np.inf, reduced)  # every point shadowed
     return values
 
 
 def orientation_objective(scene: Scene, region: TargetRegion, objective: str) -> float:
     """Objective value of the scene's current plate orientation."""
-    frame = np.stack([scene.plate.edge1, scene.plate.edge2, scene.plate.normal])
-    return float(_objective_values(scene, region.points(), frame[None], objective)[0])
+    return float(_objective_values(scene, region.points(), _own_frame(scene), objective)[0])
 
 
 @dataclass
@@ -382,7 +404,7 @@ def optimize_orientation(
         if level >= SCHEDULED_REFINE_LEVELS and improvement < MIN_IMPROVEMENT_DB:
             break
 
-    own_v = orientation_objective(scene, region, objective)
+    own_v = float(_objective_values(scene, points, _own_frame(scene), objective)[0])  # orientation_objective's value
     if own_v == best_v == -math.inf:
         raise ValueError("no candidate orientation lights any receiver in the region")
     if own_v > best_v:

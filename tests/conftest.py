@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def rel_close(a, b, rtol, floor=0.0):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(a), np.abs(b)) + floor)
+
+
+def traced_memory(call, *args, **kwargs):
+    """Run ``call(*args, **kwargs)`` under tracemalloc, which always stops
+    again; returns the call's result and the (held, peak) traced bytes as the
+    call returned."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def deg(x: float) -> float:

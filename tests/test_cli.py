@@ -672,6 +672,20 @@ def test_config_rejects_non_finite_numbers(capsys, tmp_path):
     assert code == 2 and "non-finite number 1e999" in err
 
 
+@pytest.mark.parametrize("command", ["coverage", "optimize"])
+@pytest.mark.parametrize("degrees", [400, -1, 360.5])
+def test_config_names_an_out_of_range_polarization_in_degrees(capsys, tmp_path, command, degrees):
+    """The error named the radians the library checks (6.98... for 400)."""
+    cfg = json.loads((COVERAGE_GOLDEN_DIR / "open_scene.json").read_text())
+    cfg["polarization_deg"] = degrees
+    path = write_config(tmp_path, cfg)
+    outputs = {"coverage": ["--out-csv", str(tmp_path / "c.csv")], "optimize": ["--out-json", str(tmp_path / "o.json")]}
+    code, out, err = run(capsys, [command, str(path), *outputs[command]])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}.polarization_deg out of range [0, 360]: {float(degrees)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
+
+
 # Every number a scene holds, by its path in the JSON; one entry of each vector.
 SCENE_NUMBER_KEYS = [
     ("frequency_hz",), ("polarization_deg",), ("tx_power_dbm",), ("amp_gain_db",),

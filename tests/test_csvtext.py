@@ -1,11 +1,11 @@
 """The numpy text kernels against printf ``%.9g``/``%d``/``%.2f`` and the %-template writer."""
 
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_memory
 from platekit import cli
 from platekit.csvtext import format_points, format_rows
 
@@ -195,11 +195,7 @@ def test_write_table_memory_is_bounded():
     peaks = []
     for rows in (100_000, 1_000_000):
         columns = [rng.normal(size=rows) * 10.0**k for k in (-3, 0, 2, 5)]
-        tracemalloc.start()
-        try:
-            cli._write_table(os.devnull, "a,b,c,d", columns)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        _, (_, peak) = traced_memory(cli._write_table, os.devnull, "a,b,c,d", columns)
+        peaks.append(peak)
     assert max(peaks) <= 1.5 * 2**20, peaks
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks

@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import EX, EY, EZ, deg, random_rotation
+from conftest import EX, EY, EZ, deg, random_rotation, traced_memory
 from platekit import (
     PlateGeometry,
     Scene,
@@ -304,10 +303,15 @@ def random_region(rng, nu, nv):
     return TargetRegion(corner, rng.normal(size=3) * 3.0, rng.normal(size=3) * 3.0, nu, nv)
 
 
-# 1 pair: one candidate per chunk; 173 pairs: seven candidates of 24 points,
-# which does not divide the 234 candidates; 10**9: all in one chunk.
+# 1 pair: one candidate per chunk; 173 pairs: seven candidates of 24 points
+# (24 candidates of a 7-point block), which does not divide the 234
+# candidates; 10**9: all in one chunk.
 @pytest.mark.parametrize("pairs", [1, 173, 10**9])
 def test_objective_values_independent_of_chunking(monkeypatch, pairs):
+    """Every _PAIRS_PER_CHUNK gives the same bits, in one receiver block and
+    in four (_RECEIVER_BLOCK 7 of the 24 receivers).  Across blocks the
+    minimum keeps its bits and the mean, summed block by block, stays within
+    1e-12 dB."""
     rng = np.random.default_rng(71)
     scene = random_facing_scene(rng)
     points = random_region(rng, 6, 4).points()
@@ -319,6 +323,17 @@ def test_objective_values_independent_of_chunking(monkeypatch, pairs):
         monkeypatch.setattr(planner, "_PAIRS_PER_CHUNK", pairs)
         assert np.array_equal(planner._objective_values(scene, points, frames, objective), reference)
         monkeypatch.undo()
+        monkeypatch.setattr(planner, "_RECEIVER_BLOCK", 7)
+        blocked = planner._objective_values(scene, points, frames, objective)
+        monkeypatch.setattr(planner, "_PAIRS_PER_CHUNK", pairs)
+        assert np.array_equal(planner._objective_values(scene, points, frames, objective), blocked)
+        monkeypatch.undo()
+        if objective == "max-min-dbm":
+            assert blocked.tobytes() == reference.tobytes()
+        else:
+            lit = np.isfinite(reference)
+            assert np.array_equal(np.isfinite(blocked), lit)
+            assert np.all(np.abs(blocked[lit] - reference[lit]) <= 1e-12)
 
 
 # Only the corner cell of this region lies at the plate (the others are in
@@ -415,24 +430,19 @@ def test_optimize_memory_is_bounded():
     # once peaked at 95 MB here.
     scene = make_scene()
     region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 6 * EZ, 24, 24)
-    tracemalloc.start()
-    try:
-        optimize_orientation(scene, region, "max-min-dbm")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, (_, peak) = traced_memory(optimize_orientation, scene, region, "max-min-dbm")
     assert peak <= 16e6
 
 
-# 1 receiver per chunk; 40 receivers, which does not divide the 143 cells;
-# 10**9: all cells in one chunk.
+# 1 receiver per block; 40 receivers, which does not divide the 143 cells;
+# 10**9: all cells in one block.
 @pytest.mark.parametrize("receivers", [1, 40, 10**9])
 def test_coverage_independent_of_chunking(monkeypatch, receivers):
     scene = make_scene()
     region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 12 * EY + 6 * EZ, 13, 11)
     reference = coverage_map(scene, region)
     assert reference.shadow.any() and not reference.shadow.all()
-    monkeypatch.setattr(planner, "_PAIRS_PER_CHUNK", receivers)
+    monkeypatch.setattr(planner, "_RECEIVER_BLOCK", receivers)
     cov = coverage_map(scene, region)
     for name in ("sigma_m2", "power_dbm", "shadow"):
         assert np.array_equal(getattr(cov, name), getattr(reference, name), equal_nan=True), name
@@ -470,11 +480,17 @@ def test_coverage_memory_is_bounded():
     # temporaries beyond the returned arrays here.
     scene = make_scene()
     region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 6 * EZ, 500, 500)
-    tracemalloc.start()
-    try:
-        cov = coverage_map(scene, region)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cov, (held, peak) = traced_memory(coverage_map, scene, region)
     assert cov.power_dbm.size == 250_000
     assert peak - held <= 16e6
+
+
+def test_orientation_objective_memory_is_bounded():
+    # The region of test_coverage_memory_is_bounded: scoring one candidate on
+    # all 250,000 receivers at once held 32 MB of temporaries here.
+    scene = make_scene()
+    region = TargetRegion(np.array([-3.0, -6.0, -3.0]), 6 * EX, 6 * EZ, 500, 500)
+    for objective in OBJECTIVES:
+        value, (held, peak) = traced_memory(orientation_objective, scene, region, objective)
+        assert np.isfinite(value)
+        assert peak - held <= 16e6, objective

@@ -2,13 +2,13 @@ import io
 import math
 import os
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced_memory
 from platekit import cli, svgplot
 from platekit.svgplot import SHADOW_COLOR, heatmap, line_plot
 
@@ -96,13 +96,12 @@ def test_streamed_heatmap_memory_is_bounded():
     rng = np.random.default_rng(6)
     grid = rng.uniform(-90.0, -30.0, size=(400, 400))
     shadow = grid < -85.0
-    tracemalloc.start()
-    try:
+
+    def write():
         with cli._output(os.devnull) as fh:
             heatmap(grid, shadow=shadow, vmin=-80.0, vmax=-40.0, out=fh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, (_, peak) = traced_memory(write)
     assert peak <= 3 * 2**20, peak
 
 

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_unit
+from conftest import random_rotation, random_unit, traced_memory
 from platekit import QuadratureSpec, Wavelength, po_oracle, po_rcs, rcs, run_validation, validate
 from platekit.geometry import PolarizationAngle
 from platekit.validate import _draw_scenarios, _evaluate_block, random_scenario
@@ -76,12 +74,8 @@ def test_run_validation_memory_is_bounded():
     run_validation(2, 3, nodes_per_edge=512)  # warm up lazily allocated state
     peaks = []
     for trials in (500, 2000):
-        tracemalloc.start()
-        try:
-            run_validation(trials, 3, nodes_per_edge=512)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        _, (_, peak) = traced_memory(run_validation, trials, 3, nodes_per_edge=512)
+        peaks.append(peak)
     assert max(peaks) <= 12e6
     assert peaks[1] <= peaks[0] + 1e6
 
