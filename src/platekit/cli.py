@@ -163,9 +163,9 @@ def _plate_from_args(args, wl: Wavelength) -> PlateGeometry:
 
 
 def _wave_vectors_from_args(args):
-    geometry.check_degrees("--theta-t-deg", args.theta_t_deg, 90.0)
-    geometry.check_degrees("--phi-t-deg", args.phi_t_deg, 360.0, upper_open=True)
-    geometry.check_degrees("--pol-deg", args.pol_deg, 360.0)
+    geometry.check_angle("--theta-t-deg", args.theta_t_deg, "zenith")
+    geometry.check_angle("--phi-t-deg", args.phi_t_deg, "azimuth")
+    geometry.check_angle("--pol-deg", args.pol_deg, "polarization")
     angles = geometry.SphericalAngles.from_degrees(args.theta_t_deg, args.phi_t_deg)
     pol = geometry.PolarizationAngle.from_degrees(args.pol_deg)
     _, h_dir, a_inc = geometry.polarization_triad(angles, pol)
@@ -180,8 +180,8 @@ def _cmd_rcs(args) -> int:
     wl = Wavelength.from_frequency(args.freq_hz)
     plate = _plate_from_args(args, wl)
     a_inc, h_dir = _wave_vectors_from_args(args)
-    geometry.check_degrees("--theta-r-deg", args.theta_r_deg, 90.0)
-    geometry.check_degrees("--phi-r-deg", args.phi_r_deg, 360.0, upper_open=True)
+    geometry.check_angle("--theta-r-deg", args.theta_r_deg, "zenith")
+    geometry.check_angle("--phi-r-deg", args.phi_r_deg, "azimuth")
     obs = geometry.observation_direction(
         geometry.SphericalAngles.from_degrees(args.theta_r_deg, args.phi_r_deg)
     )
@@ -235,10 +235,14 @@ def _link_from_args(args, wl: Wavelength) -> link.LinkScenario | None:
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Observation zeniths start, start + step, ... (degrees), none past stop;
+    start and stop are range-checked as given."""
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError("--theta-r-start, --theta-r-stop and --theta-r-step must be finite")
     if step <= 0.0:
         raise ValueError("--theta-r-step must be positive")
+    geometry.check_angle("--theta-r-start", start, "zenith")
+    geometry.check_angle("--theta-r-stop", stop, "zenith")
     if stop < start:
         raise ValueError("--theta-r-stop must not be below --theta-r-start")
     # The grid has floor(last) + 1 rows; last overflows to inf for a tiny step.
@@ -246,18 +250,15 @@ def _sweep_grid(start: float, stop: float, step: float) -> np.ndarray:
     if last >= _MAX_SWEEP_ROWS:
         rows = int(math.floor(last)) + 1 if math.isfinite(last) else "too many"
         raise ValueError(f"sweep grid has {rows} rows, more than {_MAX_SWEEP_ROWS}; increase --theta-r-step")
-    return start + step * np.arange(int(math.floor(last)) + 1)
+    # The last point can round past stop by an ulp.
+    return np.minimum(start + step * np.arange(int(math.floor(last)) + 1), stop)
 
 
 def _observation_directions(theta_deg: np.ndarray, phi_deg: float) -> np.ndarray:
-    """(N, 3) observation unit vectors for an increasing zenith grid (degrees),
-    stored component-major so that each coordinate is one contiguous row.
-    A grid that breaks the [0, 90] range is reported in degrees: by its first
-    point, as --theta-r-start, or else by its first point past 90, as
-    --theta-r-stop."""
-    geometry.check_degrees("--theta-r-start", theta_deg[:1], 90.0)
-    geometry.check_degrees("--theta-r-stop", theta_deg, 90.0)
-    geometry.check_degrees("--phi-r-deg", phi_deg, 360.0, upper_open=True)
+    """(N, 3) observation unit vectors for a zenith grid from _sweep_grid
+    (degrees) and the azimuth --phi-r-deg, stored component-major so that
+    each coordinate is one contiguous row."""
+    geometry.check_angle("--phi-r-deg", phi_deg, "azimuth")
     theta, phi = np.radians(theta_deg), math.radians(phi_deg)
     st = np.sin(theta)
     return np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)]).T
@@ -462,7 +463,7 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
         raise ValueError(f"{path}.region: must be an object")
     region = _region_from_config(region_cfg, f"{path}.region")
     polarization_deg = number("polarization_deg")
-    geometry.check_degrees(f"{path}.polarization_deg", polarization_deg, 360.0)
+    geometry.check_angle(f"{path}.polarization_deg", polarization_deg, "polarization")
     scene = planner.Scene(
         tx_position=_vec3(_need(cfg, "tx_position_m", path), f"{path}.tx_position_m"),
         plate_position=_vec3(_need(cfg, "plate_position_m", path), f"{path}.plate_position_m"),

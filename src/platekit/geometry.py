@@ -56,37 +56,46 @@ def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndar
     return v
 
 
-def check_degrees(name: str, degrees, upper: float, *, upper_open: bool = False) -> None:
-    """Raise ValueError if a value of ``degrees`` (a number or an array) lies
-    outside [0, upper], or [0, upper) with ``upper_open``, naming ``name`` and
-    the first such value in degrees, as it was given; NaN is outside.  An
-    angle passes here exactly when its radians pass SphericalAngles and
-    PolarizationAngle (math.radians is monotone and maps 90 and 360 onto
-    pi/2 and 2*pi)."""
-    deg = np.asarray(degrees, dtype=float).ravel()
-    inside = (deg >= 0.0) & ((deg < upper) if upper_open else (deg <= upper))
+# Each angle domain, [0, upper] or [0, upper): upper in degrees, upper as written in
+# radians (its math.radians is exactly pi/2 or 2*pi), and whether it is closed.
+ANGLE_DOMAINS = {
+    "zenith": (90.0, "pi/2", True),
+    "azimuth": (360.0, "2*pi", False),
+    "polarization": (360.0, "2*pi", True),
+}
+
+
+def check_angle(name: str, values, kind: str, *, degrees: bool = True) -> np.ndarray:
+    """``values`` (a number or an array) as a float array; ValueError if one lies
+    outside the ``kind`` domain, naming ``name``, the bounds and the first such
+    value as given; NaN is outside.  Degrees pass exactly when their math.radians
+    pass (so negative degrees that round to -0.0 radians pass)."""
+    upper, radian_bound, closed = ANGLE_DOMAINS[kind]
+    given = np.asarray(values, dtype=float)
+    hi = math.radians(upper)
+    rad = np.radians(given) if degrees else given
+    inside = (rad >= 0.0) & ((rad <= hi) if closed else (rad < hi))
     if not inside.all():
-        bounds = f"[0, {upper:g}{')' if upper_open else ']'}"
-        raise ValueError(f"{name} out of range {bounds}: {float(deg[~inside][0])}")
+        bounds = f"[0, {f'{upper:g}' if degrees else radian_bound}{']' if closed else ')'}"
+        raise ValueError(f"{name} out of range {bounds}: {float(given[~inside].flat[0])}")
+    return given
 
 
 @dataclass(frozen=True)
 class SphericalAngles:
     """Zenith/azimuth direction angles in radians.
 
-    theta is restricted to the front half-space [0, pi/2]; phi to [0, 2*pi).
-    The closed upper end of theta admits grazing observation directions,
-    which occur at the edge of measured sweeps.
+    theta lies in the "zenith" domain of ANGLE_DOMAINS, the front half-space,
+    and phi in the "azimuth" one.  The closed upper end of theta admits grazing
+    observation directions, which occur at the edge of measured sweeps.
     """
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError(f"zenith angle out of range [0, pi/2]: {self.theta}")
-        if not 0.0 <= self.phi < 2 * math.pi:
-            raise ValueError(f"azimuth angle out of range [0, 2*pi): {self.phi}")
+        check_angle("zenith angle", self.theta, "zenith", degrees=False)
+        check_angle("azimuth angle", self.phi, "azimuth", degrees=False)
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "SphericalAngles":
@@ -104,8 +113,7 @@ class PolarizationAngle:
     varphi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.varphi <= 2 * math.pi:
-            raise ValueError(f"polarization angle out of range [0, 2*pi]: {self.varphi}")
+        check_angle("polarization angle", self.varphi, "polarization", degrees=False)
         if self.varphi == 0.0:
             object.__setattr__(self, "varphi", 2 * math.pi)
 

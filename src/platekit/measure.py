@@ -18,7 +18,7 @@ import numpy as np
 
 from . import link
 from .csvtext import fmt, format_rows
-from .geometry import check_degrees
+from .geometry import check_angle
 from .rcs import Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
 
 _METADATA_KEYS = {"theta_t_deg", "varphi_t_deg", "freq_hz"}
@@ -167,24 +167,18 @@ class ExperimentConfig:
         )
 
 
-def theoretical_curve(
-    config: ExperimentConfig, pol_case: str, theta_r_deg=None
-) -> tuple[np.ndarray, np.ndarray]:
+def theoretical_curve(config: ExperimentConfig, pol_case: str, theta_r_deg) -> tuple[np.ndarray, np.ndarray]:
     """Model received power (dBm) over an observation-angle grid.
 
     ``pol_case`` selects the polarization of the principal-cut model:
     "perpendicular" (E normal to the vertical incidence plane) or
-    "parallel" (E in that plane).  The default grid is 0..90 degrees in
-    5-degree steps.  Grazing nulls yield -inf entries.  An angle outside
-    [0, 90] degrees raises ValueError naming it in degrees, as it was given.
+    "parallel" (E in that plane).  Grazing nulls yield -inf entries.  A
+    zenith outside its domain raises ValueError naming it in degrees, as given.
     """
     if pol_case not in POLARIZATION_CASES:
         raise ValueError(f"pol_case must be one of {POLARIZATION_CASES}, got {pol_case!r}")
-    if theta_r_deg is None:
-        theta_r_deg = np.arange(0.0, 91.0, 5.0)
-    theta_r_deg = np.asarray(theta_r_deg, dtype=float)
-    check_degrees("theta_t_deg", config.theta_t_deg, 90.0)
-    check_degrees("theta_r_deg", theta_r_deg, 90.0)
+    check_angle("theta_t_deg", config.theta_t_deg, "zenith")
+    theta_r_deg = check_angle("theta_r_deg", theta_r_deg, "zenith")
     wl = config.wavelength()
     l1 = config.plate_l1_wavelengths * wl.meters
     l2 = config.plate_l2_wavelengths * wl.meters

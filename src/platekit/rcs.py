@@ -57,7 +57,11 @@ class Wavelength:
     def from_frequency(cls, hz: float) -> "Wavelength":
         if not 0.0 < hz < math.inf:
             raise ValueError(f"frequency must be positive and finite: {hz}")
-        return cls(SPEED_OF_LIGHT_M_S / hz)
+        try:
+            return cls(SPEED_OF_LIGHT_M_S / hz)
+        except ValueError:
+            raise ValueError(f"frequency must be positive and finite, with a wavelength whose square neither "
+                             f"underflows nor overflows float64: {hz} Hz") from None
 
 
 def _check_lengths(length1: float, length2: float) -> tuple[float, float]:
@@ -301,13 +305,11 @@ def specular_direction(normal, a_inc) -> np.ndarray:
     return a - 2.0 * d * n
 
 
-def rcs_large_plate_limit(
-    plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength, angle_tol: float = 1e-9
-) -> float:
+def rcs_large_plate_limit(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength) -> float:
     """Electrically-large-plate limit: a point mass at the specular direction.
 
     Returns sigma_max * |(normal x h_dir) x a_spec|^2 when a_obs lies within
-    ``angle_tol`` radians of the specular direction, else 0.  The angular
+    1e-9 radians of the specular direction, else 0.  The angular
     separation is computed from the chord length, which resolves angles far
     below the arccos granularity near zero.
     """
@@ -315,31 +317,19 @@ def rcs_large_plate_limit(
     spec = specular_direction(plate.normal, a_inc)
     chord = float(np.linalg.norm(a_obs - spec))
     angle = 2.0 * math.asin(min(1.0, 0.5 * chord))
-    if angle > angle_tol:
+    if angle > 1e-9:
         return 0.0
     return sigma_max(plate, wl) * f_js(plate.normal, h_dir, spec)
 
 
-def _check_angles(theta_t, phi_t=None, varphi_t=None, theta_r=None, phi_r=None) -> tuple:
-    """Range-check the given angles; return them as float arrays broadcast together."""
-    arrays = []
-    for name, val, hi, hi_closed in (
-        ("theta_t", theta_t, math.pi / 2, True),
-        ("phi_t", phi_t, 2 * math.pi, False),
-        ("varphi_t", varphi_t, 2 * math.pi, True),
-        ("theta_r", theta_r, math.pi / 2, True),
-        ("phi_r", phi_r, 2 * math.pi, False),
-    ):
-        if val is None:
-            continue
-        arr = np.asarray(val, dtype=float)
-        # Written as "inside" so that NaN fails too.
-        inside = (arr >= 0.0) & ((arr <= hi) if hi_closed else (arr < hi))
-        if not np.all(inside):
-            bad = val if arr.ndim == 0 else float(arr[~inside][0])  # an array's first, not the whole array
-            raise ValueError(f"{name} out of range: {bad}")
-        arrays.append(arr)
-    return np.broadcast_arrays(*arrays)
+# The domain of each angle of the angle forms, by its name's stem (theta_t: theta).
+_ANGLE_KINDS = {"theta": "zenith", "phi": "azimuth", "varphi": "polarization"}
+
+
+def _check_angles(**angles) -> tuple:
+    """Range-check the given angles (radians); return them as float arrays broadcast together."""
+    return np.broadcast_arrays(*(geometry.check_angle(name, value, _ANGLE_KINDS[name[:-2]], degrees=False)
+                                 for name, value in angles.items()))
 
 
 def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl: Wavelength):
@@ -349,7 +339,8 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     directions, varphi_t the polarization angle.  Broadcasts over array
     angle inputs.
     """
-    theta_t, phi_t, varphi_t, theta_r, phi_r = _check_angles(theta_t, phi_t, varphi_t, theta_r, phi_r)
+    theta_t, phi_t, varphi_t, theta_r, phi_r = _check_angles(
+        theta_t=theta_t, phi_t=phi_t, varphi_t=varphi_t, theta_r=theta_r, phi_r=phi_r)
     st, ct = np.sin(theta_t), np.cos(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     sv, cv = np.sin(varphi_t), np.cos(varphi_t)
@@ -370,7 +361,7 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     Specialization of rcs_xy_plate to polarization angle 90 or 270 degrees
     with the wave arriving from azimuth 270 degrees.
     """
-    theta_t, theta_r, phi_r = _check_angles(theta_t, theta_r=theta_r, phi_r=phi_r)
+    theta_t, theta_r, phi_r = _check_angles(theta_t=theta_t, theta_r=theta_r, phi_r=phi_r)
     st, ct = np.sin(theta_t), np.cos(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (ct * cr * np.cos(phi_r)) ** 2 + (ct * np.sin(phi_r)) ** 2
@@ -386,7 +377,7 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
 
     sigma = sigma_max * cos^2(theta_t) * sinc^2(k*L2/2 * (sin theta_r - sin theta_t))
     """
-    theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
+    theta_t, theta_r = _check_angles(theta_t=theta_t, theta_r=theta_r)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x2 = _half_phase(length2, wl) * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
@@ -399,7 +390,7 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     Specialization of rcs_xy_plate to polarization angle 0/180 degrees with
     the wave arriving from azimuth 270 degrees.
     """
-    theta_t, theta_r, phi_r = _check_angles(theta_t, theta_r=theta_r, phi_r=phi_r)
+    theta_t, theta_r, phi_r = _check_angles(theta_t=theta_t, theta_r=theta_r, phi_r=phi_r)
     st = np.sin(theta_t)
     sr, cr = np.sin(theta_r), np.cos(theta_r)
     bracket = (cr * np.sin(phi_r)) ** 2 + np.cos(phi_r) ** 2
@@ -418,7 +409,7 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     Unlike the perpendicular cut, the cos^2(theta_r) weighting pulls the
     maximum to an observation angle slightly below the specular angle.
     """
-    theta_t, theta_r = _check_angles(theta_t, theta_r=theta_r)
+    theta_t, theta_r = _check_angles(theta_t=theta_t, theta_r=theta_r)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x2 = _half_phase(length2, wl) * (np.sin(theta_r) - np.sin(theta_t))
     out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2

@@ -195,20 +195,60 @@ SWEEP_BASE = [
         (["--theta-r-start", "nan"], "must be finite"),
         (["--theta-r-step", "inf"], "must be finite"),
         (["--theta-r-stop", "95"], "--theta-r-stop out of range [0, 90]: 95.0"),
-        # the first point past 90 degrees is reported, as a per-point check would
-        (["--theta-r-stop", "95", "--theta-r-step", "1"], "--theta-r-stop out of range [0, 90]: 91.0"),
+        # the stop is checked as given, not the grid's last point (91)
+        (["--theta-r-stop", "95", "--theta-r-step", "1"], "--theta-r-stop out of range [0, 90]: 95.0"),
         (["--theta-r-start", "-1", "--theta-r-step", "1"], "--theta-r-start out of range [0, 90]: -1.0"),
         (["--phi-r-deg", "360"], "--phi-r-deg out of range [0, 360): 360.0"),
         (["--theta-t-deg", "95"], "--theta-t-deg out of range [0, 90]: 95.0"),
         (["--phi-t-deg", "-1"], "--phi-t-deg out of range [0, 360): -1.0"),
         (["--pol-deg", "361"], "--pol-deg out of range [0, 360]: 361.0"),
         (["--theta-r-start", "95", "--theta-r-stop", "99"], "--theta-r-start out of range [0, 90]: 95.0"),
+        # a stop past 90 is rejected even where the grid ends short of it (at 50)
+        (["--theta-r-stop", "95", "--theta-r-step", "50"], "--theta-r-stop out of range [0, 90]: 95.0"),
     ],
 )
 def test_sweep_rejects_bad_range(capsys, flags, message):
     code, out, err = run(capsys, SWEEP_BASE + flags)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_sweep_grid_ends_at_stop(capsys):
+    """1.7 + 0.1 * 883 rounds to 90.00000000000001; the grid stops at 90."""
+    code, out, err = run(capsys, SWEEP_BASE + ["--theta-r-start", "1.7", "--theta-r-step", "0.1",
+                                               "--theta-r-stop", "90"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 884 and out.splitlines()[-1].startswith("90,")
+
+
+def test_sweep_rows_lie_between_start_and_stop_property(capsys):
+    """Any start <= stop in [0, 90] and any step of at most 10^4 rows: exit 0,
+    and every theta_r_deg lies in [start, stop] (after the CSV's 9-digit
+    rounding, which is monotone).  A step of (stop - start) / k lands its last
+    point on stop to rounding, where overshooting it by an ulp is likeliest."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(ends=st.tuples(st.floats(0.0, 90.0), st.floats(0.0, 90.0)).map(sorted),
+                      step=st.floats(0.01, 180.0) | st.integers(1, 9999))
+    @hypothesis.example(ends=[1.7, 90.0], step=0.1)
+    @hypothesis.example(ends=[0.1, 45.0], step=10)  # 0.1 + 4.49 * 10 rounds up to 45.00000000000001
+    def check(ends, step):
+        start, stop = ends
+        if isinstance(step, int):
+            step = (stop - start) / step if stop > start else 1.0
+        hypothesis.assume((stop - start) / step < 1e4)
+        grid = cli._sweep_grid(start, stop, step)
+        assert grid[0] == start and start <= grid.min() and grid.max() <= stop
+        code, out, err = run(capsys, SWEEP_BASE + ["--theta-r-start", repr(start), "--theta-r-stop", repr(stop),
+                                                   "--theta-r-step", repr(step)])
+        assert (code, err) == (0, "")
+        theta = [float(line.split(",", 1)[0]) for line in out.splitlines()[1:]]
+        assert len(theta) == grid.size
+        assert float(f"{start:.9g}") <= min(theta) and max(theta) <= float(f"{stop:.9g}")
+
+    check()
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "sweep_golden"
@@ -278,7 +318,7 @@ def test_sweep_rejects_non_finite_link_flags(capsys, flag, value):
         ({"--l1-wl": "-2"}, "--l1-wl must be positive and finite, got -2.0"),
         ({"--l1-wl": None, "--l1-m": "1e999"}, "--l1-m must be positive and finite, got inf"),
         ({"--xy-plane": None, "--euler-deg": "0 nan 0"}, "--euler-deg angles must be finite"),
-        ({"--freq-hz": "1e-320"}, "wavelength must be positive and finite"),
+        ({"--freq-hz": "1e-320"}, "frequency must be positive and finite"),
     ],
 )
 def test_plate_flags_reject_non_finite(capsys, command, flags, message):
@@ -315,7 +355,8 @@ def test_frequency_whose_wavelength_square_leaves_float64_is_rejected(capsys, tm
         argv[argv.index("--freq-hz") + 1] = freq_hz
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: wavelength must be positive and finite, with a square that neither underflows")
+    assert err == ("error: frequency must be positive and finite, with a wavelength whose square neither underflows "
+                   f"nor overflows float64: {float(freq_hz)} Hz\n")
     assert not out_csv.exists()
 
 

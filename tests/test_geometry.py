@@ -7,13 +7,15 @@ from conftest import EX, EY, EZ
 from platekit import (
     PolarizationAngle,
     SphericalAngles,
+    Wavelength,
     observation_direction,
     plate_frame,
     polarization_triad,
     spherical_to_unit,
     spherical_unit_vectors,
 )
-from platekit.geometry import _cross
+from platekit.geometry import ANGLE_DOMAINS, _cross, check_angle
+from platekit.rcs import rcs_xy_plate
 
 
 def test_spherical_to_unit_axes():
@@ -42,6 +44,64 @@ def test_polarization_angle_normalizes_zero():
         PolarizationAngle(-0.1)
     with pytest.raises(ValueError):
         PolarizationAngle(2 * math.pi + 0.1)
+
+
+UPPER_RADIANS = {"zenith": math.pi / 2, "azimuth": 2 * math.pi, "polarization": 2 * math.pi}
+# Where each kind's radian angle goes: a constructor, and rcs_xy_plate's argument positions.
+ANGLE_USERS = {
+    "zenith": [lambda v: SphericalAngles(v, 0.0), 0, 3],
+    "azimuth": [lambda v: SphericalAngles(0.0, v), 1, 4],
+    "polarization": [PolarizationAngle, 2],
+}
+
+
+def _accepts(call, *args, **kwargs) -> bool:
+    try:
+        call(*args, **kwargs)
+    except ValueError:
+        return False
+    return True
+
+
+def _edges(upper: float) -> list:
+    """0 and ``upper``, the floats next to each on both sides, NaN and both infinities."""
+    return [0.0, upper, *(math.nextafter(v, d) for v in (0.0, upper) for d in (-math.inf, math.inf)),
+            math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("kind", sorted(ANGLE_DOMAINS))
+def test_angle_domain_is_one_in_degrees_and_radians(kind):
+    """Each value next to a bound passes check_angle in degrees exactly when its
+    math.radians passes in radians, and a radian angle passes check_angle
+    exactly when the constructors and rcs_xy_plate accept it.  (-5e-324
+    degrees passes: its radians are -0.0.)"""
+    upper, _, closed = ANGLE_DOMAINS[kind]
+    hi = UPPER_RADIANS[kind]
+    assert math.radians(upper) == hi
+    radians = [math.radians(d) for d in _edges(upper)] + _edges(hi)
+    for deg in _edges(upper):
+        in_radians = _accepts(check_angle, "a", math.radians(deg), kind, degrees=False)
+        assert _accepts(check_angle, "a", deg, kind) == in_radians, deg
+    wl = Wavelength(0.1)
+    construct, *positions = ANGLE_USERS[kind]
+    for rad in radians:
+        inside = 0.0 <= rad and (rad <= hi if closed else rad < hi)
+        assert _accepts(check_angle, "a", rad, kind, degrees=False) == inside, rad
+        assert _accepts(construct, rad) == inside, rad
+        for i in positions:
+            angles = [0.3, 0.0, 1.0, 0.3, 0.0]
+            angles[i] = rad
+            assert _accepts(rcs_xy_plate, *angles, 0.5, 0.5, wl) == inside, (i, rad)
+
+
+def test_angle_check_names_the_bounds_and_the_first_value_outside():
+    with pytest.raises(ValueError, match=r"^--theta-r-deg out of range \[0, 90\]: 95.0$"):
+        check_angle("--theta-r-deg", [10.0, 95.0, -1.0], "zenith")
+    with pytest.raises(ValueError, match=r"^phi out of range \[0, 2\*pi\): 6.5$"):
+        check_angle("phi", np.array([[0.5, 6.5]]), "azimuth", degrees=False)
+    with pytest.raises(ValueError, match=r"^pol out of range \[0, 360\]: nan$"):
+        check_angle("pol", math.nan, "polarization")
+    assert check_angle("zenith", [0, 90], "zenith").tolist() == [0.0, 90.0]
 
 
 def test_incident_direction_examples():
