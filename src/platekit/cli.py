@@ -453,7 +453,11 @@ def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, s
     def number(key):
         return _number(_need(cfg, key, path), f"{path}.{key}")
 
-    wl = Wavelength.from_frequency(number("frequency_hz"))
+    frequency_hz = number("frequency_hz")
+    try:
+        wl = Wavelength.from_frequency(frequency_hz)
+    except ValueError as exc:
+        raise ValueError(f"{path}.frequency_hz: {exc}") from None
     plate_cfg = _need(cfg, "plate", path)
     if not isinstance(plate_cfg, dict):
         raise ValueError(f"{path}.plate: must be an object")

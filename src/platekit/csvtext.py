@@ -14,54 +14,60 @@ the text with numpy instead:
   which ``%`` rounds half to even, are among them) the value is formatted by
   ``%`` on its own, as are non-finite values and magnitudes outside
   [1e-13, 1e22).
-- Digits come from tables of the 1000 three-digit groups, split off the
-  nine-digit integer in float64 (exact below 1e9) and indexed as intp, the
-  type ``take`` indexes with.  A row's digit count comes from a table on its
-  last group (its two others only where that group is 000).  A digit that
-  not every row prints is read from a table indexed by (digits the row
-  shows in that group, group), NUL at the places it does not show.  The
-  text is laid out as byte fields, one (rows,) uint8 array per character
-  position of a row: sign, ``0.`` and zeros before a small fraction, each
-  digit and each place a decimal point can follow it, the exponent, the
-  commas.  A byte is NUL where ``%`` prints no character, so stacking the
-  fields into rows and dropping the NULs leaves the CSV text.  Fields no row
-  of a call uses are left out.
+- The nine digits are split into three-digit groups in float64 (exact below
+  1e9).  A row's digit count comes from a table on its last group (its two
+  others only where that group is 000).
 - An integer's digits are the three-digit groups of its magnitude, split off
   by floor division; the most significant group is what is left.  A column
   whose magnitudes all fit int32 (``-2**31`` does not) is counted and split
   in int32, the rest in uint64.
 - A column whose values all have one bit pattern (a horizontal region's
-  ``z_m``) is formatted from its first value alone, each byte of that text
-  repeated down the rows.
+  ``z_m``) is formatted once, by ``%``, and written as constant text.
 - ``%.2f`` splits ``|x|`` into its whole part, which prints as ``%d``, and
   its fraction; both are exact in float64.  The two decimals are
   ``rint(fraction * 100)``, one rounding off the exact product by less than
-  1e-14, read from the same digit tables; a rounding to 100 carries into the
-  whole part.  Hundredths within 1e-9 of a midpoint (exact ties among them),
-  non-finite values and magnitudes of 1e15 and above (the whole part must fit
-  an int64; no plot coordinate comes near) are formatted by ``%``.
+  1e-14; a rounding to 100 carries into the whole part.  Hundredths within
+  1e-9 of a midpoint (exact ties among them), non-finite values and
+  magnitudes of 1e15 and above (the whole part must fit an int64; no plot
+  coordinate comes near) are formatted by ``%``.
+
+Rows are assembled from pieces.  A piece is one little-endian uint32 word per
+row holding 1 to 4 bytes of text, NUL where ``%`` prints nothing, read by one
+``take`` from a table of words:
+
+- ``_G9_WORDS`` (16,000 words): a ``%.9g`` digit group with the count of its
+  digits shown (from the first) and the digit a decimal point follows, if
+  any; ``_G9_OFFSETS`` maps a row's (digit count, place of the point) to the
+  offset of each group's words.
+- ``_INT_WORDS`` (4,000 words): a ``%d`` group with the count of its digits
+  shown (up to the last), offset by ``_INT_OFFSETS``.
+- Short texts chosen per row: the sign with the ``0.`` and zeros before a
+  small fraction (two words), the exponent ``e+dd``, the sign, the ``.dd``
+  of ``%.2f``, and the texts of values formatted by ``%``.
+- Text that every row prints (commas, the newline, constant columns) is
+  written as constant words.
+
+The layout is worked out first: each column yields its pieces as (width,
+table, index), with the index in the smallest integer type that holds it,
+and the width the most bytes a row prints there.  ``_join`` then allocates
+the (rows, width + 3) byte buffer and writes the pieces in row order, each
+through an unaligned '<u4' view at its byte offset.  A word's bytes past its
+piece's width are NUL: the next piece overwrites them, or they land in the 3
+NUL slack bytes at the end of the row.  Dropping the NULs leaves the text.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_ZERO, _DOT, _MINUS, _PLUS, _E = np.frombuffer(b"0.-+e", dtype=np.uint8)
 # 10**0 .. 10**22, every one exact in float64; x * 10**k is x * _MUL[k + 14] / _DIV[k + 14].
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 _MUL, _DIV = np.r_[np.ones(14), _POW10], np.r_[_POW10[14:0:-1], np.ones(23)]
 # 10**0 .. 10**19 as uint64: an integer below 10**k has at most k digits.
 _POW10_U64 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.uint64))
 _GROUPS = np.arange(1000)
-# The ASCII digit at each place (hundreds, tens, ones) of the groups 000..999.
-_PLACES = (np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10]) + ord("0")).astype(np.uint8)
-# The digits of a group that a count of shown digits 0..3 keeps, by place:
-# row (count * 1000 + group).  A float's digits are shown from the first
-# place of a group on, an integer's up to the last.
-_LEAD_PLACES = np.stack([(p < np.arange(4))[:, None] * _PLACES[p] for p in range(3)]).reshape(3, 4000)
-_TAIL_PLACES = np.stack([(p >= 3 - np.arange(4))[:, None] * _PLACES[p] for p in range(3)]).reshape(3, 4000)
-# Row offset into those tables of group g (places 3g..3g+2) for 0..20 shown digits.
-_SHOWN_ROWS = np.clip(np.arange(21) - 3 * np.arange(7)[:, None], 0, 3) * 1000
+# The ASCII digits (hundreds, tens, ones) of the groups 000..999, one row per group.
+_DIGITS = (np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10], axis=1) + ord("0")).astype(np.uint8)
 # Significant digits of a nine-digit number whose last group is g != 0:
 # six before it, then the group up to its last non-zero digit.
 _LAST_GROUP_DIGITS = 3 - ((_GROUPS % 10 == 0).astype(np.intp) + (_GROUPS % 100 == 0) + (_GROUPS == 0))
@@ -69,11 +75,80 @@ _LAST_GROUP_DIGITS = 3 - ((_GROUPS % 10 == 0).astype(np.intp) + (_GROUPS % 100 =
 _RANGE_MIN, _RANGE_MAX = 1e-13, 1e22
 # Closest a scaled value may come to a rounding midpoint and still be rounded here.
 _MIDPOINT_MARGIN = 1e-6
-_SHADOW = np.frombuffer(b"shadow", dtype=np.uint8)
 # Magnitudes formatted here as %.2f are below _F2_MAX; hundredths closer than
 # _F2_MARGIN to a rounding midpoint are left to %.
 _F2_MAX, _F2_MARGIN = 1e15, 1e-9
-_COMMA, _SPACE, _NEWLINE = np.frombuffer(b", \n", dtype=np.uint8)
+
+
+def _text_table(texts: list) -> np.ndarray:
+    """(words, len(texts)) uint32: row j holds bytes 4j..4j+3 of each text, NUL-padded."""
+    size = max(4, -(-max(map(len, texts)) // 4) * 4)
+    data = b"".join(text.ljust(size, b"\0") for text in texts)
+    return np.frombuffer(data, dtype="<u4").reshape(len(texts), size // 4).T.copy()
+
+
+def _group_words(chars_of_count) -> np.ndarray:
+    """Words of the 1000 groups for each count 0..3: ``chars_of_count(count)`` is a (1000, k <= 4) byte array."""
+    table = np.zeros((4, 1000, 4), dtype=np.uint8)
+    for count in range(1, 4):
+        chars = chars_of_count(count)
+        table[count, :, : chars.shape[1]] = chars
+    return table.view("<u4").reshape(4000)
+
+
+def _g9_group_words() -> np.ndarray:
+    """Row ((count * 4 + point) * 1000 + group): the first ``count`` digits of
+    the group, with a decimal point after digit ``point`` (1..count; 0: none)."""
+    dot = np.full((1000, 1), ord("."), dtype=np.uint8)
+    return np.concatenate(
+        [_group_words(lambda count: _DIGITS[:, :count] if not 0 < point <= count else
+                      np.hstack([_DIGITS[:, :point], dot, _DIGITS[:, point:count]])).reshape(4, 1000)
+         for point in range(4)],
+        axis=1,
+    ).reshape(16000)
+
+
+def _g9_layout_tables() -> tuple[np.ndarray, ...]:
+    """Tables on a row's layout, nd * 13 + ao + 3 for its significant digits
+    nd (0..9; 0 for a blank row) and the position ao (-3..9) of its ones digit,
+    which scientific notation puts first: the offsets into _G9_WORDS and the
+    bytes printed of its groups 0..2, and twice the zeros k of its ``0.``
+    prefix (0 <= k <= 4, the "0." counted as one).
+
+    Fixed notation prints every integer digit, zeros included: max(nd, ao)
+    digits, with a point after digit ao where digits follow it.  A small
+    fraction (ao <= 0) has its point in the prefix."""
+    nd, ao, g3 = np.arange(10)[:, None], np.arange(-3, 10), 3 * np.arange(3)[:, None, None]
+    shown = np.maximum(nd, ao) * (nd > 0)
+    place = np.where(nd > ao, ao - 1, -1) - g3
+    point = np.where((place >= 0) & (place <= 2), place + 1, 0)
+    count = np.clip(shown - g3, 0, 3)
+    prefix = 2 * np.maximum(1 - ao, 0) * (nd > 0)
+    return ((count * 4 + point) * 1000).astype(np.uint16), count + (point > 0), prefix.astype(np.uint8).reshape(130)
+
+
+_G9_WORDS = _g9_group_words()
+_G9_OFFSETS, _G9_WIDTHS, _PREFIX_ROWS = _g9_layout_tables()
+_G9_ROW_OFFSETS = _G9_OFFSETS.reshape(3, 130)
+# Layout of a nine-digit number whose last group is g, with ao 1: nd is
+# six, then the group up to its last non-zero digit (group 000 is fixed up).
+_LAST_GROUP_LAYOUT = (_LAST_GROUP_DIGITS + 6) * 13 + 4
+# Row (count * 1000 + group): the last ``count`` digits of the group.
+_INT_WORDS = _group_words(lambda count: _DIGITS[:, 3 - count :])
+# Row i < 1000: the digits of i; row 1000: blank.
+_SMALL_INT_WORDS = np.append(_INT_WORDS.take((1 + (_GROUPS >= 10) + (_GROUPS >= 100)) * 1000 + _GROUPS), 0)
+# Offset into _INT_WORDS of group g (places 3g..3g+2) for 0..20 digits shown.
+_INT_OFFSETS = (np.clip(np.arange(21) - 3 * np.arange(7)[:, None], 0, 3) * 1000).astype(np.uint16)
+# Row (negative + 2 * k): the sign, then for 0 < k <= 4 the "0." and k - 1 zeros of a fraction below 10**-k+1.
+_PREFIX_WORDS = _text_table([b"-" * neg + (b"0." + b"0" * (k - 1) if k else b"") for k in range(5) for neg in (0, 1)])
+# Row 0: fixed notation; row e + 14: the exponent e of -13..22.
+_EXP_WORDS = _text_table([b""] + [b"e%+03d" % e for e in range(-13, 23)])[0]
+_SIGN_WORDS = _text_table([b"", b"-"])[0]
+# Row 0: blank; row c + 1: the hundredths c of %.2f.
+_CENTS_WORDS = _text_table([b""] + [b".%02d" % c for c in range(100)])[0]
+_COMMA_WORDS = _text_table([b"", b","])[0]
+# Row 2 * kept + the next point kept: a point's separator.
+_SEPARATOR_WORDS = _text_table([b"", b"", b"\n", b" "])[0]
 
 
 def fmt(x: float) -> str:
@@ -94,16 +169,20 @@ def _round(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, np.abs(p, out=p) > 0.5 - _MIDPOINT_MARGIN
 
 
-def _text_fields(n: int, rows: np.ndarray, texts: list[bytes]) -> list[np.ndarray]:
-    """Fields that spell ``texts[i]`` on row ``rows[i]`` and are NUL elsewhere."""
-    block = np.zeros((max(map(len, texts)), n), dtype=np.uint8)
-    for row, text in zip(rows.tolist(), texts):
-        block[: len(text), row] = np.frombuffer(text, dtype=np.uint8)
-    return list(block)
+def _pieces(table: np.ndarray, index: np.ndarray, width: int) -> list:
+    """Pieces of ``width`` bytes in all, row i reading text ``index[i]`` of a _text_table."""
+    return [(min(4, width - 4 * j), table[j], index, 0) for j in range(-(-width // 4))]
 
 
-def _g9_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
-    """Fields of ``"%.9g" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
+def _text_pieces(n: int, rows: np.ndarray, texts: list) -> list:
+    """Pieces that spell ``texts[i]`` on row ``rows[i]`` and are NUL elsewhere."""
+    index = np.zeros(n, dtype=np.min_scalar_type(len(texts)))
+    index[rows] = np.arange(1, len(texts) + 1)
+    return _pieces(_text_table([b""] + texts), index, max(map(len, texts)))
+
+
+def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
+    """Pieces of ``"%.9g" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
     a = np.abs(x)
     zero = a == 0.0
     in_range = (a >= _RANGE_MIN) & (a < _RANGE_MAX)
@@ -128,72 +207,66 @@ def _g9_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     if any_blank:
         e[blank] = 0
 
-    # The three-digit groups of the nine-digit m, split in float64, exactly
-    # below 1e9: each quotient is at least 1e-6 from the next integer.
-    g0 = np.floor(m / 1e6)
-    m -= g0 * 1e6
-    g1 = np.floor(m / 1e3)
-    m -= g1 * 1e3
-    groups = (g0.astype(np.intp), g1.astype(np.intp), m.astype(np.intp))
-    del g0, g1, m
-    # Significant digits printed, from the last non-zero group; a zero prints one.
-    nd = _LAST_GROUP_DIGITS.take(groups[2]) + 6
-    short = np.flatnonzero(groups[2] == 0)
+    # The three-digit groups of the nine-digit m, split in int32.
+    rest = m.astype(np.int32)
+    del m
+    g0 = rest // 1_000_000
+    rest -= g0 * 1_000_000
+    g1 = rest // 1000
+    rest -= g1 * 1000
+    # The layout row (see _g9_layout_tables): significant digits from the last
+    # non-zero group, a zero printing one; the ones digit follows e in fixed notation.
+    layout = _LAST_GROUP_LAYOUT.take(rest)
+    short = np.flatnonzero(rest == 0)
     if short.size:
-        first, middle = groups[0][short], groups[1][short]
-        nd[short] = np.where(
-            middle > 0, _LAST_GROUP_DIGITS.take(middle) + 3, np.maximum(_LAST_GROUP_DIGITS.take(first), 1)
-        )
+        first, middle = g0[short], g1[short]
+        nd = np.where(middle > 0, _LAST_GROUP_DIGITS.take(middle) + 3, np.maximum(_LAST_GROUP_DIGITS.take(first), 1))
+        layout[short] += (nd - 6) * 13
     e_min, e_max = int(e.min(initial=0)), int(e.max(initial=0))
     fixed = (e >= -4) & (e < 9) if e_min < -4 or e_max >= 9 else None
-    # The digit a decimal point would follow: the ones digit in fixed notation
-    # (negative for a small fraction, whose point the "0." prefix holds), else the first.
-    after_ones = e + 1 if fixed is None else e * fixed + 1
-    # Fixed notation prints every integer digit, zeros included.
-    shown = np.maximum(nd, after_ones)
-    point = (nd > after_ones) * after_ones
-    point -= 1
+    layout += e if fixed is None else e * fixed
     if any_blank:
-        shown[blank] = 0
-        point[blank] = -1
-    del nd, after_ones
+        layout[blank] = 4
+    groups = (g0.astype(np.uint16), g1.astype(np.uint16), rest.astype(np.uint16))
+    del g0, g1, rest
 
-    fields = []
+    pieces = []
     negative = np.signbit(x)
     if any_blank:
         negative &= ~blank
-    if negative.any():
-        fields.append(negative * _MINUS)
-    if e_min < 0:
-        small = e < 0 if fixed is None else fixed & (e < 0)
-        if small.any():
-            fields += [small * _ZERO, small * _DOT]
-            fields += [(small & (e <= -k)) * _ZERO for k in (2, 3, 4)]
-    everywhere = int(shown.min(initial=9))  # digits shown on every row need no mask
-    widest = int(shown.max(initial=0))
-    last_point = int(point.max(initial=-1))  # below 8: a point follows at most the eighth digit
-    for g in range((widest + 2) // 3):
-        if 3 * g + 3 > everywhere:
-            rows = _SHOWN_ROWS[g].take(shown) + groups[g]
-        for p in range(min(3, widest - 3 * g)):
-            j = 3 * g + p
-            fields.append(_PLACES[p].take(groups[g]) if j < everywhere else _LEAD_PLACES[p].take(rows))
-            if j <= last_point:
-                dot = point == j
-                if dot.any():
-                    fields.append(dot * _DOT)
+    # A bound on the layouts of the rows: digits from the extremes of the
+    # layout, ones positions from the fixed range of e, and 1 if any row is
+    # scientific or blank.
+    nd_lo, nd_hi = int(layout.min(initial=0)) // 13, int(layout.max(initial=0)) // 13
+    ao_lo, ao_hi = max(e_min, -4) + 4, min(e_max, 8) + 4
     if fixed is not None:
-        sci = ~fixed
-        exponent = np.abs(e)
-        fields += [sci * _E, sci * (_PLUS + (e < 0) * (_MINUS - _PLUS))]
-        fields += [sci * _PLACES[k].take(exponent) for k in (1, 2)]
+        ao_lo, ao_hi = min(ao_lo, 4), max(ao_hi, 4)
+    k_max = max(0, 4 - ao_lo)
+    width = int(negative.any()) + (k_max + 1 if k_max else 0)
+    if width:
+        prefix = negative.view(np.uint8)
+        if k_max:
+            prefix = _PREFIX_ROWS.take(layout)
+            prefix += negative
+        pieces += _pieces(_PREFIX_WORDS, prefix, width)
+    offsets = _G9_OFFSETS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1]
+    widths = _G9_WIDTHS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1].max(axis=(1, 2), initial=0)
+    for g in np.flatnonzero(widths):
+        if (offsets[g] == offsets[g, 0, 0]).all():
+            index = groups[g] + offsets[g, 0, 0]
+        else:
+            index = _G9_ROW_OFFSETS[g].take(layout)
+            index += groups[g]
+        pieces.append((int(widths[g]), _G9_WORDS, index, 0))
+    if fixed is not None and not fixed.all():
+        pieces.append((4, _EXP_WORDS, ((e + 14) * ~fixed).astype(np.uint8), 0))
     if by_percent.size:
-        fields += _text_fields(x.size, by_percent, [fmt(v).encode("ascii") for v in x[by_percent].tolist()])
-    return fields
+        pieces += _text_pieces(x.size, by_percent, [fmt(v).encode("ascii") for v in x[by_percent].tolist()])
+    return pieces
 
 
-def _f2_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
-    """Fields of ``"%.2f" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
+def _f2_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
+    """Pieces of ``"%.2f" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
     direct = np.abs(x) < _F2_MAX  # False for nan
     a = np.where(direct, np.abs(x), 0.0)
     whole = np.floor(a)
@@ -205,28 +278,38 @@ def _f2_fields(x: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     carry = cents == 100.0
     whole[carry] += 1.0
     cents[carry] = 0.0
-    cents = cents.astype(np.int32)
     negative = np.signbit(x) & ~blank
-    fields = [negative * _MINUS] if negative.any() else []
-    fields += _int_fields(whole.astype(np.int64), blank)
-    shown = ~blank
-    fields += [shown * _DOT, shown * _PLACES[1].take(cents), shown * _PLACES[2].take(cents)]
+    pieces = [(1, _SIGN_WORDS, negative, 0)] if negative.any() else []
+    pieces += _int_pieces(whole.astype(np.int64), blank)
+    pieces.append((3, _CENTS_WORDS, ((cents + 1.0) * ~blank).astype(np.uint8), 0))
     if by_percent.size:
-        fields += _text_fields(x.size, by_percent, [b"%.2f" % v for v in x[by_percent].tolist()])
-    return fields
+        pieces += _text_pieces(x.size, by_percent, [b"%.2f" % v for v in x[by_percent].tolist()])
+    return pieces
 
 
-def _int_fields(v: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
-    """Fields of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden``."""
-    negative = v < 0
+def _int_pieces(v: np.ndarray, hidden: np.ndarray) -> list:
+    """Pieces of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden``."""
+    lo, hi = int(v.min(initial=0)), int(v.max(initial=0))
     any_hidden = hidden.any()
-    if any_hidden:
-        negative &= ~hidden
-    if -(2**31 - 1) <= v.min(initial=0) and v.max(initial=0) <= 2**31 - 1:
+    pieces = []
+    if lo < 0:
+        negative = v < 0
+        if any_hidden:
+            negative &= ~hidden
+        if negative.any():
+            pieces.append((1, _SIGN_WORDS, negative, 0))
+    if -1000 < lo and hi < 1000:
+        # One group: the magnitude indexes _SMALL_INT_WORDS, 1000 where hidden.
+        u = v if lo >= 0 else np.abs(v, dtype=np.intp)
+        if any_hidden:
+            u = np.where(hidden, 1000, u)
+        pieces.append((len(str(max(-lo, hi))), _SMALL_INT_WORDS, u, 0))
+        return pieces
+    if -(2**31 - 1) <= lo and hi <= 2**31 - 1:
         # Magnitudes in int32, digits counted against the powers of ten up to the largest.
         u = np.abs(v.astype(np.int32))
         nd = np.ones(len(u), dtype=np.intp)
-        for p in _POW10_U64[1 : len(str(u.max(initial=0)))].astype(np.int32):
+        for p in _POW10_U64[1 : len(str(max(-lo, hi)))].astype(np.int32):
             nd += u >= p
     else:
         u = v.astype(np.uint64)
@@ -235,23 +318,33 @@ def _int_fields(v: np.ndarray, hidden: np.ndarray) -> list[np.ndarray]:
     if any_hidden:
         nd[hidden] = 0
         u[hidden] = 0  # within the visible rows' groups
-    fields = [negative * _MINUS] if negative.any() else []
     width = int(nd.max(initial=0))
     # Three-digit groups, least significant first; the last is what is left.
     groups = []
     for _ in range(3, width, 3):
         rest = u // 1000
-        groups.append((u - rest * 1000).astype(np.intp))
+        groups.append((u - rest * 1000).astype(np.uint16))
         u = rest
-    groups.append(u.astype(np.intp))
+    groups.append(u.astype(np.uint16))
     everywhere = int(nd.min(initial=20))
     for g in range(len(groups) - 1, -1, -1):
-        if 3 * g + 3 > everywhere:
-            rows = _SHOWN_ROWS[g].take(nd) + groups[g]
-        for p in range(max(0, 3 * g + 3 - width), 3):
-            place = 3 * g + 2 - p
-            fields.append(_PLACES[p].take(groups[g]) if place < everywhere else _TAIL_PLACES[p].take(rows))
-    return fields
+        if 3 * g + 3 <= everywhere:
+            index = groups[g] + np.uint16(3000)
+        else:
+            index = _INT_OFFSETS[g].take(nd)
+            index += groups[g]
+        pieces.append((min(3, width - 3 * g), _INT_WORDS, index, 0))
+    return pieces
+
+
+def _add_text(pieces: list, text: bytes) -> None:
+    """Append ``text`` on every row to ``pieces``: what fits into the last
+    piece's words as their tail, the rest as constant words."""
+    if pieces and pieces[-1][1] is not None and pieces[-1][0] < 4:
+        width, table, index, tail = pieces[-1]
+        pieces[-1] = (min(4, width + len(text)), table, index, tail | int.from_bytes(text[: 4 - width], "little") << 8 * width)
+        text = text[4 - width :]
+    pieces += [(len(text[j : j + 4]), None, None, int.from_bytes(text[j : j + 4], "little")) for j in range(0, len(text), 4)]
 
 
 def format_rows(columns: list, shadow=None) -> bytearray:
@@ -262,29 +355,34 @@ def format_rows(columns: list, shadow=None) -> bytearray:
     """
     n = len(columns[0])
     shadow = np.zeros(n, dtype=bool) if shadow is None else np.asarray(shadow, dtype=bool)
+    any_shadow = shadow.any()
     visible = np.zeros(n, dtype=bool)
-    comma, newline = np.full(n, _COMMA), np.full(n, _NEWLINE)
-    fields = []
+    pieces, text = [], b""  # text: constant bytes not yet laid out
     for k, column in enumerate(columns):
-        hidden = shadow if k == len(columns) - 1 else visible
+        hidden = shadow if k == len(columns) - 1 and any_shadow else visible
         if k:
-            fields.append(comma)
+            text += b","
         if np.issubdtype(column.dtype, np.integer):
-            kernel = _int_fields
+            kernel, spec = _int_pieces, b"%d"
         else:
-            kernel, column = _g9_fields, np.asarray(column, dtype=np.float64)
-        if not _is_constant(column):
-            fields += kernel(column, hidden)
-            continue
-        # One value's text on every row, NUL where hidden.
-        shown = ~hidden if hidden.any() else None
-        for byte in (int(field[0]) for field in kernel(column[:1], visible[:1])):
-            if byte:
-                fields.append(np.full(n, byte, dtype=np.uint8) if shown is None else shown * np.uint8(byte))
-    if shadow.any():
-        fields += list(shadow * _SHADOW[:, None])
-    fields.append(newline)
-    return _join(fields, n)
+            kernel, spec, column = _g9_pieces, b"%.9g", np.asarray(column, dtype=np.float64)
+        if _is_constant(column):
+            value = spec % column[0]
+            if hidden is visible:
+                text += value
+                continue
+            column_pieces = _pieces(_text_table([b"", value]), ~hidden, len(value))
+        else:
+            column_pieces = kernel(column, hidden)
+        _add_text(pieces, text)
+        pieces += column_pieces
+        text = b""
+    if any_shadow:
+        _add_text(pieces, text)
+        pieces += _pieces(_text_table([b"", b"shadow"]), shadow, 6)
+        text = b""
+    _add_text(pieces, text + b"\n")
+    return _join(pieces, n)
 
 
 def _is_constant(column: np.ndarray) -> bool:
@@ -300,16 +398,29 @@ def format_points(x, y, keep) -> list[bytes]:
     keep = np.asarray(keep, dtype=bool)
     hidden = ~keep
     # A space after a point whose successor is kept, a newline after a run's last point.
-    follows = np.append(keep[1:], False)
-    separator = keep * np.where(follows, _SPACE, _NEWLINE)
-    fields = [*_f2_fields(x, hidden), keep * _COMMA, *_f2_fields(y, hidden), separator]
-    return _join(fields, keep.size).split(b"\n")[:-1]
+    separator = 2 * keep.view(np.uint8)
+    separator[:-1] += keep[1:]
+    pieces = [*_f2_pieces(x, hidden), (1, _COMMA_WORDS, keep, 0), *_f2_pieces(y, hidden), (1, _SEPARATOR_WORDS, separator, 0)]
+    return _join(pieces, keep.size).split(b"\n")[:-1]
 
 
-def _join(fields: list, n: int) -> bytearray:
-    """The ``n`` rows of ``fields`` with their NULs dropped; empties ``fields``."""
-    # Stacked straight into a bytearray, which drops its NULs without a copy of the rows.
-    text = bytearray(n * len(fields))
-    np.stack(fields, axis=1, out=np.frombuffer(text, dtype=np.uint8).reshape(n, len(fields)))
-    fields.clear()
+def _join(pieces: list, n: int) -> bytearray:
+    """The ``n`` rows of ``pieces`` with their NULs dropped; empties ``pieces``.
+
+    A piece is (width, table, index, tail): its words are ``table.take(index)``
+    with the constant ``tail`` or'ed in, or ``tail`` alone where ``table`` is None."""
+    stride = sum(piece[0] for piece in pieces) + 3
+    text = bytearray(n * stride)
+    offset = 0
+    for width, table, index, tail in pieces:
+        if table is None:
+            words = np.full(n, tail, dtype=np.uint32)
+        else:
+            words = table.take(index)
+            if tail:
+                words |= tail
+        if n:
+            np.ndarray(n, dtype="<u4", buffer=text, offset=offset, strides=(stride,))[...] = words
+        offset += width
+    pieces.clear()
     return text.translate(None, b"\0")

@@ -71,14 +71,22 @@ def check_angle(name: str, values, kind: str, *, degrees: bool = True) -> np.nda
     value as given; NaN is outside.  Degrees pass exactly when their math.radians
     pass (so negative degrees that round to -0.0 radians pass)."""
     upper, radian_bound, closed = ANGLE_DOMAINS[kind]
-    given = np.asarray(values, dtype=float)
     hi = math.radians(upper)
-    rad = np.radians(given) if degrees else given
-    inside = (rad >= 0.0) & ((rad <= hi) if closed else (rad < hi))
-    if not inside.all():
-        bounds = f"[0, {f'{upper:g}' if degrees else radian_bound}{']' if closed else ')'}"
-        raise ValueError(f"{name} out of range {bounds}: {float(given[~inside].flat[0])}")
-    return given
+    if type(values) is float:
+        # A Python float is checked by math comparisons, on the same radians.
+        rad = math.radians(values) if degrees else values
+        if rad >= 0.0 and ((rad <= hi) if closed else (rad < hi)):
+            return np.asarray(values)
+        first = values
+    else:
+        given = np.asarray(values, dtype=float)
+        rad = np.radians(given) if degrees else given
+        inside = (rad >= 0.0) & ((rad <= hi) if closed else (rad < hi))
+        if inside.all():
+            return given
+        first = float(given[~inside].flat[0])
+    bounds = f"[0, {f'{upper:g}' if degrees else radian_bound}{']' if closed else ')'}"
+    raise ValueError(f"{name} out of range {bounds}: {first}")
 
 
 @dataclass(frozen=True)

@@ -339,7 +339,8 @@ def test_plate_flags_reject_non_finite(capsys, command, flags, message):
 @pytest.mark.parametrize("command", ["rcs", "sweep", "validate", "coverage", "optimize"])
 def test_frequency_whose_wavelength_square_leaves_float64_is_rejected(capsys, tmp_path, command, freq_hz):
     """At 1e200 Hz lambda^2 underflows to 0 (sigma_max would be 0/0), at 1e165 Hz
-    to a subnormal (1/lambda^2 overflows), at 1e-200 Hz it overflows."""
+    to a subnormal (1/lambda^2 overflows), at 1e-200 Hz it overflows.  A scene's
+    error names its key, as every other scene number's does."""
     cfg = json.loads(json.dumps(SCENE_CONFIG))
     cfg["frequency_hz"] = float(freq_hz)
     scene, out_csv = str(write_config(tmp_path, cfg)), tmp_path / "c.csv"
@@ -355,8 +356,9 @@ def test_frequency_whose_wavelength_square_leaves_float64_is_rejected(capsys, tm
         argv[argv.index("--freq-hz") + 1] = freq_hz
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
-    assert err == ("error: frequency must be positive and finite, with a wavelength whose square neither underflows "
-                   f"nor overflows float64: {float(freq_hz)} Hz\n")
+    key = f"{scene}.frequency_hz: " if command in ("coverage", "optimize") else ""
+    assert err == (f"error: {key}frequency must be positive and finite, with a wavelength whose square neither "
+                   f"underflows nor overflows float64: {float(freq_hz)} Hz\n")
     assert not out_csv.exists()
 
 

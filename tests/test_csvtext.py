@@ -190,7 +190,9 @@ def test_write_table_matches_percent_writer(tmp_path, monkeypatch, chunk_rows):
 
 
 def test_write_table_memory_is_bounded():
-    """The traced peak of writing four float columns is set by the chunk, not the table."""
+    """The traced peak of writing four float columns, or a coverage map's
+    columns (two int, three float, one constant and a shadow mask), is set by
+    the chunk, not the table."""
     rng = np.random.default_rng(5)
     peaks = []
     for rows in (100_000, 1_000_000):
@@ -199,3 +201,77 @@ def test_write_table_memory_is_bounded():
         peaks.append(peak)
     assert max(peaks) <= 1.5 * 2**20, peaks
     assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+    coverage_peaks = []
+    for side in (316, 1000):
+        iu, iv = np.indices((side, side)).reshape(2, -1)
+        x, y = rng.uniform(-40.0, 40.0, (2, iu.size))
+        columns = [iu, iv, x, y, np.full(iu.size, 1.5), rng.normal(-70.0, 12.0, iu.size)]
+        shadow = rng.random(iu.size) < 0.3
+        _, (_, peak) = traced_memory(cli._write_table, os.devnull, "iu,iv,x,y,z,p", columns, shadow=shadow)
+        coverage_peaks.append(peak)
+    assert max(coverage_peaks) <= 1.5 * 2**20, coverage_peaks
+    assert coverage_peaks[1] - coverage_peaks[0] < 0.5 * 2**20, coverage_peaks
+
+
+# Values that %.9g prints in one character, and values the kernel leaves to %
+# (ties and next-to-midpoint scalings, non-finite, outside [1e-13, 1e22)).
+ONE_CHARACTER_FLOATS = [float(d) for d in range(10)]
+PERCENT_FLOATS = [0.5e-13, 123456789.5, 1234567885.0, 2.5e-300, 1e300, float("nan"), float("inf"), float("-inf"),
+                  -5e-324, 9.999999995e-6]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, None])
+def test_rows_match_percent_writers_where_a_word_spills(tmp_path, monkeypatch, chunk_rows):
+    """Multi-column rows and polyline points, including rows shorter than a
+    word (an int column of 0-9 prints "d\n"), narrow last columns, constant
+    columns, all-shadow rows and %-formatted values in the first and last
+    column: a piece's word reaches up to 3 bytes past its text, which the next
+    piece or the row's slack must take."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "table.csv"
+    floats = (st.floats() | st.sampled_from(EDGE_FLOATS + PERCENT_FLOATS)
+              | st.builds(lambda m, k: (m + 0.5) * 10.0**k, st.integers(10**8, 10**9 - 1), st.integers(-14, 12)))
+    kinds = {
+        "digit": lambda n: st.lists(st.integers(0, 9), min_size=n, max_size=n).map(np.array),
+        "int": lambda n: st.lists(st.integers(-(2**53), 2**53) | st.sampled_from(EDGE_INTS32), min_size=n,
+                                  max_size=n).map(np.array),
+        "float": lambda n: st.lists(floats, min_size=n, max_size=n).map(np.array),
+        "narrow": lambda n: st.lists(st.sampled_from(ONE_CHARACTER_FLOATS), min_size=n, max_size=n).map(np.array),
+        "percent": lambda n: st.lists(st.sampled_from(PERCENT_FLOATS), min_size=n, max_size=n).map(np.array),
+        "constant": lambda n: (floats | st.integers(-(2**53), 2**53)).map(lambda v: np.full(n, v)),
+    }
+
+    @st.composite
+    def tables(draw):
+        n = draw(st.integers(1, 12))
+        columns = [draw(kinds[kind](n)) for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                                                                   max_size=5))]
+        shadow = draw(st.none() | st.sampled_from([False, True]).map(lambda v: np.full(n, v))
+                      | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+        return columns, shadow
+
+    @st.composite
+    def points(draw):
+        n = draw(st.integers(0, 12))
+        values = st.lists(st.sampled_from(ONE_CHARACTER_FLOATS + PERCENT_FLOATS + F2_EDGES) | st.floats(),
+                          min_size=n, max_size=n)
+        return draw(values), draw(values), draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(tables(), points())
+    @hypothesis.example(([np.arange(10)], None), ([], [], []))
+    @hypothesis.example(([np.array([7]), np.array([3.0])], np.array([True])), ([1.0], [2.0], [True]))
+    @hypothesis.example(([np.array(PERCENT_FLOATS), np.arange(10) % 3, np.full(10, 2.5), np.array(PERCENT_FLOATS[::-1])],
+                         np.arange(10) % 2 == 0), (PERCENT_FLOATS, PERCENT_FLOATS[::-1], [True] * 10))
+    def check(table, point_lists):
+        columns, shadow = table
+        header = ",".join(f"c{k}" for k in range(len(columns)))
+        cli._write_table(str(path), header, columns, shadow=shadow)
+        assert path.read_text() == reference_table(header, columns, shadow)
+        xs, ys, keep = point_lists
+        assert format_points(np.array(xs), np.array(ys), np.array(keep, dtype=bool)) == percent_points(xs, ys, keep)
+
+    check()

@@ -10,10 +10,13 @@ the same total wrote the same bytes on every job.
 Usage, from the root of a source checkout:
 
     python3 tools/output_digest.py [SRC]
+    python3 tools/output_digest.py SRC_A SRC_B
 
 SRC is the ``src`` directory whose platekit runs (default: this checkout's).
-The jobs always come from this checkout's ``perfbench/workloads.py``, so the
-totals of two trees compare on the same jobs.
+Given two, each tree runs in its own Python process; the two totals are
+printed and the exit code is 1 if they differ.  The jobs always come from this
+checkout's ``perfbench/workloads.py``, so the totals of two trees compare on
+the same jobs.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -48,10 +52,8 @@ def _job_digest(cli, job, workdir: Path) -> bytes:
     return h.digest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="src directory to run platekit from")
-    src = Path(parser.parse_args(argv).src).resolve()
+def _digest(src: Path) -> None:
+    """Print the per-workload digests and the total of platekit from ``src``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import platekit.cli
     import workloads
@@ -70,6 +72,34 @@ def main(argv=None) -> int:
         print(f"{workload} {h.hexdigest()}")
         total.update(h.digest())
     print(f"total {total.hexdigest()}")
+
+
+def _compare(sources: list) -> int:
+    """Digest each tree in its own process; 0 if the totals agree, 1 if not."""
+    totals = []
+    for src in sources:
+        run = subprocess.run([sys.executable, __file__, str(src)], capture_output=True, text=True)
+        sys.stderr.write(run.stderr)
+        if run.returncode:
+            raise SystemExit(f"error: digest of {src} exited {run.returncode}")
+        for line in run.stdout.splitlines():
+            print(f"{src}: {line}")
+        totals.append(run.stdout.splitlines()[-1])
+    same = totals[0] == totals[1]
+    print("same output" if same else "outputs differ")
+    return 0 if same else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="*", default=[str(ROOT / "src")],
+                        help="src directory to run platekit from; two compare their totals")
+    sources = [Path(src).resolve() for src in parser.parse_args(argv).src]
+    if len(sources) > 2:
+        parser.error("at most two src directories")
+    if len(sources) == 2:
+        return _compare(sources)
+    _digest(sources[0])
     return 0
 
 
