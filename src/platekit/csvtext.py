@@ -13,16 +13,11 @@ the text with numpy instead:
   the other side of a rounding midpoint (within 1e-6 of ``.5``; exact ties,
   which ``%`` rounds half to even, are among them) the value is formatted by
   ``%`` on its own, as are non-finite values and magnitudes outside
-  [1e-13, 1e22).
-- The nine digits are split into three-digit groups in float64 (exact below
-  1e9).  A row's digit count comes from a table on its last group (its two
-  others only where that group is 000).
+  [1e-13, 1e22).  The nine digits split into three-digit groups in int32.
 - An integer's digits are the three-digit groups of its magnitude, split off
   by floor division; the most significant group is what is left.  A column
   whose magnitudes all fit int32 (``-2**31`` does not) is counted and split
   in int32, the rest in uint64.
-- A column whose values all have one bit pattern (a horizontal region's
-  ``z_m``) is formatted once, by ``%``, and written as constant text.
 - ``%.2f`` splits ``|x|`` into its whole part, which prints as ``%d``, and
   its fraction; both are exact in float64.  The two decimals are
   ``rint(fraction * 100)``, one rounding off the exact product by less than
@@ -30,30 +25,34 @@ the text with numpy instead:
   1e-9 of a midpoint (exact ties among them), non-finite values and
   magnitudes of 1e15 and above (the whole part must fit an int64; no plot
   coordinate comes near) are formatted by ``%``.
+- A column whose values all have one bit pattern (a horizontal region's
+  ``z_m``) is formatted once, by ``%``.
 
-Rows are assembled from pieces.  A piece is one little-endian uint32 word per
-row holding 1 to 4 bytes of text, NUL where ``%`` prints nothing, read by one
-``take`` from a table of words:
+Rows are built from pieces.  A piece gives each row one little-endian uint32
+word holding up to 4 bytes of its text, NUL where ``%`` prints nothing; its
+width is the most bytes any row prints there.  Each word is one ``take``:
 
-- ``_G9_WORDS`` (16,000 words): a ``%.9g`` digit group with the count of its
-  digits shown (from the first) and the digit a decimal point follows, if
-  any; ``_G9_OFFSETS`` maps a row's (digit count, place of the point) to the
-  offset of each group's words.
-- ``_INT_WORDS`` (4,000 words): a ``%d`` group with the count of its digits
-  shown (up to the last), offset by ``_INT_OFFSETS``.
-- Short texts chosen per row: the sign with the ``0.`` and zeros before a
-  small fraction (two words), the exponent ``e+dd``, the sign, the ``.dd``
-  of ``%.2f``, and the texts of values formatted by ``%``.
-- Text that every row prints (commas, the newline, constant columns) is
-  written as constant words.
+- ``_G9_WORDS`` (16,000): a ``%.9g`` group with the count of its digits
+  shown and the digit a decimal point follows, if any.  ``_G9_OFFSETS`` maps
+  a row's layout (its significant digits and the place of its ones digit) to
+  each group's rows, ``_G9_WIDTHS`` to the bytes printed.
+- ``_INT_WORDS`` (2,001): a ``%d`` group as the leading group, blank, or
+  with its leading zeros; ``_INT_OFFSETS`` maps the digit count to the rows.
+- Short texts by row: the sign with the ``0.`` and zeros before a small
+  fraction (two words), the exponent ``e+dd``, a sign, the ``.dd`` of
+  ``%.2f`` and the texts of values formatted by ``%``.
+- Commas, the newline and constant columns are the same on every row: they
+  are or'ed into the free high bytes of the piece before them, or written as
+  constant words.
 
-The layout is worked out first: each column yields its pieces as (width,
-table, index), with the index in the smallest integer type that holds it,
-and the width the most bytes a row prints there.  ``_join`` then allocates
-the (rows, width + 3) byte buffer and writes the pieces in row order, each
-through an unaligned '<u4' view at its byte offset.  A word's bytes past its
-piece's width are NUL: the next piece overwrites them, or they land in the 3
-NUL slack bytes at the end of the row.  Dropping the NULs leaves the text.
+The layout is worked out first, column by column: each piece is its width,
+its table and a row index into it, in the smallest integer type that holds
+it (1 or 2 bytes a row, where the words would take 4).  ``_join`` then
+allocates the (rows, width + 3) byte buffer and writes the pieces in row
+order, each through an unaligned '<u4' view at its byte offset.  A word's
+bytes past its piece's width are NUL: the next piece overwrites them, or
+they land in the 3 NUL slack bytes at the end of the row.  Dropping the NULs
+(``bytearray.translate``) leaves the text.
 """
 
 from __future__ import annotations
@@ -87,33 +86,26 @@ def _text_table(texts: list) -> np.ndarray:
     return np.frombuffer(data, dtype="<u4").reshape(len(texts), size // 4).T.copy()
 
 
-def _group_words(chars_of_count) -> np.ndarray:
-    """Words of the 1000 groups for each count 0..3: ``chars_of_count(count)`` is a (1000, k <= 4) byte array."""
-    table = np.zeros((4, 1000, 4), dtype=np.uint8)
-    for count in range(1, 4):
-        chars = chars_of_count(count)
-        table[count, :, : chars.shape[1]] = chars
-    return table.view("<u4").reshape(4000)
-
-
 def _g9_group_words() -> np.ndarray:
     """Row ((count * 4 + point) * 1000 + group): the first ``count`` digits of
     the group, with a decimal point after digit ``point`` (1..count; 0: none)."""
-    dot = np.full((1000, 1), ord("."), dtype=np.uint8)
-    return np.concatenate(
-        [_group_words(lambda count: _DIGITS[:, :count] if not 0 < point <= count else
-                      np.hstack([_DIGITS[:, :point], dot, _DIGITS[:, point:count]])).reshape(4, 1000)
-         for point in range(4)],
-        axis=1,
-    ).reshape(16000)
+    table = np.zeros((4, 4, 1000, 4), dtype=np.uint8)
+    for count in range(1, 4):
+        for point in range(count + 1):
+            chars = table[count, point]
+            chars[:, :count] = _DIGITS[:, :count]
+            if point:
+                chars[:, point] = ord(".")
+                chars[:, point + 1 : count + 1] = _DIGITS[:, point:count]
+    return table.view("<u4").reshape(16000)
 
 
 def _g9_layout_tables() -> tuple[np.ndarray, ...]:
     """Tables on a row's layout, nd * 13 + ao + 3 for its significant digits
     nd (0..9; 0 for a blank row) and the position ao (-3..9) of its ones digit,
     which scientific notation puts first: the offsets into _G9_WORDS and the
-    bytes printed of its groups 0..2, and twice the zeros k of its ``0.``
-    prefix (0 <= k <= 4, the "0." counted as one).
+    bytes printed of its groups 0..2, and 2 * k for its ``0.`` prefix (see
+    _PREFIX_WORDS).
 
     Fixed notation prints every integer digit, zeros included: max(nd, ao)
     digits, with a point after digit ao where digits follow it.  A small
@@ -133,13 +125,20 @@ _G9_ROW_OFFSETS = _G9_OFFSETS.reshape(3, 130)
 # Layout of a nine-digit number whose last group is g, with ao 1: nd is
 # six, then the group up to its last non-zero digit (group 000 is fixed up).
 _LAST_GROUP_LAYOUT = (_LAST_GROUP_DIGITS + 6) * 13 + 4
-# Row (count * 1000 + group): the last ``count`` digits of the group.
-_INT_WORDS = _group_words(lambda count: _DIGITS[:, 3 - count :])
-# Row i < 1000: the digits of i; row 1000: blank.
-_SMALL_INT_WORDS = np.append(_INT_WORDS.take((1 + (_GROUPS >= 10) + (_GROUPS >= 100)) * 1000 + _GROUPS), 0)
+# What a last group 000 adds to that layout: row g (g > 0), for a middle
+# group g; row 1000 + g, for a first group g where the middle one is 000 too
+# (a zero prints one digit).
+_SHORT_LAYOUT = np.r_[_LAST_GROUP_DIGITS + 3 - 6, np.maximum(_LAST_GROUP_DIGITS, 1) - 6] * 13
+# A %d group: row g < 1000, g leading its number (shown from its first
+# non-zero digit: dropping the word's first bytes is a shift); row 1000,
+# blank; row 1001 + g, g after the leading group (all three digits).
+_INT_WORDS = np.r_[_G9_WORDS[12000:13000] >> (16 - 8 * (_GROUPS >= 10) - 8 * (_GROUPS >= 100)).astype(np.uint32),
+                   0, _G9_WORDS[12000:13000]]
 # Offset into _INT_WORDS of group g (places 3g..3g+2) for 0..20 digits shown.
-_INT_OFFSETS = (np.clip(np.arange(21) - 3 * np.arange(7)[:, None], 0, 3) * 1000).astype(np.uint16)
-# Row (negative + 2 * k): the sign, then for 0 < k <= 4 the "0." and k - 1 zeros of a fraction below 10**-k+1.
+_INT_OFFSETS = np.select([np.arange(21) > 3 * np.arange(7)[:, None] + 3, np.arange(21) > 3 * np.arange(7)[:, None]],
+                         [1001, 0], 1000).astype(np.uint16)
+# Row (negative + 2 * k): the sign, then for k > 0 the "0." and k - 1 zeros
+# that %.9g prints before the digits of a fraction in [10**-k, 10**(1 - k)).
 _PREFIX_WORDS = _text_table([b"-" * neg + (b"0." + b"0" * (k - 1) if k else b"") for k in range(5) for neg in (0, 1)])
 # Row 0: fixed notation; row e + 14: the exponent e of -13..22.
 _EXP_WORDS = _text_table([b""] + [b"e%+03d" % e for e in range(-13, 23)])[0]
@@ -184,9 +183,11 @@ def _text_pieces(n: int, rows: np.ndarray, texts: list) -> list:
 def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     """Pieces of ``"%.9g" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
     a = np.abs(x)
-    zero = a == 0.0
-    in_range = (a >= _RANGE_MIN) & (a < _RANGE_MAX)
-    if not in_range.all():
+    zero = outside = None
+    if not (a.min(initial=_RANGE_MIN) >= _RANGE_MIN and a.max(initial=0.0) < _RANGE_MAX):  # nan fails both
+        in_range = (a >= _RANGE_MIN) & (a < _RANGE_MAX)
+        zero = a == 0.0
+        outside = ~(in_range | zero)
         a[~in_range] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
     m, midpoint = _round(a, e)
@@ -198,14 +199,18 @@ def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
         m[redo], again = _round(a[redo], e[redo])
         midpoint[redo] |= again
     del a
-    by_percent = np.flatnonzero((midpoint | ~(in_range | zero)) & ~hidden)
-    blank = hidden.copy()
-    blank[by_percent] = True
-    any_blank = blank.any()
-    if zero.any():
-        m[zero] = 0.0
+    percent = midpoint if outside is None else midpoint | outside
+    any_hidden = bool(hidden.any())
+    if any_hidden:
+        percent &= ~hidden
+    by_percent = np.flatnonzero(percent)
+    any_blank = any_hidden or by_percent.size > 0
     if any_blank:
+        blank = hidden.copy()
+        blank[by_percent] = True
         e[blank] = 0
+    if zero is not None:
+        m[zero] = 0.0
 
     # The three-digit groups of the nine-digit m, split in int32.
     rest = m.astype(np.int32)
@@ -219,9 +224,8 @@ def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     layout = _LAST_GROUP_LAYOUT.take(rest)
     short = np.flatnonzero(rest == 0)
     if short.size:
-        first, middle = g0[short], g1[short]
-        nd = np.where(middle > 0, _LAST_GROUP_DIGITS.take(middle) + 3, np.maximum(_LAST_GROUP_DIGITS.take(first), 1))
-        layout[short] += (nd - 6) * 13
+        middle = g1[short]
+        layout[short] += _SHORT_LAYOUT.take(np.where(middle > 0, middle, g0[short] + 1000))
     e_min, e_max = int(e.min(initial=0)), int(e.max(initial=0))
     fixed = (e >= -4) & (e < 9) if e_min < -4 or e_max >= 9 else None
     layout += e if fixed is None else e * fixed
@@ -234,25 +238,29 @@ def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     negative = np.signbit(x)
     if any_blank:
         negative &= ~blank
-    # A bound on the layouts of the rows: digits from the extremes of the
-    # layout, ones positions from the fixed range of e, and 1 if any row is
-    # scientific or blank.
+    prefix = negative.view(np.uint8)
+    width = int(prefix.any())
+    if e_min < 0:  # a row may be a fraction below 1 in fixed notation
+        rows = _PREFIX_ROWS.take(layout)
+        k_max = int(rows.max(initial=0)) // 2
+        if k_max:
+            rows += negative
+            prefix, width = rows, width + k_max + 1
+    if width:
+        pieces += _pieces(_PREFIX_WORDS, prefix, width)
+    # The groups' widths and offsets over a box of layouts that holds every
+    # row's (a wider box costs NUL bytes, never text): digits from the
+    # layout's extremes, ones positions (ao + 3) from e's fixed range, and ao
+    # 1 for scientific and blank rows.
     nd_lo, nd_hi = int(layout.min(initial=0)) // 13, int(layout.max(initial=0)) // 13
     ao_lo, ao_hi = max(e_min, -4) + 4, min(e_max, 8) + 4
     if fixed is not None:
         ao_lo, ao_hi = min(ao_lo, 4), max(ao_hi, 4)
-    k_max = max(0, 4 - ao_lo)
-    width = int(negative.any()) + (k_max + 1 if k_max else 0)
-    if width:
-        prefix = negative.view(np.uint8)
-        if k_max:
-            prefix = _PREFIX_ROWS.take(layout)
-            prefix += negative
-        pieces += _pieces(_PREFIX_WORDS, prefix, width)
     offsets = _G9_OFFSETS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1]
     widths = _G9_WIDTHS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1].max(axis=(1, 2), initial=0)
+    same = (offsets == offsets[:, :1, :1]).all(axis=(1, 2))
     for g in np.flatnonzero(widths):
-        if (offsets[g] == offsets[g, 0, 0]).all():
+        if same[g]:
             index = groups[g] + offsets[g, 0, 0]
         else:
             index = _G9_ROW_OFFSETS[g].take(layout)
@@ -299,11 +307,11 @@ def _int_pieces(v: np.ndarray, hidden: np.ndarray) -> list:
         if negative.any():
             pieces.append((1, _SIGN_WORDS, negative, 0))
     if -1000 < lo and hi < 1000:
-        # One group: the magnitude indexes _SMALL_INT_WORDS, 1000 where hidden.
+        # One group, the leading one: the magnitude is the row of _INT_WORDS, 1000 where hidden.
         u = v if lo >= 0 else np.abs(v, dtype=np.intp)
         if any_hidden:
             u = np.where(hidden, 1000, u)
-        pieces.append((len(str(max(-lo, hi))), _SMALL_INT_WORDS, u, 0))
+        pieces.append((len(str(max(-lo, hi))), _INT_WORDS, u, 0))
         return pieces
     if -(2**31 - 1) <= lo and hi <= 2**31 - 1:
         # Magnitudes in int32, digits counted against the powers of ten up to the largest.
@@ -317,7 +325,7 @@ def _int_pieces(v: np.ndarray, hidden: np.ndarray) -> list:
         nd = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
     if any_hidden:
         nd[hidden] = 0
-        u[hidden] = 0  # within the visible rows' groups
+        u[hidden] = 0  # every group 0, blank above the leading one
     width = int(nd.max(initial=0))
     # Three-digit groups, least significant first; the last is what is left.
     groups = []
@@ -328,8 +336,8 @@ def _int_pieces(v: np.ndarray, hidden: np.ndarray) -> list:
     groups.append(u.astype(np.uint16))
     everywhere = int(nd.min(initial=20))
     for g in range(len(groups) - 1, -1, -1):
-        if 3 * g + 3 <= everywhere:
-            index = groups[g] + np.uint16(3000)
+        if 3 * g + 3 <= everywhere:  # all three digits on every row
+            index = groups[g] + np.uint16(1001)
         else:
             index = _INT_OFFSETS[g].take(nd)
             index += groups[g]
@@ -338,13 +346,17 @@ def _int_pieces(v: np.ndarray, hidden: np.ndarray) -> list:
 
 
 def _add_text(pieces: list, text: bytes) -> None:
-    """Append ``text`` on every row to ``pieces``: what fits into the last
-    piece's words as their tail, the rest as constant words."""
-    if pieces and pieces[-1][1] is not None and pieces[-1][0] < 4:
+    """Append ``text``, the same on every row, to ``pieces``: what fits into
+    the free bytes of the last piece's words as their tail, the rest as
+    constant words."""
+    if pieces and pieces[-1][1] is not None:
         width, table, index, tail = pieces[-1]
-        pieces[-1] = (min(4, width + len(text)), table, index, tail | int.from_bytes(text[: 4 - width], "little") << 8 * width)
-        text = text[4 - width :]
-    pieces += [(len(text[j : j + 4]), None, None, int.from_bytes(text[j : j + 4], "little")) for j in range(0, len(text), 4)]
+        fits = text[: 4 - width]
+        pieces[-1] = (width + len(fits), table, index, tail | int.from_bytes(fits, "little") << 8 * width)
+        text = text[len(fits) :]
+    for j in range(0, len(text), 4):
+        word = text[j : j + 4]
+        pieces.append((len(word), None, None, int.from_bytes(word, "little")))
 
 
 def format_rows(columns: list, shadow=None) -> bytearray:
@@ -366,17 +378,17 @@ def format_rows(columns: list, shadow=None) -> bytearray:
             kernel, spec = _int_pieces, b"%d"
         else:
             kernel, spec, column = _g9_pieces, b"%.9g", np.asarray(column, dtype=np.float64)
-        if _is_constant(column):
-            value = spec % column[0]
-            if hidden is visible:
-                text += value
-                continue
-            column_pieces = _pieces(_text_table([b"", value]), ~hidden, len(value))
-        else:
-            column_pieces = kernel(column, hidden)
+        constant = _is_constant(column)
+        if constant and hidden is visible:
+            text += spec % column[0]
+            continue
         _add_text(pieces, text)
-        pieces += column_pieces
         text = b""
+        if constant:
+            value = spec % column[0]
+            pieces += _pieces(_text_table([b"", value]), ~hidden, len(value))
+        else:
+            pieces += kernel(column, hidden)
     if any_shadow:
         _add_text(pieces, text)
         pieces += _pieces(_text_table([b"", b"shadow"]), shadow, 6)
@@ -400,7 +412,8 @@ def format_points(x, y, keep) -> list[bytes]:
     # A space after a point whose successor is kept, a newline after a run's last point.
     separator = 2 * keep.view(np.uint8)
     separator[:-1] += keep[1:]
-    pieces = [*_f2_pieces(x, hidden), (1, _COMMA_WORDS, keep, 0), *_f2_pieces(y, hidden), (1, _SEPARATOR_WORDS, separator, 0)]
+    pieces = [*_f2_pieces(x, hidden), (1, _COMMA_WORDS, keep, 0), *_f2_pieces(y, hidden),
+              (1, _SEPARATOR_WORDS, separator, 0)]
     return _join(pieces, keep.size).split(b"\n")[:-1]
 
 

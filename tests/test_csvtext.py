@@ -264,8 +264,9 @@ def test_rows_match_percent_writers_where_a_word_spills(tmp_path, monkeypatch, c
     @hypothesis.given(tables(), points())
     @hypothesis.example(([np.arange(10)], None), ([], [], []))
     @hypothesis.example(([np.array([7]), np.array([3.0])], np.array([True])), ([1.0], [2.0], [True]))
-    @hypothesis.example(([np.array(PERCENT_FLOATS), np.arange(10) % 3, np.full(10, 2.5), np.array(PERCENT_FLOATS[::-1])],
-                         np.arange(10) % 2 == 0), (PERCENT_FLOATS, PERCENT_FLOATS[::-1], [True] * 10))
+    @hypothesis.example(([np.array(PERCENT_FLOATS), np.arange(10) % 3, np.full(10, 2.5),
+                          np.array(PERCENT_FLOATS[::-1])], np.arange(10) % 2 == 0),
+                        (PERCENT_FLOATS, PERCENT_FLOATS[::-1], [True] * 10))
     def check(table, point_lists):
         columns, shadow = table
         header = ",".join(f"c{k}" for k in range(len(columns)))
