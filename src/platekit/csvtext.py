@@ -46,13 +46,13 @@ width is the most bytes any row prints there.  Each word is one ``take``:
   constant words.
 
 The layout is worked out first, column by column: each piece is its width,
-its table and a row index into it, in the smallest integer type that holds
-it (1 or 2 bytes a row, where the words would take 4).  ``_join`` then
-allocates the (rows, width + 3) byte buffer and writes the pieces in row
-order, each through an unaligned '<u4' view at its byte offset.  A word's
-bytes past its piece's width are NUL: the next piece overwrites them, or
-they land in the 3 NUL slack bytes at the end of the row.  Dropping the NULs
-(``bytearray.translate``) leaves the text.
+its table and a row index into it, 1 or 2 bytes a row where the words would
+take 4 (a column of small non-negative integers is its own index).
+``_join`` then allocates the (rows, width + 3) byte buffer and writes the
+pieces in row order, each through an unaligned '<u4' view at its byte
+offset.  A word's bytes past its piece's width are NUL: the next piece
+overwrites them, or they land in the 3 NUL slack bytes at the end of the
+row.  Dropping the NULs (``bytearray.translate``) leaves the text.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ _SHORT_LAYOUT = np.r_[_LAST_GROUP_DIGITS + 3 - 6, np.maximum(_LAST_GROUP_DIGITS,
 # blank; row 1001 + g, g after the leading group (all three digits).
 _INT_WORDS = np.r_[_G9_WORDS[12000:13000] >> (16 - 8 * (_GROUPS >= 10) - 8 * (_GROUPS >= 100)).astype(np.uint32),
                    0, _G9_WORDS[12000:13000]]
-# Offset into _INT_WORDS of group g (places 3g..3g+2) for 0..20 digits shown.
+# Offset into _INT_WORDS of group g (places 3g..3g+2) of a number of 0..20 digits.
 _INT_OFFSETS = np.select([np.arange(21) > 3 * np.arange(7)[:, None] + 3, np.arange(21) > 3 * np.arange(7)[:, None]],
                          [1001, 0], 1000).astype(np.uint16)
 # Row (negative + 2 * k): the sign, then for k > 0 the "0." and k - 1 zeros

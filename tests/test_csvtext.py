@@ -223,10 +223,10 @@ PERCENT_FLOATS = [0.5e-13, 123456789.5, 1234567885.0, 2.5e-300, 1e300, float("na
 @pytest.mark.parametrize("chunk_rows", [1, 7, None])
 def test_rows_match_percent_writers_where_a_word_spills(tmp_path, monkeypatch, chunk_rows):
     """Multi-column rows and polyline points, including rows shorter than a
-    word (an int column of 0-9 prints "d\n"), narrow last columns, constant
-    columns, all-shadow rows and %-formatted values in the first and last
-    column: a piece's word reaches up to 3 bytes past its text, which the next
-    piece or the row's slack must take."""
+    word (an int column of 0-9: a digit and a newline), narrow last columns,
+    constant columns, all-shadow rows and %-formatted values in the first and
+    last column: a piece's word reaches up to 3 bytes past its text, which the
+    next piece or the row's slack must take."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     if chunk_rows is not None:

@@ -14,7 +14,7 @@ Usage, from the root of a source checkout:
 
 SRC is the ``src`` directory whose platekit runs (default: this checkout's).
 Given two, each tree runs in its own Python process; the two totals are
-printed and the exit code is 1 if they differ.  The jobs always come from this
+printed and the exit code is 1 if they differ (2 if a tree's run fails).  The jobs always come from this
 checkout's ``perfbench/workloads.py``, so the totals of two trees compare on
 the same jobs.
 """
@@ -75,13 +75,14 @@ def _digest(src: Path) -> None:
 
 
 def _compare(sources: list) -> int:
-    """Digest each tree in its own process; 0 if the totals agree, 1 if not."""
+    """Digest each tree in its own process; 0 if the totals agree, 1 if not, 2 if a run fails."""
     totals = []
     for src in sources:
         run = subprocess.run([sys.executable, __file__, str(src)], capture_output=True, text=True)
         sys.stderr.write(run.stderr)
         if run.returncode:
-            raise SystemExit(f"error: digest of {src} exited {run.returncode}")
+            print(f"error: digest of {src} exited {run.returncode}", file=sys.stderr)
+            return 2
         for line in run.stdout.splitlines():
             print(f"{src}: {line}")
         totals.append(run.stdout.splitlines()[-1])
