@@ -31,8 +31,6 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-# Rows formatted and written per chunk of a CSV table; bounds the text held at once.
-_CHUNK_ROWS = 8192
 # Largest sweep grid; about 11x the rows of a 0.001-degree step over 0..90 degrees.
 _MAX_SWEEP_ROWS = 1_000_000
 # argparse's (private) negative-number pattern plus an exponent and the
@@ -97,14 +95,13 @@ def _write_table(path: str | None, header: str, columns: list, shadow=None) -> N
 
     Integer columns print as %d and the others as %.9g (``csvtext``).  Where
     the boolean ``shadow`` array is set, the last column reads ``shadow``.
-    Rows are formatted and written _CHUNK_ROWS at a time.
+    Rows are formatted and written a chunk at a time (``csvtext.format_chunks``).
     """
-    columns = [np.asarray(c) for c in columns]
     with _output(path) as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            fh.write(csvtext.format_rows([c[rows] for c in columns], None if shadow is None else shadow[rows]))
+        for chunk in csvtext.format_chunks([np.asarray(c) for c in columns], shadow):
+            fh.write(chunk)
+            del chunk  # not held while the next chunk is formatted
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +289,8 @@ def _cmd_sweep(args) -> int:
     header = "theta_r_deg,sigma_m2,sigma_dbsm"
     columns = [grid, sigmas, dbsm_vals]
     if scenario is not None:
-        _, power = link.power_sweep(scenario, grid, sigmas)
         header += ",p_r_dbm"
-        columns.append(power)
+        columns.append(link.received_dbm(scenario, sigmas))
     _write_table(args.out, header, columns)
 
     if args.svg is not None:

@@ -77,6 +77,8 @@ _MIDPOINT_MARGIN = 1e-6
 # Magnitudes formatted here as %.2f are below _F2_MAX; hundredths closer than
 # _F2_MARGIN to a rounding midpoint are left to %.
 _F2_MAX, _F2_MARGIN = 1e15, 1e-9
+# Rows format_chunks formats at once; bounds the text held at once.
+_CHUNK_ROWS = 8192
 
 
 def _text_table(texts: list) -> np.ndarray:
@@ -122,6 +124,12 @@ def _g9_layout_tables() -> tuple[np.ndarray, ...]:
 _G9_WORDS = _g9_group_words()
 _G9_OFFSETS, _G9_WIDTHS, _PREFIX_ROWS = _g9_layout_tables()
 _G9_ROW_OFFSETS = _G9_OFFSETS.reshape(3, 130)
+# The same tables as lists [group][nd][ao + 3], which _g9_box reads with
+# slices.  Each width is the running maximum over nd, which is the width
+# itself (no group prints fewer bytes for more digits), so the row of a box's
+# largest nd holds the widest entry of each of the box's columns.
+_G9_BOX_WIDTHS = np.maximum.accumulate(_G9_WIDTHS, axis=1).tolist()
+_G9_BOX_OFFSETS = _G9_OFFSETS.tolist()
 # Layout of a nine-digit number whose last group is g, with ao 1: nd is
 # six, then the group up to its last non-zero digit (group 000 is fixed up).
 _LAST_GROUP_LAYOUT = (_LAST_GROUP_DIGITS + 6) * 13 + 4
@@ -180,8 +188,22 @@ def _text_pieces(n: int, rows: np.ndarray, texts: list) -> list:
     return _pieces(_text_table([b""] + texts), index, max(map(len, texts)))
 
 
-def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
-    """Pieces of ``"%.9g" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden``."""
+def _g9_box(nd_lo: int, nd_hi: int, ao_lo: int, ao_hi: int) -> list:
+    """(group, width, offset) of each group that prints in the box of layouts
+    nd_lo..nd_hi by ao_lo..ao_hi (ao + 3): the most bytes it prints there and
+    its offset into _G9_WORDS, None unless the offset is the same across the box."""
+    box = []
+    for g, (widths, offsets) in enumerate(zip(_G9_BOX_WIDTHS, _G9_BOX_OFFSETS)):
+        width = max(widths[nd_hi][ao_lo : ao_hi + 1])
+        if width:
+            first = [offsets[nd_lo][ao_lo]] * (ao_hi - ao_lo + 1)
+            same = all(row[ao_lo : ao_hi + 1] == first for row in offsets[nd_lo : nd_hi + 1])
+            box.append((g, width, first[0] if same else None))
+    return box
+
+
+def _g9_pieces(x: np.ndarray, hidden: np.ndarray | None) -> list:
+    """Pieces of ``"%.9g" % v`` for each float64 ``v`` of ``x``; NUL where ``hidden`` (None: nowhere)."""
     a = np.abs(x)
     zero = outside = None
     if not (a.min(initial=_RANGE_MIN) >= _RANGE_MIN and a.max(initial=0.0) < _RANGE_MAX):  # nan fails both
@@ -193,20 +215,19 @@ def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     m, midpoint = _round(a, e)
     # log10 can be one off next to a power of ten, and rounding can carry
     # into a tenth digit: rescale those values once.
-    redo = np.flatnonzero((m < 1e8) | (m >= 1e9))
+    redo = ((m < 1e8) | (m >= 1e9)).nonzero()[0]
     if redo.size:
         e[redo] += 2 * (m[redo] >= 1e9) - 1
         m[redo], again = _round(a[redo], e[redo])
         midpoint[redo] |= again
     del a
     percent = midpoint if outside is None else midpoint | outside
-    any_hidden = bool(hidden.any())
-    if any_hidden:
+    if hidden is not None:
         percent &= ~hidden
-    by_percent = np.flatnonzero(percent)
-    any_blank = any_hidden or by_percent.size > 0
+    by_percent = percent.nonzero()[0]
+    any_blank = hidden is not None or by_percent.size > 0
     if any_blank:
-        blank = hidden.copy()
+        blank = np.zeros(x.size, dtype=bool) if hidden is None else hidden.copy()
         blank[by_percent] = True
         e[blank] = 0
     if zero is not None:
@@ -222,7 +243,7 @@ def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     # The layout row (see _g9_layout_tables): significant digits from the last
     # non-zero group, a zero printing one; the ones digit follows e in fixed notation.
     layout = _LAST_GROUP_LAYOUT.take(rest)
-    short = np.flatnonzero(rest == 0)
+    short = (rest == 0).nonzero()[0]
     if short.size:
         middle = g1[short]
         layout[short] += _SHORT_LAYOUT.take(np.where(middle > 0, middle, g0[short] + 1000))
@@ -256,16 +277,13 @@ def _g9_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     ao_lo, ao_hi = max(e_min, -4) + 4, min(e_max, 8) + 4
     if fixed is not None:
         ao_lo, ao_hi = min(ao_lo, 4), max(ao_hi, 4)
-    offsets = _G9_OFFSETS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1]
-    widths = _G9_WIDTHS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1].max(axis=(1, 2), initial=0)
-    same = (offsets == offsets[:, :1, :1]).all(axis=(1, 2))
-    for g in np.flatnonzero(widths):
-        if same[g]:
-            index = groups[g] + offsets[g, 0, 0]
-        else:
+    for g, width, offset in _g9_box(nd_lo, nd_hi, ao_lo, ao_hi):
+        if offset is None:
             index = _G9_ROW_OFFSETS[g].take(layout)
             index += groups[g]
-        pieces.append((int(widths[g]), _G9_WORDS, index, 0))
+        else:
+            index = groups[g] + offset
+        pieces.append((width, _G9_WORDS, index, 0))
     if fixed is not None and not fixed.all():
         pieces.append((4, _EXP_WORDS, ((e + 14) * ~fixed).astype(np.uint8), 0))
     if by_percent.size:
@@ -280,7 +298,7 @@ def _f2_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     whole = np.floor(a)
     p = (a - whole) * 100.0  # the fraction is exact, p one rounding off its hundredths
     cents = np.rint(p)
-    by_percent = np.flatnonzero((~direct | (np.abs(p - cents) > 0.5 - _F2_MARGIN)) & ~hidden)
+    by_percent = ((~direct | (np.abs(p - cents) > 0.5 - _F2_MARGIN)) & ~hidden).nonzero()[0]
     blank = hidden.copy()
     blank[by_percent] = True
     carry = cents == 100.0
@@ -295,10 +313,10 @@ def _f2_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
     return pieces
 
 
-def _int_pieces(v: np.ndarray, hidden: np.ndarray) -> list:
-    """Pieces of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden``."""
+def _int_pieces(v: np.ndarray, hidden: np.ndarray | None) -> list:
+    """Pieces of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden`` (None: nowhere)."""
     lo, hi = int(v.min(initial=0)), int(v.max(initial=0))
-    any_hidden = hidden.any()
+    any_hidden = hidden is not None and hidden.any()
     pieces = []
     if lo < 0:
         negative = v < 0
@@ -366,20 +384,22 @@ def format_rows(columns: list, shadow=None) -> bytearray:
     boolean ``shadow`` array is set, the last column reads ``shadow``.
     """
     n = len(columns[0])
-    shadow = np.zeros(n, dtype=bool) if shadow is None else np.asarray(shadow, dtype=bool)
-    any_shadow = shadow.any()
-    visible = np.zeros(n, dtype=bool)
+    if shadow is not None:
+        shadow = np.asarray(shadow, dtype=bool)
+        if not shadow.any():
+            shadow = None
     pieces, text = [], b""  # text: constant bytes not yet laid out
     for k, column in enumerate(columns):
-        hidden = shadow if k == len(columns) - 1 and any_shadow else visible
+        # A column's kernel gets no mask where every row is shown.
+        hidden = shadow if k == len(columns) - 1 else None
         if k:
             text += b","
-        if np.issubdtype(column.dtype, np.integer):
+        if column.dtype.kind in "iu":
             kernel, spec = _int_pieces, b"%d"
         else:
             kernel, spec, column = _g9_pieces, b"%.9g", np.asarray(column, dtype=np.float64)
         constant = _is_constant(column)
-        if constant and hidden is visible:
+        if constant and hidden is None:
             text += spec % column[0]
             continue
         _add_text(pieces, text)
@@ -389,12 +409,19 @@ def format_rows(columns: list, shadow=None) -> bytearray:
             pieces += _pieces(_text_table([b"", value]), ~hidden, len(value))
         else:
             pieces += kernel(column, hidden)
-    if any_shadow:
+    if shadow is not None:
         _add_text(pieces, text)
         pieces += _pieces(_text_table([b"", b"shadow"]), shadow, 6)
         text = b""
     _add_text(pieces, text + b"\n")
     return _join(pieces, n)
+
+
+def format_chunks(columns: list, shadow=None):
+    """format_rows of the columns (and ``shadow``) _CHUNK_ROWS rows at a time, in order."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        yield format_rows([c[rows] for c in columns], None if shadow is None else shadow[rows])
 
 
 def _is_constant(column: np.ndarray) -> bool:

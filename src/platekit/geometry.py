@@ -16,6 +16,10 @@ import numpy as np
 # Norm and orthogonality tolerance accepted on user-supplied vectors and
 # frames (double-precision headroom after external rotations).
 FRAME_ORTHO_TOL = 1e-9
+# How far check_unit's norm summed in Python floats may lie from
+# np.linalg.norm's BLAS dot: a few ulps of the at most 12 the squares of
+# components up to 2 add to.  A norm this close to 1 +- tol is decided by numpy.
+_NORM_MARGIN = 1e-14
 
 
 def _dot(u, v):
@@ -26,6 +30,10 @@ def _dot(u, v):
 def _cross(u, v):
     """Cross product over the trailing axis of broadcasting (..., 3) stacks:
     np.cross's products and differences, without its axis moves and copies."""
+    if u.shape == v.shape == (3,) and u.dtype == v.dtype == np.float64:
+        # Two 3-vectors: the same roundings in Python floats, without numpy's per-call cost.
+        (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+        return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
     out = np.empty(np.broadcast(u, v).shape, dtype=np.result_type(u, v))
     np.subtract(u[..., 1] * v[..., 2], u[..., 2] * v[..., 1], out=out[..., 0])
     np.subtract(u[..., 2] * v[..., 0], u[..., 0] * v[..., 2], out=out[..., 1])
@@ -47,9 +55,13 @@ def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndar
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    # A component above 2 fails before the norm, whose squares could overflow.
-    if np.any(np.abs(v) > 2.0):
+    # Tested in Python floats.  A component above 2 fails before the norm,
+    # whose squares could overflow.
+    x, y, z = v.tolist()
+    if abs(x) > 2.0 or abs(y) > 2.0 or abs(z) > 2.0:
         raise ValueError(f"{name} is not unit length: a component is above 2 in magnitude, {v.tolist()}")
+    if abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= tol - _NORM_MARGIN:
+        return v
     # Written so that a NaN norm fails too.
     if not abs(float(np.linalg.norm(v)) - 1.0) <= tol:
         raise ValueError(f"{name} is not unit length: |v| = {np.linalg.norm(v)!r}")

@@ -39,12 +39,17 @@ class LinkScenario:
     amp_gain_db: float = 0.0
 
     def __post_init__(self):
+        # Python and numpy floats are tested with math, anything else by numpy.
         levels = (self.tx_power_dbm, self.tx_gain_dbi, self.rx_gain_dbi, self.amp_gain_db)
-        if not np.all(np.isfinite(levels)):
+        if all(isinstance(v, float) for v in levels):
+            finite = all(map(math.isfinite, levels))
+        else:
+            finite = np.all(np.isfinite(levels))
+        if not finite:
             raise ValueError(f"link powers and gains must be finite, got {levels}")
-        distances = (self.tx_distance_m, self.rx_distance_m)
-        if not all(np.all(np.greater(d, 0.0) & np.isfinite(d)) for d in distances):
-            raise ValueError("link distances must be positive and finite")
+        for d in (self.tx_distance_m, self.rx_distance_m):
+            if not ((0.0 < d < math.inf) if isinstance(d, float) else np.all(np.greater(d, 0.0) & np.isfinite(d))):
+                raise ValueError("link distances must be positive and finite")
 
 
 def received_dbm(scenario: LinkScenario, sigma_m2):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import link
-from .csvtext import fmt, format_rows
+from .csvtext import fmt, format_chunks
 from .geometry import check_angle
 from .rcs import Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
 
@@ -115,13 +115,16 @@ def load_series(path) -> MeasurementSeries:
 def save_series(series: MeasurementSeries, path) -> None:
     """Write a measurement CSV in the format load_series reads.
 
-    Values are written as ``%.9g`` prints them (``csvtext``); a series whose
-    angles would no longer be strictly increasing at that precision is
-    rejected before anything is written.
+    Values are written as ``%.9g`` prints them (``csvtext``), a chunk of rows
+    at a time; a series whose angles would no longer be strictly increasing at
+    that precision is rejected before anything is written.
     """
-    angles = np.array(format_rows([series.theta_r_deg]).decode("ascii").split(), dtype=float)
-    if not np.all(np.diff(angles) > 0.0):
-        raise ValueError("observation angles must stay strictly increasing at 9 significant digits")
+    last = -math.inf  # the previous chunk's last angle as printed
+    for chunk in format_chunks([series.theta_r_deg]):
+        angles = np.array(chunk.decode("ascii").split(), dtype=float)
+        if not np.all(np.diff(angles, prepend=last) > 0.0):
+            raise ValueError("observation angles must stay strictly increasing at 9 significant digits")
+        last = angles[-1]
     lines = []
     for key in ("theta_t_deg", "varphi_t_deg", "freq_hz"):
         value = getattr(series, key)
@@ -130,7 +133,8 @@ def save_series(series: MeasurementSeries, path) -> None:
     lines.append(_HEADER)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.write(format_rows([series.theta_r_deg, series.power_dbm]).decode("ascii"))
+        for chunk in format_chunks([series.theta_r_deg, series.power_dbm]):
+            fh.write(chunk.decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -184,9 +188,7 @@ def theoretical_curve(config: ExperimentConfig, pol_case: str, theta_r_deg) -> t
     l2 = config.plate_l2_wavelengths * wl.meters
     cut = rcs_perpendicular_cut if pol_case == "perpendicular" else rcs_parallel_cut
     sigmas = cut(math.radians(config.theta_t_deg), np.radians(theta_r_deg), l1, l2, wl)
-    scenario = config.link_scenario()
-    _, power = link.power_sweep(scenario, theta_r_deg, np.atleast_1d(sigmas))
-    return theta_r_deg, power
+    return theta_r_deg, link.received_dbm(config.link_scenario(), sigmas)
 
 
 def peak_angle(theta_deg, power_dbm) -> tuple[float, float]:

@@ -154,6 +154,10 @@ def dbsm(sigma_m2):
 
     Accepts scalars or arrays; any negative value is rejected.
     """
+    if isinstance(sigma_m2, float):  # a Python or numpy float, tested with math
+        if sigma_m2 < 0.0:
+            raise ValueError(f"RCS cannot be negative: {sigma_m2}")
+        return -math.inf if sigma_m2 == 0.0 else float(10.0 * np.log10(sigma_m2))
     arr = np.asarray(sigma_m2, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError(f"RCS cannot be negative: {arr[arr < 0.0].flat[0]}")
@@ -169,6 +173,8 @@ def sinc(x):
     precision there and yields exactly 1.0 at the specular direction, the
     most frequently queried point.  Accepts scalars or arrays.
     """
+    if isinstance(x, float):  # a Python or numpy float, tested with math
+        return float(1.0 - x * x / 6.0 if abs(x) < 1e-6 else np.sin(x) / x)
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < 1e-6
     if not small.any():
@@ -185,10 +191,14 @@ def _sigma_max(length1, length2, wl: Wavelength):
     ValueError; a subnormal one passes."""
     with np.errstate(over="ignore", invalid="ignore"):
         smax = 4.0 * math.pi * np.square(length1) * np.square(length2) / wl.meters**2
-    if not np.all(np.isfinite(smax)):
+    if isinstance(smax, float):  # one plate: a numpy float64, tested with math
+        finite, underflow = math.isfinite(smax), smax == 0.0
+    else:
+        finite, underflow = np.isfinite(smax).all(), (smax == 0.0).any()
+    if not finite:
         raise ValueError(f"plate too large for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 overflows "
                          f"float64 (lambda = {wl.meters} m)")
-    if np.any(smax == 0.0):
+    if underflow:
         raise ValueError(f"plate too small for the wavelength: sigma_max = 4*pi*L1^2*L2^2/lambda^2 underflows "
                          f"to 0 in float64 (lambda = {wl.meters} m)")
     return smax
@@ -203,7 +213,8 @@ _MAX_EDGE_WAVELENGTHS = 1e9
 def _half_phase(length, wl: Wavelength):
     """k*L/2 for scalar or per-row edge lengths, the factor of every closed-form
     phase; an edge over _MAX_EDGE_WAVELENGTHS raises ValueError."""
-    if np.any(np.greater(length, _MAX_EDGE_WAVELENGTHS * wl.meters)):
+    limit = _MAX_EDGE_WAVELENGTHS * wl.meters
+    if (length > limit) if isinstance(length, float) else np.any(np.greater(length, limit)):
         raise ValueError(f"plate electrically too large: an edge of {float(np.max(length))} m is over "
                          f"{_MAX_EDGE_WAVELENGTHS:g} wavelengths (lambda = {wl.meters} m), where its phase k*L/2 "
                          f"loses its digits in float64")
@@ -328,8 +339,12 @@ _ANGLE_KINDS = {"theta": "zenith", "phi": "azimuth", "varphi": "polarization"}
 
 def _check_angles(**angles) -> tuple:
     """Range-check the given angles (radians); return them as float arrays broadcast together."""
-    return np.broadcast_arrays(*(geometry.check_angle(name, value, _ANGLE_KINDS[name[:-2]], degrees=False)
-                                 for name, value in angles.items()))
+    checked = tuple(geometry.check_angle(name, value, _ANGLE_KINDS[name[:-2]], degrees=False)
+                    for name, value in angles.items())
+    # Python floats (check_angle tests them with math) come back 0-d, broadcast already.
+    if all(type(value) is float for value in angles.values()):
+        return checked
+    return np.broadcast_arrays(*checked)
 
 
 def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl: Wavelength):

@@ -17,7 +17,7 @@ from platekit import (
     save_series,
     theoretical_curve,
 )
-from platekit import cli
+from platekit import cli, csvtext
 from platekit.cli import load_scene_config, main
 
 RCS_BASE = [
@@ -603,7 +603,7 @@ def test_coverage_matches_golden(capsys, tmp_path, monkeypatch, chunk_rows):
     chunk puts chunk boundaries inside runs of shadow and lit rows.
     """
     if chunk_rows is not None:
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_rows)
     out_csv, out_svg = tmp_path / "shadow.csv", tmp_path / "shadow.svg"
     code, out, _ = run(capsys, [
         "coverage", str(COVERAGE_GOLDEN_DIR / "shadow_scene.json"), "--out-csv", str(out_csv),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import traced_memory
-from platekit import cli
+from platekit import cli, csvtext
 from platekit.csvtext import format_points, format_rows
+from platekit.measure import MeasurementSeries, save_series
 
 # Values next to every branch of the kernel: zeros, non-finite values,
 # subnormals, the ends of the kernel's range, the 1e-5/1e-4 and 1e8/1e9
@@ -173,7 +174,7 @@ def random_table(rng, rows: int):
 def test_write_table_matches_percent_writer(tmp_path, monkeypatch, chunk_rows):
     """Byte identity with the %-template writer, also across chunk boundaries."""
     if chunk_rows is not None:
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(20260)
     path = tmp_path / "table.csv"
     tables = [random_table(rng, rows) for rows in (1, 2, 13, 300, 5000 if chunk_rows is None else 60)]
@@ -213,6 +214,62 @@ def test_write_table_memory_is_bounded():
     assert coverage_peaks[1] - coverage_peaks[0] < 0.5 * 2**20, coverage_peaks
 
 
+def test_save_series_memory_is_bounded():
+    """save_series checks its printed angles and writes its rows a chunk at a
+    time: its traced peak is set by the chunk, not the series."""
+    rng = np.random.default_rng(6)
+    peaks = []
+    for rows in (20_000, 200_000):
+        series = MeasurementSeries(np.linspace(0.0, 90.0, rows), rng.normal(-50.0, 10.0, rows), theta_t_deg=45.0)
+        _, (_, peak) = traced_memory(save_series, series, os.devnull)
+        peaks.append(peak)
+    assert max(peaks) <= 1.5 * 2**20, peaks
+    assert peaks[1] - peaks[0] < 0.5 * 2**20, peaks
+
+
+def test_kernels_without_a_mask_match_an_all_false_mask():
+    """A column with every row shown passes no mask: the kernels' text, and
+    format_rows', is that of an all-False mask."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.floats() | st.sampled_from(EDGE_FLOATS + PERCENT_FLOATS)
+    ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(EDGE_INTS + EDGE_INTS32)
+
+    def text(kernel, column, hidden):
+        pieces = kernel(column, hidden)
+        csvtext._add_text(pieces, b"\n")
+        return csvtext._join(pieces, len(column))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+        st.lists(floats, min_size=n, max_size=n), st.lists(ints, min_size=n, max_size=n))))
+    def check(lists):
+        xs, iv = np.array(lists[0], dtype=np.float64), np.array(lists[1], dtype=np.int64)
+        shown = np.zeros(len(xs), dtype=bool)
+        assert text(csvtext._g9_pieces, xs, None) == text(csvtext._g9_pieces, xs, shown)
+        assert text(csvtext._int_pieces, iv, None) == text(csvtext._int_pieces, iv, shown)
+        for columns in ([xs, iv], [iv, xs]):
+            assert format_rows(columns) == format_rows(columns, shown)
+
+    check()
+
+
+def test_layout_box_lists_match_the_tables():
+    """_g9_box reads, for every box of layouts, each group's widest entry and
+    whether its offset is the same across the box as the (3, 10, 13) tables'
+    reductions over that box state them."""
+    for nd_lo in range(10):
+        for nd_hi in range(nd_lo, 10):
+            for ao_lo in range(13):
+                for ao_hi in range(ao_lo, 13):
+                    offsets = csvtext._G9_OFFSETS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1]
+                    widths = csvtext._G9_WIDTHS[:, nd_lo : nd_hi + 1, ao_lo : ao_hi + 1].max(axis=(1, 2))
+                    same = (offsets == offsets[:, :1, :1]).all(axis=(1, 2))
+                    expected = [(g, int(widths[g]), int(offsets[g, 0, 0]) if same[g] else None)
+                                for g in range(3) if widths[g]]
+                    assert csvtext._g9_box(nd_lo, nd_hi, ao_lo, ao_hi) == expected
+
+
 # Values that %.9g prints in one character, and values the kernel leaves to %
 # (ties and next-to-midpoint scalings, non-finite, outside [1e-13, 1e22)).
 ONE_CHARACTER_FLOATS = [float(d) for d in range(10)]
@@ -230,7 +287,7 @@ def test_rows_match_percent_writers_where_a_word_spills(tmp_path, monkeypatch, c
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     if chunk_rows is not None:
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_rows)
     path = tmp_path / "table.csv"
     floats = (st.floats() | st.sampled_from(EDGE_FLOATS + PERCENT_FLOATS)
               | st.builds(lambda m, k: (m + 0.5) * 10.0**k, st.integers(10**8, 10**9 - 1), st.integers(-14, 12)))

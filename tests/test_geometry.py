@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EX, EY, EZ
+from conftest import EX, EY, EZ, random_unit
 from platekit import (
     PolarizationAngle,
     SphericalAngles,
@@ -214,6 +214,49 @@ def test_check_unit_rejects_a_component_above_2_before_the_norm(huge):
     with pytest.raises(ValueError, match="v is not unit length: a component is above 2"):
         check_unit([0.0, 0.0, huge], "v")
     assert check_unit([0.0, 0.0, -1.0]).tolist() == [0.0, 0.0, -1.0]
+
+
+def numpy_unit_check(v, name: str, tol: float):
+    """The message check_unit raises for ``v``, or None, as numpy states the
+    test: any |component| above 2, then the BLAS-dot norm against 1 +- tol."""
+    v = np.asarray(v, dtype=float)
+    if np.any(np.abs(v) > 2.0):
+        return f"{name} is not unit length: a component is above 2 in magnitude, {v.tolist()}"
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= tol:
+        return f"{name} is not unit length: |v| = {np.linalg.norm(v)!r}"
+    return None
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.25])
+def test_check_unit_float_test_matches_numpy(tol):
+    """check_unit tests Python floats and asks numpy only next to the bounds:
+    at norms 1 +- tol and a few ulps either side, along the axes and oblique
+    directions, and with components at and past +-2, it makes numpy's
+    decision with numpy's message."""
+    from platekit.geometry import check_unit
+
+    rng = np.random.default_rng(25)
+    directions = [EX, -EZ, np.array([0.6, 0.8, 0.0]), *(random_unit(rng) for _ in range(6))]
+    vectors = []
+    for edge in (1.0 + tol, 1.0 - tol):
+        norms = [edge]
+        for _ in range(4):
+            norms = [np.nextafter(norms[0], 0.0), *norms, np.nextafter(norms[-1], 3.0)]
+        vectors += [n * d for n in norms for d in directions]
+    for c in (2.0, np.nextafter(2.0, 3.0)):
+        vectors += [np.array([c, 0.0, 0.0]), np.array([0.0, -c, 0.0]), np.array([0.0, 0.0, c])]
+    vectors += [np.array([math.nan, 0.0, 0.0]), np.array([0.0, math.inf, 0.0]), np.zeros(3)]
+    decisions = set()
+    for v in vectors:
+        expected = numpy_unit_check(v, "v", tol)
+        decisions.add(expected is None)
+        if expected is None:
+            assert check_unit(v, "v", tol=tol) is not None
+        else:
+            with pytest.raises(ValueError) as info:
+                check_unit(v, "v", tol=tol)
+            assert str(info.value) == expected
+    assert decisions == {True, False}
 
 
 # One pair of 3-vectors, row pairs, a vector against a stack, a candidate

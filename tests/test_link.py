@@ -138,3 +138,40 @@ def test_scenario_rejects_non_finite(field, value):
     if field.endswith("distance_m"):
         with pytest.raises(ValueError, match="positive and finite"):
             table_scenario(**{field: np.array([1.0, value])})
+
+
+LEVELS = ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "amp_gain_db")
+
+
+def numpy_scenario_check(params: dict):
+    """The message LinkScenario raises for ``params``, or None, as numpy states its tests."""
+    levels = tuple(params[field] for field in LEVELS)
+    if not np.all(np.isfinite(levels)):
+        return f"link powers and gains must be finite, got {levels}"
+    for d in (params["tx_distance_m"], params["rx_distance_m"]):
+        if not np.all(np.greater(d, 0.0) & np.isfinite(d)):
+            return "link distances must be positive and finite"
+    return None
+
+
+@pytest.mark.parametrize("field", [*LEVELS, "tx_distance_m", "rx_distance_m"])
+def test_scenario_float_tests_match_numpy(field):
+    """Python and numpy floats are tested with math, other values by numpy:
+    nan, +-inf, 0 and negative values as floats, numpy scalars (float64 and
+    float32) and arrays give numpy's decision and message."""
+    decisions = set()
+    for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, -2.5, 3.0, 5e-324):
+        # Levels are scalars; a distance may be an array (one receiver per element).
+        arrays = [np.array(value)] if field in LEVELS else [np.array(value), np.array([1.0, value])]
+        for given in (value, np.float64(value), np.float32(value), *arrays):
+            params = {**dict(tx_power_dbm=0.0, tx_gain_dbi=16.0, rx_gain_dbi=16.0, tx_distance_m=8.0,
+                             rx_distance_m=8.0, amp_gain_db=38.861), field: given}
+            expected = numpy_scenario_check(params)
+            decisions.add(expected is None)
+            if expected is None:
+                LinkScenario(wavelength=Wavelength.from_frequency(3e9), **params)
+            else:
+                with pytest.raises(ValueError) as info:
+                    LinkScenario(wavelength=Wavelength.from_frequency(3e9), **params)
+                assert str(info.value) == expected
+    assert decisions == {True, False}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from platekit import csvtext
 from platekit import (
     ExperimentConfig,
     MeasurementSeries,
@@ -44,6 +45,23 @@ def test_save_series_rejects_angles_equal_at_written_precision(tmp_path):
     with pytest.raises(ValueError, match="9 significant digits"):
         save_series(series, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_save_series_checks_angles_across_chunk_boundaries(tmp_path, monkeypatch, chunk_rows):
+    """The printed angles are checked a chunk at a time, the last one carried
+    into the next chunk: two that print alike on either side of a chunk
+    boundary are rejected, and the file is not opened."""
+    monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "sweep.csv"
+    for pair in range(5):
+        angles = 10.0 + np.arange(6.0)
+        angles[pair + 1] = angles[pair] + 1e-9  # prints as angles[pair]
+        with pytest.raises(ValueError, match="9 significant digits"):
+            save_series(MeasurementSeries(angles, np.zeros(6)), path)
+        assert not path.exists()
+    save_series(MeasurementSeries(10.0 + np.arange(6.0), np.arange(6.0) - 40.0), path)
+    assert path.read_text() == "theta_r_deg,p_rx_dbm\n" + "".join(f"{10 + k},{k - 40}\n" for k in range(6))
 
 
 def test_save_series_round_trip_property(tmp_path):

@@ -429,6 +429,61 @@ def test_phase_of_an_edge_over_1e9_wavelengths_is_rejected(wl_3ghz):
     assert 0.0 < sigma_max(PlateGeometry.xy_plane(over, over), wl_3ghz) < math.inf
 
 
+def outcome(call, *args):
+    """``call(*args)``'s result as float64 bytes, or the message of its ValueError."""
+    try:
+        return np.asarray(call(*args), dtype=float).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sigma_max_and_half_phase_float_tests_match_numpy(wl_3ghz):
+    """One plate's sigma_max and k*L/2 are tested with math, a stack's by
+    numpy: at overflow (inf, and inf * 0 from the squares), at underflow to 0,
+    at the subnormal 1.5e-321 of the 1e-80-wavelength plate, and at the
+    1e9-wavelength edge and an ulp either side, a float, a numpy float and a
+    one-element array give the same value or the same message."""
+    from platekit.rcs import _half_phase, _sigma_max
+
+    lam = wl_3ghz.meters
+    tiny = 1e-80 * lam
+    assert 1e-321 < _sigma_max(tiny, tiny, wl_3ghz) < 2e-321
+    pairs = [(lam, 2.0 * lam), (1e160, 1e160), (1e200, 1e-200), (1e-90, 1e-90), (tiny, tiny), (1e-300, 1e300)]
+    seen = set()
+    for l1, l2 in pairs:
+        expected = outcome(_sigma_max, np.array([l1]), np.array([l2]), wl_3ghz)
+        seen.add(expected if isinstance(expected, str) else "value")
+        assert outcome(_sigma_max, l1, l2, wl_3ghz) == expected
+        assert outcome(_sigma_max, np.float64(l1), np.float64(l2), wl_3ghz) == expected
+    assert len(seen) == 3  # a value, the overflow and the underflow message
+    edge = 1e9 * lam
+    decisions = set()
+    for length in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf), 2.0 * edge):
+        expected = outcome(_half_phase, np.array([length]), wl_3ghz)
+        decisions.add(isinstance(expected, str))
+        assert outcome(_half_phase, float(length), wl_3ghz) == expected
+        assert outcome(_half_phase, np.float64(length), wl_3ghz) == expected
+    assert decisions == {True, False}
+
+
+def test_sinc_dbsm_and_angles_float_tests_match_numpy(wl_3ghz):
+    """A float given to sinc, dbsm or an angle form takes the math tests and
+    returns the bits a one-element array gives, or its message."""
+    xs = [0.0, -0.0, 1e-7, -9.99e-7, 1e-6, 1.1e-6, 0.5, -3.0, 1e300, math.nan, -1.0, 5e-324]
+    for x in xs:
+        for call in (sinc, dbsm):
+            expected = outcome(call, np.array([x]))
+            assert outcome(call, x) == expected, (call, x)
+            assert outcome(call, np.float64(x)) == expected, (call, x)
+            if not isinstance(expected, str):
+                assert type(call(np.float64(x))) is float
+    lam = wl_3ghz.meters
+    for angles in ((0.3, 4.0, 1.0, 0.6, 1.5), (0.0, 0.0, 2 * math.pi, math.pi / 2, 0.0), (0.3, 4.0, 1.0, 1.6, 1.5)):
+        expected = outcome(rcs_xy_plate, *(np.array([a]) for a in angles), 5 * lam, 4 * lam, wl_3ghz)
+        assert outcome(rcs_xy_plate, *angles, 5 * lam, 4 * lam, wl_3ghz) == expected
+        assert outcome(rcs_xy_plate, *(np.array(a) for a in angles), 5 * lam, 4 * lam, wl_3ghz) == expected
+
+
 def test_rotation_invariance(wl_3ghz, plate_5wl):
     rng = np.random.default_rng(47)
     smax = sigma_max(plate_5wl, wl_3ghz)
