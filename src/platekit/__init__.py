@@ -29,17 +29,6 @@ from .measure import (
     save_series,
     theoretical_curve,
 )
-from .planner import (
-    CoverageMap,
-    OrientationResult,
-    Scene,
-    TargetRegion,
-    coverage_map,
-    coverage_map_points,
-    optimize_orientation,
-    orient_for_target,
-    orientation_objective,
-)
 from .po_oracle import (
     FarFieldSample,
     FarFieldWarning,
@@ -71,3 +60,35 @@ from .rcs import (
 from .validate import ValidationReport, random_scenario, run_validation
 
 __version__ = "0.1.0"
+
+# planner and csvtext, as attributes or through the planner's exports, load
+# on first use (PEP 562), so that importing platekit, or a CLI command that
+# plans or writes nothing, does not compile them.
+_LAZY_MODULES = ("planner", "csvtext")
+_PLANNER_EXPORTS = frozenset({
+    "CoverageMap",
+    "OrientationResult",
+    "Scene",
+    "TargetRegion",
+    "coverage_map",
+    "coverage_map_points",
+    "optimize_orientation",
+    "orient_for_target",
+    "orientation_objective",
+})
+
+
+def __getattr__(name):
+    if name in _PLANNER_EXPORTS:
+        from . import planner
+
+        return getattr(planner, name)
+    if name in _LAZY_MODULES:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULES, *_PLANNER_EXPORTS})

@@ -56,7 +56,7 @@ def received_dbm(scenario: LinkScenario, sigma_m2):
     """Received power in dBm for plate RCS values (the radar equation).
 
     Broadcasts over an array of RCS values and the scenario's distances.
-    A zero RCS gives -inf (no reflected signal); a negative RCS is
+    A zero RCS gives -inf (no reflected signal); a negative or NaN RCS is
     rejected.
     """
     path_db = (

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import link
-from .csvtext import fmt, format_chunks
 from .geometry import check_angle
 from .rcs import Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
 
@@ -119,6 +118,8 @@ def save_series(series: MeasurementSeries, path) -> None:
     at a time; a series whose angles would no longer be strictly increasing at
     that precision is rejected before anything is written.
     """
+    from .csvtext import fmt, format_chunks
+
     last = -math.inf  # the previous chunk's last angle as printed
     for chunk in format_chunks([series.theta_r_deg]):
         angles = np.array(chunk.decode("ascii").split(), dtype=float)

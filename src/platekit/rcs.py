@@ -152,18 +152,25 @@ def _scalar_or_array(out):
 def dbsm(sigma_m2):
     """RCS in decibels relative to one square meter; 0 maps to -inf.
 
-    Accepts scalars or arrays; any negative value is rejected.
+    Accepts scalars or arrays; any negative or NaN value is rejected.
     """
     if isinstance(sigma_m2, float):  # a Python or numpy float, tested with math
-        if sigma_m2 < 0.0:
-            raise ValueError(f"RCS cannot be negative: {sigma_m2}")
+        if not sigma_m2 >= 0.0:
+            _reject_rcs(sigma_m2)
         return -math.inf if sigma_m2 == 0.0 else float(10.0 * np.log10(sigma_m2))
     arr = np.asarray(sigma_m2, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError(f"RCS cannot be negative: {arr[arr < 0.0].flat[0]}")
+    if not (arr >= 0.0).all():
+        _reject_rcs(arr[~(arr >= 0.0)].flat[0])
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(arr)
     return _scalar_or_array(out)
+
+
+def _reject_rcs(value) -> None:
+    """Raise for an RCS value that failed ``value >= 0``: NaN or negative."""
+    if math.isnan(value):
+        raise ValueError("RCS cannot be NaN")
+    raise ValueError(f"RCS cannot be negative: {value}")
 
 
 def sinc(x):

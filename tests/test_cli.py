@@ -2,8 +2,11 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -436,6 +439,36 @@ def test_build_parser_asks_the_terminal_width_once(monkeypatch):
         calls.clear()
         cli.build_parser(command).format_help()
         assert len(calls) == 1, command
+
+
+def test_commands_load_planner_and_csvtext_only_when_they_use_them():
+    """In a fresh interpreter, importing the CLI, building its parser and
+    running validate load neither planner nor csvtext; rcs then loads csvtext
+    and still no planner, which platekit.planner then loads."""
+    script = "\n".join([
+        "import sys",
+        "import platekit.cli as c",
+        "c.build_parser()",
+        "def loaded():",
+        "    print('loaded', sorted({'platekit.planner', 'platekit.csvtext'} & set(sys.modules)))",
+        "loaded()",
+        "assert c.main(['validate', '--trials', '3']) == 0",
+        "loaded()",
+        f"assert c.main({RCS_BASE!r}) == 0",
+        "loaded()",
+        "import platekit",
+        "assert platekit.planner is sys.modules['platekit.planner']",
+        "loaded()",
+    ])
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded []", "loaded []", "loaded ['platekit.csvtext']",
+                      "loaded ['platekit.csvtext', 'platekit.planner']"]
 
 
 def test_validate_pass_and_fail(capsys):

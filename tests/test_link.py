@@ -35,6 +35,15 @@ def test_zero_rcs_is_no_signal():
         received_power(s, -1.0)
 
 
+@pytest.mark.parametrize("form", [float, np.float64, np.array, lambda x: np.array([2.0, x])])
+def test_received_dbm_rejects_nan_and_negative_rcs(form):
+    s = table_scenario()
+    with pytest.raises(ValueError, match="^RCS cannot be NaN$"):
+        received_dbm(s, form(math.nan))
+    with pytest.raises(ValueError, match="^RCS cannot be negative: -1.0$"):
+        received_dbm(s, form(-1.0))
+
+
 def test_received_dbm_matches_scalar():
     s = table_scenario()
     sigmas = np.concatenate([[0.0], np.geomspace(1e-9, 1e4, 999)])

@@ -44,6 +44,25 @@ def make_scene(normal=None, edge1=None, side_wl=5.0, **overrides):
     return Scene(**params)
 
 
+PLANNER_EXPORTS = (
+    "CoverageMap", "OrientationResult", "Scene", "TargetRegion", "coverage_map",
+    "coverage_map_points", "optimize_orientation", "orient_for_target", "orientation_objective",
+)
+
+
+def test_package_exports_are_the_planner_objects():
+    """platekit loads the planner on first use of an export (PEP 562): each
+    is the planner's own object and is listed by dir(platekit)."""
+    import platekit
+
+    for name in PLANNER_EXPORTS:
+        assert getattr(platekit, name) is getattr(planner, name)
+        assert name in dir(platekit)
+    assert {"planner", "csvtext"} <= set(dir(platekit))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        platekit.no_such_name
+
+
 def test_scene_validation():
     with pytest.raises(ValueError, match="coincide"):
         make_scene(tx_position=np.zeros(3))

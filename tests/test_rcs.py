@@ -70,6 +70,16 @@ def test_sinc_series_branch_leaves_large_elements_alone():
     assert arr[0] == 1.0 - 1e-7 * 1e-7 / 6.0 and arr[1] == sinc(2e154)
 
 
+@pytest.mark.parametrize("form", [float, np.float64, np.array, lambda x: np.array([[2.0, x], [-3.0, math.nan]])])
+def test_dbsm_rejects_nan_and_negative_values(form):
+    """NaN and negative RCS values are rejected with their own messages, as a
+    float, a numpy float, a 0-d array or the first bad element of an array."""
+    with pytest.raises(ValueError, match="^RCS cannot be NaN$"):
+        dbsm(form(math.nan))
+    with pytest.raises(ValueError, match="^RCS cannot be negative: -1.0$"):
+        dbsm(form(-1.0))
+
+
 def test_sigma_max(wl_3ghz):
     lam = wl_3ghz.meters
     unit_plate = PlateGeometry.xy_plane(lam, lam)
