@@ -20,14 +20,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import geometry, link, measure, svgplot, validate
-from .rcs import PlateGeometry, Wavelength, dbsm, sigma
+# All but geometry are deferred modules (platekit/__init__.py): each runs when
+# a command first reads one of its attributes, so that a command runs only the
+# modules it uses.
+from . import csvtext, geometry, link, measure, planner, svgplot, validate
+from .rcs import POLARIZATION_CASES, PlateGeometry, Wavelength, dbsm, sigma
 from .rcs import rcs as rcs_breakdown
-from .measure import POLARIZATION_CASES
-
-# planner and csvtext are imported by the functions that use them, so that a
-# command loads only what it runs: validate loads neither, and rcs, sweep and
-# compare no planner.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,8 +76,6 @@ def _write_json(path: str, payload) -> None:
 def _print_fields(fields: dict) -> None:
     """Print one ``key=value`` line per field: floats as %.9g (``csvtext``),
     vectors as [x,y,z], booleans as true/false and None as unavailable."""
-    from .csvtext import fmt
-
     def show(value) -> str:
         if value is None:
             return "unavailable"
@@ -88,8 +84,8 @@ def _print_fields(fields: dict) -> None:
         if isinstance(value, (str, int)):
             return str(value)
         if isinstance(value, np.ndarray):
-            return "[" + ",".join(map(fmt, value)) + "]"
-        return fmt(value)
+            return "[" + ",".join(map(csvtext.fmt, value)) + "]"
+        return csvtext.fmt(value)
 
     print("\n".join(f"{key}={show(value)}" for key, value in fields.items()))
 
@@ -101,8 +97,6 @@ def _write_table(path: str | None, header: str, columns: list, shadow=None) -> N
     the boolean ``shadow`` array is set, the last column reads ``shadow``.
     Rows are formatted and written a chunk at a time (``csvtext.format_chunks``).
     """
-    from . import csvtext
-
     with _output(path) as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for chunk in csvtext.format_chunks([np.asarray(c) for c in columns], shadow):
@@ -407,8 +401,6 @@ def _plate_from_config(cfg: dict, path: str) -> PlateGeometry:
 
 
 def _region_from_config(cfg: dict, path: str) -> planner.TargetRegion:
-    from . import planner
-
     _reject_unknown(cfg, {"corner_m", "edge_u_m", "edge_v_m", "nu", "nv"}, path)
     return planner.TargetRegion(
         corner=_vec3(_need(cfg, "corner_m", path), f"{path}.corner_m"),
@@ -444,8 +436,6 @@ def _finite_number(token: str) -> float:
 
 def load_scene_config(path: str) -> tuple[planner.Scene, planner.TargetRegion, str]:
     """Parse a scene/region JSON config; unknown keys and non-finite numbers are rejected."""
-    from . import planner
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
@@ -500,8 +490,6 @@ def _add_coverage_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_coverage(args) -> int:
-    from . import planner
-
     _check_finite(args, ("db_min", "db_max"))
     if args.db_min is not None and args.db_max is not None and not 0.0 < args.db_max - args.db_min < math.inf:
         raise ValueError(f"--db-min must be below --db-max by a finite span, got {args.db_min} and {args.db_max}")
@@ -536,8 +524,6 @@ def _add_optimize_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_optimize(args) -> int:
-    from . import planner
-
     scene, region, objective = load_scene_config(args.config)
     result = planner.optimize_orientation(scene, region, objective)
     fields = {

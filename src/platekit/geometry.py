@@ -68,6 +68,21 @@ def check_unit(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndar
     return v
 
 
+def check_unit_rows(v, name: str = "vector", tol: float = FRAME_ORTHO_TOL) -> np.ndarray:
+    """A 3-vector or a (..., 3) stack as a float array, each row held to
+    check_unit's rule; the first row in C order that fails raises its message."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"{name} must be a 3-vector or a (..., 3) stack of them, got shape {v.shape}")
+    rows = v.reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(np.sqrt(np.vecdot(rows, rows)) - 1.0)
+    # A row this pass does not clear by _NORM_MARGIN (NaN among them) is check_unit's to decide.
+    for i in np.flatnonzero(~(off <= tol - _NORM_MARGIN)):
+        check_unit(rows[i], name, tol)
+    return v
+
+
 # Each angle domain, [0, upper] or [0, upper): upper in degrees, upper as written in
 # radians (its math.radians is exactly pi/2 or 2*pi), and whether it is closed.
 ANGLE_DOMAINS = {

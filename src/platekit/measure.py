@@ -16,15 +16,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import link
+from . import csvtext, link
 from .geometry import check_angle
-from .rcs import Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
+from .rcs import POLARIZATION_CASES, Wavelength, rcs_parallel_cut, rcs_perpendicular_cut
 
 _METADATA_KEYS = {"theta_t_deg", "varphi_t_deg", "freq_hz"}
 _HEADER = "theta_r_deg,p_rx_dbm"
 HALF_POWER_DB = 10.0 * math.log10(2.0)
-
-POLARIZATION_CASES = ("perpendicular", "parallel")
 
 
 @dataclass
@@ -118,10 +116,8 @@ def save_series(series: MeasurementSeries, path) -> None:
     at a time; a series whose angles would no longer be strictly increasing at
     that precision is rejected before anything is written.
     """
-    from .csvtext import fmt, format_chunks
-
     last = -math.inf  # the previous chunk's last angle as printed
-    for chunk in format_chunks([series.theta_r_deg]):
+    for chunk in csvtext.format_chunks([series.theta_r_deg]):
         angles = np.array(chunk.decode("ascii").split(), dtype=float)
         if not np.all(np.diff(angles, prepend=last) > 0.0):
             raise ValueError("observation angles must stay strictly increasing at 9 significant digits")
@@ -130,11 +126,11 @@ def save_series(series: MeasurementSeries, path) -> None:
     for key in ("theta_t_deg", "varphi_t_deg", "freq_hz"):
         value = getattr(series, key)
         if value is not None:
-            lines.append(f"# {key}={fmt(value)}")
+            lines.append(f"# {key}={csvtext.fmt(value)}")
     lines.append(_HEADER)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-        for chunk in format_chunks([series.theta_r_deg, series.power_dbm]):
+        for chunk in csvtext.format_chunks([series.theta_r_deg, series.power_dbm]):
             fh.write(chunk.decode("ascii"))
 
 
@@ -224,7 +220,11 @@ def hpbw(theta_deg, power_dbm) -> float | None:
     """
     theta = np.asarray(theta_deg, dtype=float)
     power = np.asarray(power_dbm, dtype=float)
-    _, peak_value = peak_angle(theta, power)
+    return _hpbw(theta, power, peak_angle(theta, power)[1])
+
+
+def _hpbw(theta: np.ndarray, power: np.ndarray, peak_value: float) -> float | None:
+    """hpbw of float arrays whose peak_angle value is ``peak_value``."""
     level = peak_value - HALF_POWER_DB
     masked = np.where(np.isfinite(power), power, -np.inf)
     i = int(np.argmax(masked))
@@ -324,10 +324,11 @@ def compare(series: MeasurementSeries, curve) -> ComparisonReport:
     if not (math.isfinite(offset) and math.isfinite(rmse)):
         raise ValueError("measured-minus-model residuals overflow float64 when averaged or squared")
 
-    peak_meas, _ = peak_angle(series.theta_r_deg, series.power_dbm)
-    peak_theory, _ = peak_angle(series.theta_r_deg, theory)
-    hpbw_meas = hpbw(series.theta_r_deg, series.power_dbm)
-    hpbw_theory = hpbw(series.theta_r_deg, theory)
+    # Each series' peak is fitted once, for its angle and its half-power level.
+    peak_meas, top_meas = peak_angle(series.theta_r_deg, series.power_dbm)
+    peak_theory, top_theory = peak_angle(series.theta_r_deg, theory)
+    hpbw_meas = _hpbw(series.theta_r_deg, series.power_dbm, top_meas)
+    hpbw_theory = _hpbw(series.theta_r_deg, theory, top_theory)
     hpbw_error = None
     if hpbw_meas is not None and hpbw_theory is not None:
         hpbw_error = abs(hpbw_meas - hpbw_theory)

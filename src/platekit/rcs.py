@@ -23,9 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import FRAME_ORTHO_TOL, _cross, _dot, check_unit
+from .geometry import FRAME_ORTHO_TOL, _cross, _dot, check_unit, check_unit_rows
 
 SPEED_OF_LIGHT_M_S = 299792458.0
+
+# The two polarizations of the principal cuts, rcs_perpendicular_cut and rcs_parallel_cut.
+POLARIZATION_CASES = ("perpendicular", "parallel")
 
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
@@ -237,11 +240,17 @@ def f_js(normal, h_dir, a_obs):
     """Induced-current projection factor |(normal x h_dir) x a_obs|^2.
 
     Broadcasts over (..., 3) stacks of normals, field directions and
-    observation directions.
+    observation directions.  Every row must be a unit vector, as check_unit
+    holds one; a non-finite or non-unit row raises ValueError.
     """
-    u = _cross(np.asarray(normal, dtype=float), np.asarray(h_dir, dtype=float))
-    w = _cross(u, np.asarray(a_obs, dtype=float))
-    return _scalar_or_array(_dot(w, w))
+    return _scalar_or_array(_f_js(check_unit_rows(normal, "normal"), check_unit_rows(h_dir, "h_dir"),
+                                  check_unit_rows(a_obs, "a_obs")))
+
+
+def _f_js(normal, h_dir, a_obs):
+    """f_js of float (..., 3) stacks, unchecked."""
+    w = _cross(_cross(normal, h_dir), a_obs)
+    return _dot(w, w)
 
 
 def _array_factor(length1, length2, edge1, edge2, a_inc, a_obs, wl: Wavelength):
@@ -256,8 +265,10 @@ def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
     """Array factor: sinc^2 of the deflection projections on both edges.
 
     Broadcasts over a trailing (..., 3) stack of observation directions.
+    Every row of a_inc and a_obs must be a unit vector, as check_unit holds
+    one; a non-finite or non-unit row raises ValueError.
     """
-    a_inc, a_obs = np.asarray(a_inc, dtype=float), np.asarray(a_obs, dtype=float)
+    a_inc, a_obs = check_unit_rows(a_inc, "a_inc"), check_unit_rows(a_obs, "a_obs")
     return _scalar_or_array(_array_factor(plate.length1, plate.length2, plate.edge1, plate.edge2, a_inc, a_obs, wl))
 
 
@@ -265,12 +276,12 @@ def _closed_form(length1, length2, normal, edge1, edge2, a_inc, h_dir, a_obs, wl
     """(sigma, sigma_max, f_js, f_af), unchecked: the one evaluation of the closed form.
 
     Edge lengths are scalars or per-row arrays; the frame, wave and observer
-    vectors (..., 3) stacks broadcasting with them: one plate seen along many
+    vectors (..., 3) float stacks broadcasting with them: one plate seen along many
     directions, or a stack of plates, each with its own frame, wave and
     observer.  Squares are np.square, correctly rounded for scalars too.
     """
     smax = _sigma_max(length1, length2, wl)
-    js = f_js(normal, h_dir, a_obs)
+    js = _f_js(normal, h_dir, a_obs)
     af = _array_factor(length1, length2, edge1, edge2, a_inc, a_obs, wl)
     return smax * js * af, smax, js, af
 
@@ -281,7 +292,7 @@ def sigma(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength):
     Broadcasts over a trailing (..., 3) stack of observation directions.
     Inputs are not checked; rcs() is the checked single-point query.
     """
-    a_inc, a_obs = np.asarray(a_inc, dtype=float), np.asarray(a_obs, dtype=float)
+    a_inc, h_dir, a_obs = (np.asarray(v, dtype=float) for v in (a_inc, h_dir, a_obs))
     return _scalar_or_array(_closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
                                          a_inc, h_dir, a_obs, wl)[0])
 
@@ -337,7 +348,7 @@ def rcs_large_plate_limit(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelen
     angle = 2.0 * math.asin(min(1.0, 0.5 * chord))
     if angle > 1e-9:
         return 0.0
-    return sigma_max(plate, wl) * f_js(plate.normal, h_dir, spec)
+    return sigma_max(plate, wl) * float(_f_js(plate.normal, h_dir, spec))
 
 
 # The domain of each angle of the angle forms, by its name's stem (theta_t: theta).

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from . import csvtext
+
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 36, 48
@@ -100,8 +102,6 @@ def line_plot(
     Non-finite y values break the polyline (gaps, not drawn).  The document
     is written to the binary file ``out``, or returned as a string without it.
     """
-    from . import csvtext
-
     x = np.asarray(x, dtype=float)
     series = [np.asarray(y, dtype=float) for y in y_series]
     x_lo, x_hi = _finite_range(x)

@@ -23,6 +23,8 @@ from platekit import (
 from platekit import cli, csvtext
 from platekit.cli import load_scene_config, main
 
+# The modules importing platekit registers without running them.
+DEFERRED_MODULES = ("csvtext", "link", "measure", "planner", "po_oracle", "svgplot", "validate")
 RCS_BASE = [
     "rcs",
     "--xy-plane",
@@ -442,23 +444,26 @@ def test_build_parser_asks_the_terminal_width_once(monkeypatch):
 
 
 def test_commands_load_planner_and_csvtext_only_when_they_use_them():
-    """In a fresh interpreter, importing the CLI, building its parser and
-    running validate load neither planner nor csvtext; rcs then loads csvtext
-    and still no planner, which platekit.planner then loads."""
+    """In a fresh interpreter, importing the CLI and building its parser runs
+    none of the deferred modules (importing platekit registers them in
+    sys.modules, where one that has not run is not a plain module); validate
+    runs only validate and po_oracle, rcs then adds csvtext, and reading
+    platekit.planner runs the planner (and link, which it imports)."""
     script = "\n".join([
-        "import sys",
+        "import sys, types",
         "import platekit.cli as c",
         "c.build_parser()",
-        "def loaded():",
-        "    print('loaded', sorted({'platekit.planner', 'platekit.csvtext'} & set(sys.modules)))",
-        "loaded()",
+        "def ran():",
+        f"    names = [f'platekit.{{name}}' for name in {DEFERRED_MODULES!r}]",
+        "    print('ran', [n for n in names if type(sys.modules[n]) is types.ModuleType])",
+        "ran()",
         "assert c.main(['validate', '--trials', '3']) == 0",
-        "loaded()",
+        "ran()",
         f"assert c.main({RCS_BASE!r}) == 0",
-        "loaded()",
+        "ran()",
         "import platekit",
-        "assert platekit.planner is sys.modules['platekit.planner']",
-        "loaded()",
+        "assert platekit.planner.Scene is sys.modules['platekit.planner'].Scene",
+        "ran()",
     ])
     src = Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -466,9 +471,13 @@ def test_commands_load_planner_and_csvtext_only_when_they_use_them():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
-    assert loaded == ["loaded []", "loaded []", "loaded ['platekit.csvtext']",
-                      "loaded ['platekit.csvtext', 'platekit.planner']"]
+    ran = [line for line in proc.stdout.splitlines() if line.startswith("ran ")]
+    assert ran == [
+        "ran []",
+        "ran ['platekit.po_oracle', 'platekit.validate']",
+        "ran ['platekit.csvtext', 'platekit.po_oracle', 'platekit.validate']",
+        "ran ['platekit.csvtext', 'platekit.link', 'platekit.planner', 'platekit.po_oracle', 'platekit.validate']",
+    ]
 
 
 def test_validate_pass_and_fail(capsys):

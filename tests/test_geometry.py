@@ -227,14 +227,10 @@ def numpy_unit_check(v, name: str, tol: float):
     return None
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.25])
-def test_check_unit_float_test_matches_numpy(tol):
-    """check_unit tests Python floats and asks numpy only next to the bounds:
-    at norms 1 +- tol and a few ulps either side, along the axes and oblique
-    directions, and with components at and past +-2, it makes numpy's
-    decision with numpy's message."""
-    from platekit.geometry import check_unit
-
+def unit_boundary_vectors(tol: float) -> list:
+    """Vectors at norms 1 +- tol and a few ulps either side, along the axes
+    and oblique directions, with components at and past +-2, and non-finite
+    or zero."""
     rng = np.random.default_rng(25)
     directions = [EX, -EZ, np.array([0.6, 0.8, 0.0]), *(random_unit(rng) for _ in range(6))]
     vectors = []
@@ -246,8 +242,19 @@ def test_check_unit_float_test_matches_numpy(tol):
     for c in (2.0, np.nextafter(2.0, 3.0)):
         vectors += [np.array([c, 0.0, 0.0]), np.array([0.0, -c, 0.0]), np.array([0.0, 0.0, c])]
     vectors += [np.array([math.nan, 0.0, 0.0]), np.array([0.0, math.inf, 0.0]), np.zeros(3)]
+    return vectors
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.25])
+def test_check_unit_float_test_matches_numpy(tol):
+    """check_unit tests Python floats and asks numpy only next to the bounds:
+    at norms 1 +- tol and a few ulps either side, along the axes and oblique
+    directions, and with components at and past +-2, it makes numpy's
+    decision with numpy's message."""
+    from platekit.geometry import check_unit
+
     decisions = set()
-    for v in vectors:
+    for v in unit_boundary_vectors(tol):
         expected = numpy_unit_check(v, "v", tol)
         decisions.add(expected is None)
         if expected is None:
@@ -257,6 +264,32 @@ def test_check_unit_float_test_matches_numpy(tol):
                 check_unit(v, "v", tol=tol)
             assert str(info.value) == expected
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.25])
+def test_check_unit_rows_decides_each_row_as_check_unit(tol):
+    """A stack passes check_unit_rows exactly when each row passes check_unit,
+    next to the bounds too, and the first failing row raises check_unit's
+    message; a stack that passes comes back as the float array given."""
+    from platekit.geometry import check_unit_rows
+
+    rows = unit_boundary_vectors(tol)
+    for v in rows:
+        stack = np.array([[EZ, -EX], [v, EY]])
+        expected = numpy_unit_check(v, "v", tol)
+        if expected is None:
+            assert np.array_equal(check_unit_rows(stack, "v", tol=tol), stack)
+        else:
+            with pytest.raises(ValueError) as info:
+                check_unit_rows(stack, "v", tol=tol)
+            assert str(info.value) == expected
+    failing = [v for v in rows if numpy_unit_check(v, "v", tol) is not None]
+    with pytest.raises(ValueError) as info:
+        check_unit_rows(np.array(failing[::-1]), "v", tol=tol)
+    assert str(info.value) == numpy_unit_check(failing[-1], "v", tol)
+    assert check_unit_rows(np.empty((0, 3)), "v").shape == (0, 3)
+    with pytest.raises(ValueError, match=r"v must be a 3-vector or a \(\.\.\., 3\) stack of them, got shape \(3, 2\)"):
+        check_unit_rows(np.zeros((3, 2)), "v")
 
 
 # One pair of 3-vectors, row pairs, a vector against a stack, a candidate

@@ -203,6 +203,25 @@ def test_compare_self_is_exact():
     assert report.n_points == 19
 
 
+def test_compare_fits_each_peak_once(monkeypatch):
+    """compare fits each series' peak parabola once, for its peak angle and
+    its half-power level: two np.polyfit calls, and the same peak angles and
+    beamwidths as peak_angle and hpbw give."""
+    rng = np.random.default_rng(4)
+    curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", GRID)
+    series = MeasurementSeries(curve[0], curve[1] + rng.normal(0.0, 0.5, curve[1].size))
+    fits = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *args, **kwargs: fits.append(1) or polyfit(*args, **kwargs))
+    report = compare(series, curve)
+    assert len(fits) == 2
+    monkeypatch.undo()
+    for theta, power, kind in ((series.theta_r_deg, series.power_dbm, "measured"), (*curve, "theory")):
+        assert getattr(report, f"peak_angle_{kind}_deg") == peak_angle(theta, power)[0]
+        assert getattr(report, f"hpbw_{kind}_deg") == hpbw(theta, power)
+    assert report.hpbw_measured_deg is not None and report.hpbw_theory_deg is not None
+
+
 def test_compare_recovers_constant_offset():
     curve = theoretical_curve(ExperimentConfig(theta_t_deg=45.0), "perpendicular", GRID)
     series = MeasurementSeries(curve[0], curve[1] + 7.5)

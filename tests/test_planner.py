@@ -44,21 +44,41 @@ def make_scene(normal=None, edge1=None, side_wl=5.0, **overrides):
     return Scene(**params)
 
 
-PLANNER_EXPORTS = (
-    "CoverageMap", "OrientationResult", "Scene", "TargetRegion", "coverage_map",
-    "coverage_map_points", "optimize_orientation", "orient_for_target", "orientation_objective",
-)
+# Every name platekit exports from a deferred module, by module.
+LAZY_EXPORTS = {
+    "link": ("LinkScenario", "power_sweep", "received_dbm", "received_power"),
+    "measure": (
+        "ComparisonReport", "ExperimentConfig", "MeasurementSeries", "compare", "hpbw", "load_series",
+        "mainlobe_sidelobe_gap", "peak_angle", "save_series", "theoretical_curve",
+    ),
+    "planner": (
+        "CoverageMap", "OrientationResult", "Scene", "TargetRegion", "coverage_map",
+        "coverage_map_points", "optimize_orientation", "orient_for_target", "orientation_objective",
+    ),
+    "po_oracle": (
+        "FarFieldSample", "FarFieldWarning", "IncidentWave", "QuadratureSpec", "induced_current",
+        "po_far_field", "po_rcs",
+    ),
+    "validate": ("ValidationReport", "random_scenario", "run_validation"),
+}
 
 
 def test_package_exports_are_the_planner_objects():
-    """platekit loads the planner on first use of an export (PEP 562): each
-    is the planner's own object and is listed by dir(platekit)."""
+    """platekit serves each name it exports from a deferred module (the
+    planner's among them) on first use (PEP 562): each is its module's own
+    object and is listed by dir(platekit)."""
+    import importlib
+
     import platekit
 
-    for name in PLANNER_EXPORTS:
-        assert getattr(platekit, name) is getattr(planner, name)
-        assert name in dir(platekit)
-    assert {"planner", "csvtext"} <= set(dir(platekit))
+    for module_name, names in LAZY_EXPORTS.items():
+        module = importlib.import_module(f"platekit.{module_name}")
+        assert getattr(platekit, module_name) is module
+        for name in names:
+            assert getattr(platekit, name) is getattr(module, name)
+            assert name in dir(platekit)
+    assert set(platekit._EXPORTS) == {name for names in LAZY_EXPORTS.values() for name in names}
+    assert {"planner", "csvtext", "svgplot"} <= set(dir(platekit))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         platekit.no_such_name
 

@@ -118,6 +118,62 @@ def test_f_af_examples(wl_3ghz, plate_5wl):
     assert F_AF_45_TO_0 == pytest.approx(0.0080054, abs=5e-6)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([0.0, 0.0, 5.0], "is not unit length: a component is above 2 in magnitude, [0.0, 0.0, 5.0]"),
+    ([math.nan, 0.0, 1.0], "is not unit length: |v| = np.float64(nan)"),
+    ([0.0, 0.6, 1.0], "is not unit length: |v| = np.float64(1.16619037896906)"),
+])
+def test_f_js_and_f_af_reject_a_non_unit_row(wl_3ghz, plate_5wl, bad, message):
+    """f_js(z, x, 5z) returned 25, past the factor bound [0, 1], and a NaN row
+    passed through: every direction stack is held to check_unit's rule and
+    message, as one vector or a row of a stack."""
+    a_inc = -EZ
+    for given in (np.array(bad), np.array([[EZ, EY], [bad, EZ]])):
+        calls = [
+            ("normal", lambda: f_js(given, EX, EZ)),
+            ("h_dir", lambda: f_js(EZ, given, EZ)),
+            ("a_obs", lambda: f_js(EZ, EX, given)),
+            ("a_inc", lambda: f_af(plate_5wl, given, EZ, wl_3ghz)),
+            ("a_obs", lambda: f_af(plate_5wl, a_inc, given, wl_3ghz)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name} {message}"
+
+
+def test_f_js_and_f_af_reject_a_stack_that_is_not_of_3_vectors(wl_3ghz, plate_5wl):
+    with pytest.raises(ValueError, match=r"a_obs must be a 3-vector or a \(\.\.\., 3\) stack of them, got shape \(2, 2\)"):
+        f_js(EZ, EX, np.eye(2))
+    with pytest.raises(ValueError, match=r"a_inc must be a 3-vector .* got shape \(\)"):
+        f_af(plate_5wl, 1.0, EZ, wl_3ghz)
+
+
+def test_f_js_and_f_af_checks_leave_valid_stacks_bit_identical(wl_3ghz):
+    """On unit stacks (rows off unit by up to the tolerance included) the
+    checked factors are the closed-form kernel's, bit for bit, and f_js is
+    the cross-product formula as numpy computes it."""
+    from platekit.rcs import _closed_form
+
+    rng = np.random.default_rng(26)
+    frame = random_rotation(rng)
+    plate = PlateGeometry(3 * LAMBDA_3GHZ, 2 * LAMBDA_3GHZ, frame[:, 2], frame[:, 0], frame[:, 1])
+    _, h_dir, a_inc = polarization_triad(SphericalAngles.from_degrees(30, 250), PolarizationAngle(0.7))
+    a_obs = np.array([random_unit(rng) for _ in range(20)]).reshape(4, 5, 3)
+    a_obs[0, 0] *= 1.0 + 9e-10
+    a_obs[0, 1] *= 1.0 - 9e-10
+    js = f_js(plate.normal, h_dir, a_obs)
+    af = f_af(plate, a_inc, a_obs, wl_3ghz)
+    kernel = _closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
+                          a_inc, h_dir, a_obs, wl_3ghz)
+    assert js.shape == af.shape == (4, 5)
+    assert np.array_equal(js, kernel[2]) and np.array_equal(af, kernel[3])
+    w = np.cross(np.cross(plate.normal, h_dir), a_obs)
+    assert np.array_equal(js, w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2])
+    assert f_js(plate.normal, h_dir, a_obs[1, 2]) == js[1, 2]
+    assert f_af(plate, a_inc, a_obs[1, 2], wl_3ghz) == af[1, 2]
+
+
 def test_rcs_normal_incidence(wl_3ghz, plate_5wl):
     b = rcs(plate_5wl, -EZ, EX, EZ, wl_3ghz)
     assert b.f_js == pytest.approx(1.0, abs=1e-15)
