@@ -24,7 +24,7 @@ import numpy as np
 # a command first reads one of its attributes, so that a command runs only the
 # modules it uses.
 from . import csvtext, geometry, link, measure, planner, svgplot, validate
-from .rcs import POLARIZATION_CASES, PlateGeometry, Wavelength, dbsm, sigma
+from .rcs import POLARIZATION_CASES, PlateGeometry, Wavelength, _closed_form, dbsm
 from .rcs import rcs as rcs_breakdown
 
 EXIT_OK = 0
@@ -283,14 +283,17 @@ def _cmd_sweep(args) -> int:
     grid = _sweep_grid(args.theta_r_start, args.theta_r_stop, args.theta_r_step)
     scenario = _link_from_args(args, wl)
 
-    sigmas = sigma(plate, a_inc, h_dir, _observation_directions(grid, args.phi_r_deg), wl)
+    # The plate, wave and directions come from checked flags and angles, so
+    # the kernel runs without sigma's stack checks.
+    sigmas = _closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
+                          a_inc, h_dir, _observation_directions(grid, args.phi_r_deg), wl)[0]
     dbsm_vals = dbsm(sigmas)
 
     header = "theta_r_deg,sigma_m2,sigma_dbsm"
     columns = [grid, sigmas, dbsm_vals]
     if scenario is not None:
         header += ",p_r_dbm"
-        columns.append(link.received_dbm(scenario, sigmas))
+        columns.append(link._received_dbm_from_dbsm(scenario, dbsm_vals))
     _write_table(args.out, header, columns)
 
     if args.svg is not None:
@@ -601,6 +604,18 @@ _COMMANDS = {  # name: (help, flag adder, handler)
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that adds each argument through its own group, flags
+    to the options and positionals to the positionals, where it lands in the
+    same actions, option table and help section.  The parser's add_argument
+    also builds a HelpFormatter per argument, only to reject a metavar tuple
+    that does not fit nargs; a group skips that probe."""
+
+    def add_argument(self, *args, **kwargs):
+        group = self._optionals if args and args[0][:1] == "-" else self._positionals
+        return group.add_argument(*args, **kwargs)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The platekit parser.  With a known ``command`` it is that subcommand's
     parser alone, ``platekit <command>``, which is all one run parses: it reads
@@ -609,22 +624,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the full parser, every subcommand under one subparsers action; main uses
     it for ``--help``, unknown commands and unrecognized arguments.
 
-    argparse makes a HelpFormatter per added argument, and each asks the
+    Building one makes no HelpFormatter (_Parser; the subparsers action is
+    given its prog).  Each formatter that help and errors make asks the
     terminal for its width; every parser here shares one query instead, at
     the width the default formatter would compute."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"platekit {command}", formatter_class=formatter)
+        parser = _Parser(prog=f"platekit {command}", formatter_class=formatter)
         parser.add_argument("command", choices=[command], help=argparse.SUPPRESS)
         _COMMANDS[command][1](parser)
         parser._negative_number_matcher = _NEGATIVE_NUMBER
         return parser
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="platekit",
         description="Reflection modelling for rectangular metal plate reflectors",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The prog argparse would format from the parser's usage, which has no positionals.
+    sub = parser.add_subparsers(dest="command", required=True, prog="platekit")
     for name, (help_text, add_flags, _) in _COMMANDS.items():
         add_flags(sub.add_parser(name, help=help_text, formatter_class=formatter))
     for p in (parser, *sub.choices.values()):

@@ -59,8 +59,13 @@ def received_dbm(scenario: LinkScenario, sigma_m2):
     A zero RCS gives -inf (no reflected signal); a negative or NaN RCS is
     rejected.
     """
+    return _received_dbm_from_dbsm(scenario, dbsm(sigma_m2))
+
+
+def _received_dbm_from_dbsm(scenario: LinkScenario, rcs_dbsm):
+    """received_dbm of RCS values already in dBsm (dbsm's output), bit for bit."""
     path_db = (
-        dbsm(sigma_m2)
+        rcs_dbsm
         + 20.0 * np.log10(scenario.wavelength.meters)
         - 10.0 * np.log10(4.0 * math.pi)
         - 20.0 * np.log10(4.0 * math.pi * scenario.tx_distance_m * scenario.rx_distance_m)

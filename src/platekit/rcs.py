@@ -286,13 +286,22 @@ def _closed_form(length1, length2, normal, edge1, edge2, a_inc, h_dir, a_obs, wl
     return smax * js * af, smax, js, af
 
 
+_NOT_PLANE_WAVE = "h_dir is not orthogonal to a_inc (malformed plane wave)"
+
+
 def sigma(plate: PlateGeometry, a_inc, h_dir, a_obs, wl: Wavelength):
     """Closed-form RCS sigma_max * f_js * f_af in m^2.
 
     Broadcasts over a trailing (..., 3) stack of observation directions.
-    Inputs are not checked; rcs() is the checked single-point query.
+    Every row of a_inc, h_dir and a_obs must be a unit vector, as check_unit
+    holds one, and each h_dir row orthogonal to its a_inc row within
+    FRAME_ORTHO_TOL, as rcs() holds one wave; otherwise ValueError.
     """
-    a_inc, h_dir, a_obs = (np.asarray(v, dtype=float) for v in (a_inc, h_dir, a_obs))
+    a_inc = check_unit_rows(a_inc, "a_inc")
+    h_dir = check_unit_rows(h_dir, "h_dir")
+    a_obs = check_unit_rows(a_obs, "a_obs")
+    if not (np.abs(_dot(a_inc, h_dir)) <= FRAME_ORTHO_TOL).all():
+        raise ValueError(_NOT_PLANE_WAVE)
     return _scalar_or_array(_closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
                                          a_inc, h_dir, a_obs, wl)[0])
 
@@ -303,7 +312,7 @@ def _check_plane_wave(a_inc, h_dir, a_obs):
     a_obs = check_unit(a_obs, "a_obs")
     h_dir = check_unit(h_dir, "h_dir")
     if abs(float(np.dot(a_inc, h_dir))) > FRAME_ORTHO_TOL:
-        raise ValueError("h_dir is not orthogonal to a_inc (malformed plane wave)")
+        raise ValueError(_NOT_PLANE_WAVE)
     return a_inc, h_dir, a_obs
 
 

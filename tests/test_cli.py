@@ -16,11 +16,14 @@ import pytest
 from platekit import (
     ExperimentConfig,
     MeasurementSeries,
+    Wavelength,
+    dbsm,
     orientation_objective,
     save_series,
+    sigma,
     theoretical_curve,
 )
-from platekit import cli, csvtext
+from platekit import cli, csvtext, link
 from platekit.cli import load_scene_config, main
 
 # The modules importing platekit registers without running them.
@@ -441,6 +444,21 @@ def test_build_parser_asks_the_terminal_width_once(monkeypatch):
         calls.clear()
         cli.build_parser(command).format_help()
         assert len(calls) == 1, command
+
+
+def test_build_parser_constructs_no_help_formatter(monkeypatch):
+    """ArgumentParser.add_argument builds a HelpFormatter per argument to test
+    its metavar, and add_subparsers one to format its prog; building a parser
+    here makes none (the help and namespace tests pin what it builds)."""
+    made = []
+    init = argparse.HelpFormatter.__init__
+    monkeypatch.setattr(argparse.HelpFormatter, "__init__", lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    for command in (*cli._COMMANDS, None):
+        made.clear()
+        cli.build_parser(command)
+        assert made == [], command
+    cli.build_parser().format_help()
+    assert made == [1]
 
 
 def test_commands_load_planner_and_csvtext_only_when_they_use_them():
@@ -1022,6 +1040,31 @@ def test_compare_roundtrip(capsys, tmp_path):
 
 
 PLOT_GOLDEN_DIR = Path(__file__).parent / "data" / "plot_golden"
+
+
+@pytest.mark.parametrize("plate, zeros", [(["--xy-plane", "--l1-wl", "5", "--l2-wl", "5"], 0),
+                                          (["--euler-deg", "0", "-45", "0", "--l1-wl", "1e-80", "--l2-wl", "1e-80"], 9)],
+                         ids=["5wl", "subnormal-sigma-max"])
+def test_sweep_columns_are_sigma_and_received_dbm_bit_for_bit(monkeypatch, plate, zeros):
+    """sweep runs the unchecked kernel and takes p_r_dbm from its dBsm column:
+    the sigma column is the checked sigma()'s and p_r_dbm is received_dbm of
+    it, bit for bit, zero rows (-inf) included."""
+    argv = ["sweep", *plate, "--freq-hz", "3e9", "--theta-t-deg", "40", "--phi-t-deg", "180", "--pol-deg", "0",
+            "--phi-r-deg", "0", "--theta-r-step", "0.5", "--p-t-dbm", "10", "--amp-db", "20",
+            "--g-t-dbi", "10", "--g-r-dbi", "10", "--d-t-m", "5", "--d-r-m", "5"]
+    written = []
+    monkeypatch.setattr(cli, "_write_table", lambda path, header, columns: written.append((header, columns)))
+    assert main(argv) == 0
+    [(header, [grid, sigmas, dbsm_vals, power])] = written
+    assert header == "theta_r_deg,sigma_m2,sigma_dbsm,p_r_dbm"
+    args = cli.build_parser("sweep").parse_args(argv)
+    wl = Wavelength.from_frequency(args.freq_hz)
+    a_inc, h_dir = cli._wave_vectors_from_args(args)
+    expected = sigma(cli._plate_from_args(args, wl), a_inc, h_dir, cli._observation_directions(grid, 0.0), wl)
+    assert sigmas.tobytes() == expected.tobytes()
+    assert power.tobytes() == link.received_dbm(cli._link_from_args(args, wl), sigmas).tobytes()
+    assert np.array_equal(dbsm_vals, dbsm(sigmas))
+    assert np.count_nonzero(sigmas == 0.0) == np.count_nonzero(power == -np.inf) == zeros
 
 
 def test_sweep_svg_matches_golden(capsys, tmp_path):

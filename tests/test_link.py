@@ -7,11 +7,13 @@ from conftest import deg
 from platekit import (
     LinkScenario,
     Wavelength,
+    dbsm,
     power_sweep,
     received_dbm,
     received_power,
     rcs_perpendicular_cut,
 )
+from platekit.link import _received_dbm_from_dbsm
 
 
 def table_scenario(wl=None, **overrides) -> LinkScenario:
@@ -42,6 +44,29 @@ def test_received_dbm_rejects_nan_and_negative_rcs(form):
         received_dbm(s, form(math.nan))
     with pytest.raises(ValueError, match="^RCS cannot be negative: -1.0$"):
         received_dbm(s, form(-1.0))
+
+
+def test_received_dbm_from_dbsm_is_received_dbm_bit_for_bit():
+    """On any link and any RCS, a float or an array, 0 (-inf dBm) and
+    subnormals included, the power from a dBsm value is received_dbm's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    level = st.floats(-300.0, 300.0)
+    distance = st.floats(1e-6, 1e9)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(levels=st.tuples(level, level, level, level), d_t=distance, d_r=distance,
+                      freq_hz=st.floats(1e3, 1e18), sigmas=st.lists(st.floats(0.0, 1e15), min_size=1, max_size=30))
+    @hypothesis.example(levels=(0.0, 16.0, 16.0, 38.861), d_t=8.0, d_r=8.0, freq_hz=3e9, sigmas=[0.0, 5e-324, 1.0])
+    def check(levels, d_t, d_r, freq_hz, sigmas):
+        s = LinkScenario(tx_power_dbm=levels[0], tx_gain_dbi=levels[1], rx_gain_dbi=levels[2], tx_distance_m=d_t,
+                         rx_distance_m=d_r, wavelength=Wavelength.from_frequency(freq_hz), amp_gain_db=levels[3])
+        for x in (sigmas[0], np.array(sigmas)):
+            expected = received_dbm(s, x)
+            assert np.asarray(_received_dbm_from_dbsm(s, dbsm(x))).tobytes() == np.asarray(expected).tobytes()
+            assert (np.asarray(expected) == -np.inf).tolist() == (np.asarray(x) == 0.0).tolist()
+
+    check()
 
 
 def test_received_dbm_matches_scalar():

@@ -174,6 +174,50 @@ def test_f_js_and_f_af_checks_leave_valid_stacks_bit_identical(wl_3ghz):
     assert f_af(plate, a_inc, a_obs[1, 2], wl_3ghz) == af[1, 2]
 
 
+def test_sigma_rejects_a_non_unit_row_and_a_malformed_plane_wave(wl_3ghz):
+    """sigma returned [nan, 1966.2] (25 x sigma_max) for a_obs rows [nan, 0, 1]
+    and [0, 0, 5], and 0.0 for h_dir along a_inc, where rcs() raises: its
+    stacks are held to check_unit's rule and rcs()'s plane-wave test, row by row."""
+    plate = PlateGeometry.xy_plane(0.5, 0.5)
+    with pytest.raises(ValueError, match=r"^a_obs is not unit length: \|v\| = np\.float64\(nan\)$"):
+        sigma(plate, -EZ, EX, np.array([[math.nan, 0.0, 1.0], [0.0, 0.0, 5.0]]), wl_3ghz)
+    with pytest.raises(ValueError, match=r"^a_obs is not unit length: a component is above 2"):
+        sigma(plate, -EZ, EX, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 5.0]]), wl_3ghz)
+    for name, args in [("a_inc", (np.array([EZ, 2 * EZ]), EX, EZ)), ("h_dir", (-EZ, np.array([[EX], [EX * 0.5]]), EZ))]:
+        with pytest.raises(ValueError, match=f"^{name} is not unit length"):
+            sigma(plate, *args, wl_3ghz)
+    message = "^h_dir is not orthogonal to a_inc \\(malformed plane wave\\)$"
+    with pytest.raises(ValueError, match=message):
+        rcs(plate, -EZ, -EZ, EZ, wl_3ghz)
+    with pytest.raises(ValueError, match=message):
+        sigma(plate, -EZ, -EZ, EZ, wl_3ghz)
+    # one row of a stack of waves is enough
+    a_inc = np.array([-EZ, -EZ, -EX])
+    with pytest.raises(ValueError, match=message):
+        sigma(plate, a_inc, np.array([EX, EY, EX]), EZ, wl_3ghz)
+    assert sigma(plate, a_inc, np.array([EX, EY, EY]), EZ, wl_3ghz).shape == (3,)
+
+
+def test_sigma_checks_leave_valid_stacks_bit_identical(wl_3ghz):
+    """On unit stacks (rows off unit by up to the tolerance included, and h_dir
+    off orthogonal by less than it) sigma is the closed-form kernel's, bit for bit."""
+    from platekit.rcs import _closed_form
+
+    rng = np.random.default_rng(28)
+    frame = random_rotation(rng)
+    plate = PlateGeometry(3 * LAMBDA_3GHZ, 2 * LAMBDA_3GHZ, frame[:, 2], frame[:, 0], frame[:, 1])
+    _, h_dir, a_inc = polarization_triad(SphericalAngles.from_degrees(30, 250), PolarizationAngle(0.7))
+    a_obs = np.array([random_unit(rng) for _ in range(20)]).reshape(4, 5, 3)
+    a_obs[0, 0] *= 1.0 + 9e-10
+    a_obs[0, 1] *= 1.0 - 9e-10
+    tilted = h_dir + 9e-10 * a_inc
+    for h in (h_dir, tilted, np.array([h_dir, tilted, h_dir, h_dir, tilted])):
+        kernel = _closed_form(plate.length1, plate.length2, plate.normal, plate.edge1, plate.edge2,
+                              a_inc, h, a_obs, wl_3ghz)[0]
+        assert sigma(plate, a_inc, h, a_obs, wl_3ghz).tobytes() == kernel.tobytes()
+    assert sigma(plate, a_inc, h_dir, a_obs[1, 2], wl_3ghz) == kernel[1, 2]
+
+
 def test_rcs_normal_incidence(wl_3ghz, plate_5wl):
     b = rcs(plate_5wl, -EZ, EX, EZ, wl_3ghz)
     assert b.f_js == pytest.approx(1.0, abs=1e-15)
