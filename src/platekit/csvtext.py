@@ -14,10 +14,10 @@ the text with numpy instead:
   which ``%`` rounds half to even, are among them) the value is formatted by
   ``%`` on its own, as are non-finite values and magnitudes outside
   [1e-13, 1e22).  The nine digits split into three-digit groups in int32.
-- An integer's digits are the three-digit groups of its magnitude, split off
-  by floor division; the most significant group is what is left.  A column
-  whose magnitudes all fit int32 (``-2**31`` does not) is counted and split
-  in int32, the rest in uint64.
+- A column of integers in 0..999 is one take of ``_INT_WORDS``, the value
+  its own row.  Other integers below 1e9 in magnitude are exact in float64,
+  where ``%.9g`` prints them as ``%d``: nine digits at most, fixed notation,
+  no point.  A column that reaches 1e9 is formatted by ``%``.
 - ``%.2f`` splits ``|x|`` into its whole part, which prints as ``%d``, and
   its fraction; both are exact in float64.  The two decimals are
   ``rint(fraction * 100)``, one rounding off the exact product by less than
@@ -26,7 +26,7 @@ the text with numpy instead:
   magnitudes of 1e15 and above (the whole part must fit an int64; no plot
   coordinate comes near) are formatted by ``%``.
 - A column whose values all have one bit pattern (a horizontal region's
-  ``z_m``) is formatted once, by ``%``.
+  ``z_m``) is formatted once, by ``%``, unless the shadow hides some rows.
 
 Rows are built from pieces.  A piece gives each row one little-endian uint32
 word holding up to 4 bytes of its text, NUL where ``%`` prints nothing; its
@@ -36,8 +36,7 @@ width is the most bytes any row prints there.  Each word is one ``take``:
   shown and the digit a decimal point follows, if any.  ``_G9_OFFSETS`` maps
   a row's layout (its significant digits and the place of its ones digit) to
   each group's rows, ``_G9_WIDTHS`` to the bytes printed.
-- ``_INT_WORDS`` (2,001): a ``%d`` group as the leading group, blank, or
-  with its leading zeros; ``_INT_OFFSETS`` maps the digit count to the rows.
+- ``_INT_WORDS`` (1,001): the ``%d`` of 0..999, and a blank row.
 - Short texts by row: the sign with the ``0.`` and zeros before a small
   fraction (two words), the exponent ``e+dd``, a sign, the ``.dd`` of
   ``%.2f`` and the texts of values formatted by ``%``.
@@ -62,8 +61,6 @@ import numpy as np
 # 10**0 .. 10**22, every one exact in float64; x * 10**k is x * _MUL[k + 14] / _DIV[k + 14].
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 _MUL, _DIV = np.r_[np.ones(14), _POW10], np.r_[_POW10[14:0:-1], np.ones(23)]
-# 10**0 .. 10**19 as uint64: an integer below 10**k has at most k digits.
-_POW10_U64 = np.cumprod(np.r_[1, np.full(19, 10)].astype(np.uint64))
 _GROUPS = np.arange(1000)
 # The ASCII digits (hundreds, tens, ones) of the groups 000..999, one row per group.
 _DIGITS = (np.stack([_GROUPS // 100, _GROUPS // 10 % 10, _GROUPS % 10], axis=1) + ord("0")).astype(np.uint8)
@@ -137,14 +134,9 @@ _LAST_GROUP_LAYOUT = (_LAST_GROUP_DIGITS + 6) * 13 + 4
 # group g; row 1000 + g, for a first group g where the middle one is 000 too
 # (a zero prints one digit).
 _SHORT_LAYOUT = np.r_[_LAST_GROUP_DIGITS + 3 - 6, np.maximum(_LAST_GROUP_DIGITS, 1) - 6] * 13
-# A %d group: row g < 1000, g leading its number (shown from its first
-# non-zero digit: dropping the word's first bytes is a shift); row 1000,
-# blank; row 1001 + g, g after the leading group (all three digits).
-_INT_WORDS = np.r_[_G9_WORDS[12000:13000] >> (16 - 8 * (_GROUPS >= 10) - 8 * (_GROUPS >= 100)).astype(np.uint32),
-                   0, _G9_WORDS[12000:13000]]
-# Offset into _INT_WORDS of group g (places 3g..3g+2) of a number of 0..20 digits.
-_INT_OFFSETS = np.select([np.arange(21) > 3 * np.arange(7)[:, None] + 3, np.arange(21) > 3 * np.arange(7)[:, None]],
-                         [1001, 0], 1000).astype(np.uint16)
+# Row g < 1000: the %d of g (its three digits from the first non-zero one:
+# dropping the word's first bytes is a shift); row 1000: blank.
+_INT_WORDS = np.r_[_G9_WORDS[12000:13000] >> (16 - 8 * (_GROUPS >= 10) - 8 * (_GROUPS >= 100)).astype(np.uint32), 0]
 # Row (negative + 2 * k): the sign, then for k > 0 the "0." and k - 1 zeros
 # that %.9g prints before the digits of a fraction in [10**-k, 10**(1 - k)).
 _PREFIX_WORDS = _text_table([b"-" * neg + (b"0." + b"0" * (k - 1) if k else b"") for k in range(5) for neg in (0, 1)])
@@ -316,51 +308,15 @@ def _f2_pieces(x: np.ndarray, hidden: np.ndarray) -> list:
 def _int_pieces(v: np.ndarray, hidden: np.ndarray | None) -> list:
     """Pieces of ``"%d" % i`` for each integer ``i`` of ``v``; NUL where ``hidden`` (None: nowhere)."""
     lo, hi = int(v.min(initial=0)), int(v.max(initial=0))
-    any_hidden = hidden is not None and hidden.any()
-    pieces = []
-    if lo < 0:
-        negative = v < 0
-        if any_hidden:
-            negative &= ~hidden
-        if negative.any():
-            pieces.append((1, _SIGN_WORDS, negative, 0))
-    if -1000 < lo and hi < 1000:
-        # One group, the leading one: the magnitude is the row of _INT_WORDS, 1000 where hidden.
-        u = v if lo >= 0 else np.abs(v, dtype=np.intp)
-        if any_hidden:
-            u = np.where(hidden, 1000, u)
-        pieces.append((len(str(max(-lo, hi))), _INT_WORDS, u, 0))
-        return pieces
-    if -(2**31 - 1) <= lo and hi <= 2**31 - 1:
-        # Magnitudes in int32, digits counted against the powers of ten up to the largest.
-        u = np.abs(v.astype(np.int32))
-        nd = np.ones(len(u), dtype=np.intp)
-        for p in _POW10_U64[1 : len(str(max(-lo, hi)))].astype(np.int32):
-            nd += u >= p
-    else:
-        u = v.astype(np.uint64)
-        u = np.where(v < 0, 0 - u, u)  # two's complement magnitude, 2**63 included
-        nd = np.searchsorted(_POW10_U64[1:], u, side="right") + 1
-    if any_hidden:
-        nd[hidden] = 0
-        u[hidden] = 0  # every group 0, blank above the leading one
-    width = int(nd.max(initial=0))
-    # Three-digit groups, least significant first; the last is what is left.
-    groups = []
-    for _ in range(3, width, 3):
-        rest = u // 1000
-        groups.append((u - rest * 1000).astype(np.uint16))
-        u = rest
-    groups.append(u.astype(np.uint16))
-    everywhere = int(nd.min(initial=20))
-    for g in range(len(groups) - 1, -1, -1):
-        if 3 * g + 3 <= everywhere:  # all three digits on every row
-            index = groups[g] + np.uint16(1001)
-        else:
-            index = _INT_OFFSETS[g].take(nd)
-            index += groups[g]
-        pieces.append((min(3, width - 3 * g), _INT_WORDS, index, 0))
-    return pieces
+    if lo >= 0 and hi < 1000:
+        # One take: the value is the row of _INT_WORDS, 1000 where hidden.
+        u = v if hidden is None or not hidden.any() else np.where(hidden, 1000, v)
+        return [(len(str(hi)), _INT_WORDS, u, 0)]
+    if -10**9 < lo and hi < 10**9:
+        # Nine digits at most, exact in float64, where %.9g prints them as %d.
+        return _g9_pieces(v.astype(np.float64), hidden)
+    rows = np.arange(len(v)) if hidden is None else (~hidden).nonzero()[0]
+    return _text_pieces(len(v), rows, [b"%d" % i for i in v[rows].tolist()]) if rows.size else []
 
 
 def _add_text(pieces: list, text: bytes) -> None:
@@ -398,17 +354,12 @@ def format_rows(columns: list, shadow=None) -> bytearray:
             kernel, spec = _int_pieces, b"%d"
         else:
             kernel, spec, column = _g9_pieces, b"%.9g", np.asarray(column, dtype=np.float64)
-        constant = _is_constant(column)
-        if constant and hidden is None:
+        if hidden is None and _is_constant(column):
             text += spec % column[0]
             continue
         _add_text(pieces, text)
         text = b""
-        if constant:
-            value = spec % column[0]
-            pieces += _pieces(_text_table([b"", value]), ~hidden, len(value))
-        else:
-            pieces += kernel(column, hidden)
+        pieces += kernel(column, hidden)
     if shadow is not None:
         _add_text(pieces, text)
         pieces += _pieces(_text_table([b"", b"shadow"]), shadow, 6)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import _cross, check_unit
-from .rcs import PlateGeometry, Wavelength
+from .rcs import PlateGeometry, Wavelength, _check_square
 
 FREE_SPACE_IMPEDANCE_OHM = 376.730
 # Largest quadrature rule.  Its Halley solve costs n/2 nodes x n recurrence
@@ -78,10 +78,8 @@ class IncidentWave:
         h = check_unit(self.h_dir, "h_dir", tol=1e-12)
         if float(np.linalg.norm(_cross(e, h) - a)) > 1e-12:
             raise ValueError("wave triad must satisfy direction = e_dir x h_dir")
-        if not self.h_magnitude > 0.0:
-            raise ValueError("h_magnitude must be positive")
-        if not self.impedance_ohm > 0.0:
-            raise ValueError("impedance_ohm must be positive")
+        _check_square("h_magnitude", self.h_magnitude)
+        _check_square("impedance_ohm", self.impedance_ohm)
 
     @classmethod
     def from_angles(
@@ -364,8 +362,7 @@ def _po_sigmas(lengths, frames, a_inc, h_dir, a_obs, nodes_per_edge, wavelength:
 def _one_row(plate: PlateGeometry, wave: IncidentWave, a_obs, distance_m: float, quad: QuadratureSpec):
     """Check one scenario and return it as the arguments of _far_fields."""
     a_obs = check_unit(a_obs, "a_obs")
-    if not distance_m > 0.0:
-        raise ValueError("observation distance must be positive")
+    _check_square("observation distance", distance_m)
     if float(np.dot(plate.normal, wave.direction)) >= 0.0:
         raise ValueError("back-side illumination: normal . direction must be negative")
     if distance_m < far_field_bound(plate, wave.wavelength):

@@ -35,6 +35,14 @@ _EY = np.array([0.0, 1.0, 0.0])
 _EZ = np.array([0.0, 0.0, 1.0])
 
 
+def _check_square(name: str, value: float) -> None:
+    """ValueError unless ``value`` is positive with a square that is a normal float64."""
+    square = float(value) * float(value)
+    if not (value > 0.0 and sys.float_info.min <= square < math.inf):
+        raise ValueError(f"{name} must be positive and finite, with a square that neither underflows nor "
+                         f"overflows float64: {value}")
+
+
 @dataclass(frozen=True)
 class Wavelength:
     """Free-space wavelength in meters, with derived wavenumber."""
@@ -44,12 +52,7 @@ class Wavelength:
     def __post_init__(self):
         # sigma_max divides by lambda^2: a square that underflows (even to a
         # subnormal) or overflows would make it 0/0, inf or 0.
-        square = float(self.meters) * float(self.meters)
-        if not (self.meters > 0.0 and sys.float_info.min <= square < math.inf):
-            raise ValueError(
-                f"wavelength must be positive and finite, with a square that neither underflows nor "
-                f"overflows float64: {self.meters}"
-            )
+        _check_square("wavelength", self.meters)
 
     @property
     def k(self) -> float:
@@ -181,8 +184,17 @@ def sinc(x):
 
     The |x| < 1e-6 branch returns 1 - x^2/6, which is exact to double
     precision there and yields exactly 1.0 at the specular direction, the
-    most frequently queried point.  Accepts scalars or arrays.
+    most frequently queried point.  Accepts scalars or arrays; a NaN or
+    infinite value is rejected.
     """
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        bad = x if isinstance(x, float) else np.asarray(x, dtype=float)[~np.isfinite(x)].flat[0]
+        raise ValueError(f"sinc argument must be finite, got {bad}")
+    return _sinc(x)
+
+
+def _sinc(x):
+    """sinc of finite scalars or arrays, unchecked."""
     if isinstance(x, float):  # a Python or numpy float, tested with math
         return float(1.0 - x * x / 6.0 if abs(x) < 1e-6 else np.sin(x) / x)
     arr = np.asarray(x, dtype=float)
@@ -258,7 +270,7 @@ def _array_factor(length1, length2, edge1, edge2, a_inc, a_obs, wl: Wavelength):
     d = a_obs - a_inc
     x1 = _half_phase(length1, wl) * _dot(d, edge1)
     x2 = _half_phase(length2, wl) * _dot(d, edge2)
-    return np.square(sinc(x1)) * np.square(sinc(x2))
+    return np.square(_sinc(x1)) * np.square(_sinc(x2))
 
 
 def f_af(plate: PlateGeometry, a_inc, a_obs, wl: Wavelength):
@@ -393,7 +405,7 @@ def rcs_xy_plate(theta_t, phi_t, varphi_t, theta_r, phi_r, length1, length2, wl:
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x1 = _half_phase(length1, wl) * (sr * np.cos(phi_r) + st * np.cos(phi_t))
     x2 = _half_phase(length2, wl) * (sr * np.sin(phi_r) + st * np.sin(phi_t))
-    out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
+    out = smax * bracket * _sinc(x1) ** 2 * _sinc(x2) ** 2
     return _scalar_or_array(out)
 
 
@@ -410,7 +422,7 @@ def rcs_perpendicular(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x1 = _half_phase(length1, wl) * sr * np.cos(phi_r)
     x2 = _half_phase(length2, wl) * (sr * np.sin(phi_r) - st)
-    out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
+    out = smax * bracket * _sinc(x1) ** 2 * _sinc(x2) ** 2
     return _scalar_or_array(out)
 
 
@@ -422,7 +434,7 @@ def rcs_perpendicular_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     theta_t, theta_r = _check_angles(theta_t=theta_t, theta_r=theta_r)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x2 = _half_phase(length2, wl) * (np.sin(theta_r) - np.sin(theta_t))
-    out = smax * np.cos(theta_t) ** 2 * sinc(x2) ** 2
+    out = smax * np.cos(theta_t) ** 2 * _sinc(x2) ** 2
     return _scalar_or_array(out)
 
 
@@ -439,7 +451,7 @@ def rcs_parallel(theta_t, theta_r, phi_r, length1, length2, wl: Wavelength):
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x1 = _half_phase(length1, wl) * sr * np.cos(phi_r)
     x2 = _half_phase(length2, wl) * (sr * np.sin(phi_r) - st)
-    out = smax * bracket * sinc(x1) ** 2 * sinc(x2) ** 2
+    out = smax * bracket * _sinc(x1) ** 2 * _sinc(x2) ** 2
     return _scalar_or_array(out)
 
 
@@ -454,5 +466,5 @@ def rcs_parallel_cut(theta_t, theta_r, length1, length2, wl: Wavelength):
     theta_t, theta_r = _check_angles(theta_t=theta_t, theta_r=theta_r)
     smax = _sigma_max(*_check_lengths(length1, length2), wl)
     x2 = _half_phase(length2, wl) * (np.sin(theta_r) - np.sin(theta_t))
-    out = smax * np.cos(theta_r) ** 2 * sinc(x2) ** 2
+    out = smax * np.cos(theta_r) ** 2 * _sinc(x2) ** 2
     return _scalar_or_array(out)

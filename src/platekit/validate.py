@@ -176,6 +176,8 @@ def run_validation(
     at ``wavelength`` (default: that of 3 GHz, as ``platekit validate``)."""
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be non-negative and finite, got {tolerance}")
     if wavelength is None:

@@ -10,6 +10,12 @@ EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
 
+# Numbers at and past every boundary, as CLI words: huge, tiny, subnormal,
+# zero, negative and non-finite in each spelling.  The CLI fuzz passes them as
+# flag and scene values, the library fuzz as floats.
+BOUNDARY_VALUES = ["1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "0", "-1",
+                   "nan", "inf", "-inf", "-nan", "-Infinity", "-NaN"]
+
 
 @pytest.fixture
 def wl_3ghz() -> Wavelength:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BOUNDARY_VALUES
 from platekit import (
     ExperimentConfig,
     MeasurementSeries,
@@ -1361,8 +1362,6 @@ def _numeric_flags(command: str) -> list:
 
 
 NUMERIC_FLAGS = [(command, *entry) for command in cli._COMMANDS for entry in _numeric_flags(command)]
-BOUNDARY_VALUES = ["1e300", "-1e300", "1e-300", "-1e-300", "5e-324", "0", "-1",
-                   "nan", "inf", "-inf", "-nan", "-Infinity", "-NaN"]
 _NON_FINITE_WORD = re.compile(r"(?i)(?<![a-z])-?(?:nan|inf(?:inity)?)(?![a-z])")
 
 

@@ -25,7 +25,8 @@ EDGE_FLOATS = [
     1.0, -1.0, 10.0, 100.0, 0.1, 0.25, -52.1234567, 3.14159265358979,
 ]
 EDGE_INTS = [0, 1, -1, 9, 10, -10, 999, 1000, 10**18, -(10**18), 2**63 - 1, -(2**63)]
-# Columns of only these take the int32 path; -2**31, whose magnitude int32 lacks, does not.
+# Integers of magnitude up to 2**31 - 1, either side of the one-take (0..999)
+# and %.9g (below 1e9) switches; -2**31, whose magnitude int32 lacks, is not one.
 EDGE_INTS32 = [0, 1, -1, 9, 10, -10, 99, 100, 999, 1000, -1000, 10**9 - 1, 10**9, 2**31 - 1, -(2**31 - 1)]
 
 
@@ -59,7 +60,7 @@ def test_edge_values_match_printf():
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
 def test_int32_range_columns_match_printf(dtype):
     """Every column whose values fit int32 in magnitude, and the first ones
-    past it (-2**31 and 2**31 take the uint64 path), prints as %d."""
+    past it (-2**31 and 2**31), prints as %d."""
     for values in ([0], [9], [10, 0], [999, 1000, 1], [7] * 5, EDGE_INTS32, EDGE_INTS32[::-1],
                    [-(2**31), 0, 5], [2**31, -1, 10]):
         column = np.array(values, dtype=np.int64)
@@ -69,6 +70,26 @@ def test_int32_range_columns_match_printf(dtype):
             column = column.astype(dtype)
         assert format_rows([column]) == percent_text(values, "%d"), values
         assert format_rows([column, column]) == "".join("%d,%d\n" % (v, v) for v in values).encode(), values
+
+
+# Either side of each switch of the integer kernel: one take for 0..999, the
+# %.9g kernel below 1e9 in magnitude, % beyond; and the int64 extremes.
+INT_SWITCHES = [999, 1000, 10**9 - 1, 10**9, -1, -999, -(10**9 - 1), -(10**9), 2**63 - 1, -(2**63)]
+
+
+def test_int_kernel_switches_match_printf():
+    """Each switch value alone, mixed in one column, and as a shadowed last
+    column with some rows and with every row hidden, prints as %d."""
+    columns = [np.array([v], dtype=np.int64) for v in INT_SWITCHES]
+    columns += [np.array([v, 5], dtype=np.uint64) for v in (999, 1000, 10**9 - 1, 10**9, 2**64 - 1)]
+    columns += [np.array(INT_SWITCHES, dtype=np.int64), np.array([0, 2**64 - 1, 10**9, 7], dtype=np.uint64)]
+    for column in columns:
+        values = column.tolist()
+        assert format_rows([column]) == percent_text(values, "%d"), values
+        first = np.arange(len(values))
+        for shadow in (np.arange(len(values)) % 2 == 1, np.ones(len(values), dtype=bool)):
+            expected = "".join(f"{i},shadow\n" if s else f"{i},{v}\n" for i, v, s in zip(first, values, shadow))
+            assert format_rows([first, column], shadow) == expected.encode(), (values, shadow)
 
 
 def test_every_value_matches_printf():
@@ -81,7 +102,7 @@ def test_every_value_matches_printf():
     ties = st.builds(lambda m, k: (m + 0.5) * 10.0**k, st.integers(10**8, 10**9 - 1), st.integers(-14, 12))
     floats = st.floats() | bit_patterns | decades | ties | st.sampled_from(EDGE_FLOATS)
     ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(EDGE_INTS)
-    # Columns of these all take the int32 path.
+    # Columns of these stay within int32's magnitude, most of them below 1e9.
     small_ints = st.integers(-1100, 1100) | st.integers(-(2**31 - 1), 2**31 - 1) | st.sampled_from(EDGE_INTS32)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -125,6 +146,16 @@ def test_point_edge_values_match_printf():
     keep[[0, 5, 6, 7, -1]] = False
     assert format_points(values, values, keep) == percent_points(values, values, keep)
     assert format_points([], [], []) == []
+
+
+def test_point_whole_part_switches_match_printf():
+    """Whole parts either side of the integer kernel's switches (0..999, below 1e9) print as %.2f."""
+    values = np.array([999.99, 1000.004, 1e9, 999999999.99, 5.25])
+    values = np.r_[values, -values]
+    for keep in (np.ones(values.size, dtype=bool), np.arange(values.size) % 3 != 1):
+        for xs in ([v] * values.size for v in values):
+            assert format_points(xs, values, keep) == percent_points(xs, values, keep)
+        assert format_points(values, values[::-1], keep) == percent_points(values, values[::-1], keep)
 
 
 def test_every_point_matches_printf():

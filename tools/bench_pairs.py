@@ -15,9 +15,18 @@ A runs first on odd pairs and B on even ones.  ``--seconds`` defaults to
 
 For each end-to-end metric it prints both medians and quartiles, the change
 B - A of the medians, the pairs B won (ties count for neither side) and A's
-IQR, the distance between its quartiles.  ``--write PATH`` keeps every pair's
-metrics and the summary as JSON.  It is evidence, not a gate: it exits 0 when
-every run of both trees completed, and 2 when one failed.
+IQR, the distance between its quartiles.  Two verdicts follow from them:
+
+- *gain*: ``yes`` where B won at least 9 of every 10 pairs and its median
+  is better than A's by more than A's IQR, else ``no``;
+- *bound*: ``within`` where B's median is worse than A's by no more than
+  the metric's ``BENCHMARK.json`` ``bound`` (a fraction of A's median),
+  else ``beyond``; ``unresolved`` where A's IQR is wider than the bound and
+  not every B run beats every A run, so the pairs cannot tell.
+
+``--write PATH`` keeps every pair's metrics and the summary as JSON.  It is
+evidence, not a gate: it exits 0 when every run of both trees completed, and
+2 when one failed.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def _summarize(pairs: list[dict], metrics: list[dict]) -> list[dict]:
-    """Per end-to-end metric: each side's quartiles, B's wins and A's IQR."""
+    """Per end-to-end metric: each side's quartiles, B's wins, A's IQR and the two verdicts."""
     rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -84,11 +93,20 @@ def _summarize(pairs: list[dict], metrics: list[dict]) -> list[dict]:
         b = [p["b"][name] for p in pairs]
         qa, qb = _quartiles(a), _quartiles(b)
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        a_iqr = qa[2] - qa[0]
+        better_by = qa[1] - qb[1] if lower else qb[1] - qa[1]  # B's median over A's, in the better direction
+        bound = metric["bound"] * abs(qa[1])
+        always_better = max(b) < min(a) if lower else min(b) > max(a)
+        if a_iqr > bound and not always_better:
+            verdict = "unresolved"
+        else:
+            verdict = "within" if -better_by <= bound else "beyond"
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "a_quartiles": qa, "b_quartiles": qb,
             "change_frac": (qb[1] - qa[1]) / qa[1] if qa[1] else None,
-            "b_wins": wins, "pairs": len(pairs), "a_iqr": qa[2] - qa[0],
+            "b_wins": wins, "pairs": len(pairs), "a_iqr": a_iqr,
+            "gain": "yes" if 10 * wins >= 9 * len(pairs) and better_by > a_iqr else "no", "bound": verdict,
         })
     return rows
 
@@ -97,13 +115,14 @@ def _table(rows: list[dict]) -> str:
     def g(x):
         return f"{x:.4g}"
 
-    head = "| metric | A median (q1-q3) | B median (q1-q3) | B - A | B wins | A IQR |"
-    lines = [head, "|---|---|---|---|---|---|"]
+    head = "| metric | A median (q1-q3) | B median (q1-q3) | B - A | B wins | A IQR | gain | bound |"
+    lines = [head, "|---|---|---|---|---|---|---|---|"]
     for r in rows:
         (a1, a2, a3), (b1, b2, b3) = r["a_quartiles"], r["b_quartiles"]
         change = "n/a" if r["change_frac"] is None else f"{100 * r['change_frac']:+.1f}%"
         lines.append(f"| `{r['metric']}` ({r['unit']}, {r['better']} is better) | {g(a2)} ({g(a1)}-{g(a3)}) "
-                     f"| {g(b2)} ({g(b1)}-{g(b3)}) | {change} | {r['b_wins']}/{r['pairs']} | {g(r['a_iqr'])} |")
+                     f"| {g(b2)} ({g(b1)}-{g(b3)}) | {change} | {r['b_wins']}/{r['pairs']} | {g(r['a_iqr'])} "
+                     f"| {r['gain']} | {r['bound']} |")
     return "\n".join(lines)
 
 
