@@ -616,25 +616,13 @@ class _Parser(argparse.ArgumentParser):
         return group.add_argument(*args, **kwargs)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The platekit parser.  With a known ``command`` it is that subcommand's
-    parser alone, ``platekit <command>``, which is all one run parses: it reads
-    the command word through a hidden positional, so it takes the whole argv,
-    and its help, usage and errors are the full parser's.  Without one it is
-    the full parser, every subcommand under one subparsers action; main uses
-    it for ``--help``, unknown commands and unrecognized arguments.
-
-    Building one makes no HelpFormatter (_Parser; the subparsers action is
-    given its prog).  Each formatter that help and errors make asks the
-    terminal for its width; every parser here shares one query instead, at
-    the width the default formatter would compute."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full platekit parser, every subcommand under one subparsers action, for
+    each argv that _read_argv declines: all help, usage errors and argparse's other
+    spellings.  Building it makes no HelpFormatter (_Parser; the subparsers action
+    is given its prog), and the formatters that help and errors make share one
+    terminal width query, at the width the default formatter would compute."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    if command is not None:
-        parser = _Parser(prog=f"platekit {command}", formatter_class=formatter)
-        parser.add_argument("command", choices=[command], help=argparse.SUPPRESS)
-        _COMMANDS[command][1](parser)
-        parser._negative_number_matcher = _NEGATIVE_NUMBER
-        return parser
     parser = _Parser(
         prog="platekit",
         description="Reflection modelling for rectangular metal plate reflectors",
@@ -649,17 +637,59 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _grammar(command: str) -> dict:
+    """{option string or positional name: add_argument keywords} of ``command``, from its flag adder."""
+    spec = {}
+    _COMMANDS[command][1](SimpleNamespace(add_argument=lambda name, **kwargs: spec.setdefault(name, kwargs)))
+    return spec
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv)'s namespace, read without a parser; None unless
+    argv is a command, its positionals and its exact option strings, each once with
+    nargs values of its type and choices, required ones given.  A word starting
+    with "-" is a value only where _NEGATIVE_NUMBER matches it, as in the parsers,
+    so help, "--", "-", "--flag=value" and abbreviations are declined.  "--a-b"
+    sets a_b, which holds as no flag adder passes dest=."""
+    def is_value(word):
+        return word[:1] != "-" or _NEGATIVE_NUMBER.match(word)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    spec, given, positionals, i = _grammar(argv[0]), {}, [], 1
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        if is_value(word):
+            positionals.append(word)
+            continue
+        if word not in spec or word in given:
+            return None
+        kw = spec[word]
+        n = 0 if kw.get("action") == "store_true" else kw.get("nargs", 1)
+        words, i = argv[i:i + n], i + n
+        try:
+            values = [kw.get("type", str)(w) for w in words if is_value(w)]
+        except ValueError:
+            return None
+        if len(values) != n or "choices" in kw and any(v not in kw["choices"] for v in values):
+            return None
+        given[word] = True if n == 0 else values if "nargs" in kw else values[0]
+    names = [name for name in spec if name[0] != "-"]
+    if len(positionals) != len(names) or any(kw.get("required") and name not in given for name, kw in spec.items()):
+        return None
+    given.update(zip(names, positionals))
+    return argparse.Namespace(command=argv[0], **{name.lstrip("-").replace("-", "_"): given.get(
+        name, kw.get("default", False if kw.get("action") else None)) for name, kw in spec.items()})
+
+
 def main(argv=None) -> int:
+    """Run one command; an argv that _read_argv declines goes to the full parser."""
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        if argv and argv[0] in _COMMANDS:
-            args, extra = build_parser(argv[0]).parse_known_args(argv)
-            if extra:  # words the command does not take: the full parser's top-level error names them
-                args = build_parser().parse_args(argv)
-        else:
+    args = _read_argv(argv)
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command][2](args)
     except ValueError as exc:

@@ -80,6 +80,8 @@ class IncidentWave:
             raise ValueError("wave triad must satisfy direction = e_dir x h_dir")
         _check_square("h_magnitude", self.h_magnitude)
         _check_square("impedance_ohm", self.impedance_ohm)
+        # po_rcs divides by (impedance_ohm * h_magnitude) ** 2.
+        _check_square("impedance_ohm * h_magnitude", self.impedance_ohm * self.h_magnitude)
 
     @classmethod
     def from_angles(

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -435,30 +436,34 @@ def test_sweep_of_a_metre_plate_at_1e150_hz_is_rejected(capsys):
     assert err.startswith("error: plate electrically too large: an edge of 1.0 m is over 1e+09 wavelengths")
 
 
+def subparsers(parser) -> dict:
+    """{command: its subparser} of the full parser ``parser``."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
 def test_build_parser_asks_the_terminal_width_once(monkeypatch):
     """argparse's default made a HelpFormatter, and asked for the terminal
-    width, per added argument."""
+    width, per added argument; the full parser's help and each command's ask once."""
     calls = []
     query = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or query(*args))
     for command in (*cli._COMMANDS, None):
         calls.clear()
-        cli.build_parser(command).format_help()
+        parser = cli.build_parser()
+        (parser if command is None else subparsers(parser)[command]).format_help()
         assert len(calls) == 1, command
 
 
 def test_build_parser_constructs_no_help_formatter(monkeypatch):
     """ArgumentParser.add_argument builds a HelpFormatter per argument to test
-    its metavar, and add_subparsers one to format its prog; building a parser
-    here makes none (the help and namespace tests pin what it builds)."""
+    its metavar, and add_subparsers one to format its prog; building the full
+    parser makes none (the help and namespace tests pin what it builds)."""
     made = []
     init = argparse.HelpFormatter.__init__
     monkeypatch.setattr(argparse.HelpFormatter, "__init__", lambda self, *a, **k: made.append(1) or init(self, *a, **k))
-    for command in (*cli._COMMANDS, None):
-        made.clear()
-        cli.build_parser(command)
-        assert made == [], command
-    cli.build_parser().format_help()
+    parser = cli.build_parser()
+    assert made == []
+    parser.format_help()
     assert made == [1]
 
 
@@ -1058,7 +1063,7 @@ def test_sweep_columns_are_sigma_and_received_dbm_bit_for_bit(monkeypatch, plate
     assert main(argv) == 0
     [(header, [grid, sigmas, dbsm_vals, power])] = written
     assert header == "theta_r_deg,sigma_m2,sigma_dbsm,p_r_dbm"
-    args = cli.build_parser("sweep").parse_args(argv)
+    args = cli._read_argv(argv)
     wl = Wavelength.from_frequency(args.freq_hz)
     a_inc, h_dir = cli._wave_vectors_from_args(args)
     expected = sigma(cli._plate_from_args(args, wl), a_inc, h_dir, cli._observation_directions(grid, 0.0), wl)
@@ -1274,18 +1279,33 @@ def test_subcommand_help_reads_as_the_full_parser_at_any_width(capsys, monkeypat
 
 
 def test_unrecognized_arguments_fall_back_to_the_full_parser(capsys, monkeypatch):
-    """A run parses with its command's parser alone; only leftover arguments
-    rebuild the full parser, whose top-level error names them."""
+    """A well-formed run builds no parser; leftover arguments build the full
+    parser once, whose top-level error names them."""
     built = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(args) or build(*args))
     assert run(capsys, ["validate", "--trials", "3"])[0] == 0
-    assert built == ["validate"]
-    built.clear()
+    assert built == []
     code, out, err = run(capsys, ["validate", "--trials", "3", "--bogus", "extra"])
-    assert built == ["validate", None]
+    assert built == [()]
     assert (code, out) == (2, "") and err.startswith("usage: platekit [-h]")
     assert err.endswith("\nplatekit: error: unrecognized arguments: --bogus extra\n")
+
+
+def test_a_clean_run_builds_no_parser_and_asks_no_terminal_width(capsys, monkeypatch):
+    """Building a parser, and the terminal width query its formatters make,
+    were the largest cost of a short run outside its output."""
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", lambda *args: calls.append("build_parser"))
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append("get_terminal_size"))
+    for argv in (["validate", "--trials", "3"], RCS_BASE):
+        assert run(capsys, argv)[0] == 0
+    assert calls == []
+
+
+def same_namespace(a, b) -> bool:
+    """Namespaces equal attribute by attribute, NaN equal to NaN and 1 unequal to 1.0."""
+    return repr(sorted(vars(a).items())) == repr(sorted(vars(b).items()))
 
 
 NAMESPACE_ARGV = [valid for valid, _, _ in PARSE_CASES.values()] + [
@@ -1294,26 +1314,97 @@ NAMESPACE_ARGV = [valid for valid, _, _ in PARSE_CASES.values()] + [
     ["coverage", "--out-csv", "c.csv", "--", "scene.json"],
     ["compare", "--", "m.csv"],
 ]
+# The argv above that the reader declines, each with the well-formed argv the
+# full parser reads to the same namespace.
+DECLINED_AS = {
+    "validate --tri 3 --seed=-7 --tol -1e-3": ["validate", "--trials", "3", "--seed", "-7", "--tol", "-1e-3"],
+    "optimize -- scene.json": ["optimize", "scene.json"],
+    "coverage --out-csv c.csv -- scene.json": ["coverage", "--out-csv", "c.csv", "scene.json"],
+    "compare -- m.csv": ["compare", "m.csv"],
+}
 
 
 @pytest.mark.parametrize("argv", NAMESPACE_ARGV, ids=[" ".join(argv) for argv in NAMESPACE_ARGV])
 def test_subcommand_parser_reads_the_full_parsers_namespace(argv):
-    args, extra = cli.build_parser(argv[0]).parse_known_args(argv)
-    assert extra == [] and vars(args) == vars(cli.build_parser().parse_args(argv))
+    full = cli.build_parser().parse_args(argv)
+    if " ".join(argv) in DECLINED_AS:
+        assert cli._read_argv(argv) is None
+        argv = DECLINED_AS[" ".join(argv)]
+    assert vars(cli._read_argv(argv)) == vars(full) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_subcommand_parser_holds_only_its_own_flags():
-    def flags(parser):
-        return [o for a in parser._actions for o in a.option_strings]
+    """The reader's option strings, and the destinations of its namespace, are
+    each command's subparser's, less -h/--help."""
+    full = {name: p._actions[1:] for name, p in subparsers(cli.build_parser()).items()}
+    assert list(full) == list(PARSE_CASES)
+    assert [o for a in full["validate"] for o in a.option_strings] == [
+        "--trials", "--seed", "--nodes-per-edge", "--tol", "--freq-hz"]
+    for name, (valid, _, _) in PARSE_CASES.items():
+        assert {name: [o for o in cli._grammar(name) if o[0] == "-"]} == {
+            name: [o for a in full[name] for o in a.option_strings]}
+        assert list(vars(cli._read_argv(valid))) == ["command", *(a.dest for a in full[name])]
 
-    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    full = {name: flags(p) for name, p in sub.choices.items()}
-    assert list(full) == list(PARSE_CASES) and all(full.values())
-    assert full["validate"] == ["-h", "--help", "--trials", "--seed", "--nodes-per-edge", "--tol", "--freq-hz"]
-    for name in PARSE_CASES:
-        parser = cli.build_parser(name)
-        assert {name: flags(parser)} == {name: full[name]}
-        assert [a.dest for a in parser._actions if a.dest != "command"] == [a.dest for a in sub.choices[name]._actions]
+
+def test_reader_agrees_with_the_full_parser_property():
+    """Whatever argv the reader reads, the full parser reads to the same
+    namespace: argv of a command word and words drawn from its own flags with
+    their values, other commands' flags, abbreviations, the spellings only
+    argparse reads, numbers of every form and non-numbers."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    commands = {name: p._actions[1:] for name, p in subparsers(cli.build_parser()).items()}
+    every_flag = sorted({o for actions in commands.values() for a in actions for o in a.option_strings})
+    numbers = ["0", "3", "-7", "2.5", "-.5", "1e9", "-1e1", "-1E-3", "+4", "1_0", "inf", "-inf", "nan", "-nan",
+               "Infinity", "-Infinity", "1e400", "-1e400", "5e-324"]
+    values = numbers + ["", " ", "a b", "-a b", "-", "scene.json", "fine", "perpendicular", "parallel", "diagonal"]
+    words = values + ["--", "-h", "--help", *every_flag, *sorted({f[:n] for f in every_flag for n in (3, 6)}),
+                      *(f + "=-1" for f in every_flag)]
+
+    def given(action):
+        """The action's option string, if any, and its nargs words."""
+        n = 0 if action.nargs == 0 else action.nargs or 1
+        value = st.sampled_from(numbers) | st.sampled_from(values + ["--", "-h", "--tol"])
+        return st.lists(value, min_size=n, max_size=n).map(
+            lambda v: [*action.option_strings[:1], *v])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(list(commands)))
+        required = [data.draw(given(a)) for a in commands[name] if a.required or not a.option_strings]
+        own = st.sampled_from(commands[name]).flatmap(given)
+        extra = data.draw(st.lists(own | st.sampled_from(words).map(lambda w: [w]), max_size=4))
+        argv = [name, *(w for item in data.draw(st.permutations(required + extra)) for w in item)]
+        args = cli._read_argv(argv)
+        hypothesis.event("read" if args is not None else "declined")
+        if args is not None:
+            try:
+                full = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the reader read {argv!r}, which the full parser rejects")
+            assert same_namespace(args, full), argv
+
+    check()
+
+
+def test_benchmark_argv_take_the_reader(tmp_path, monkeypatch):
+    """Every argv of the first two blocks of each benchmark stream at seeds
+    1-3 is read by the reader, to the full parser's namespace."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    read = []
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            stream = workloads.JobStream(workload, seed, tmp_path)
+            for index in range(2 * stream.block_size):
+                argv = stream.job(index).argv
+                args = cli._read_argv(argv)
+                read.append(args is not None and same_namespace(args, cli.build_parser().parse_args(argv)))
+    assert (read.count(True), len(read)) == (192, 192)
 
 
 def _measurement_file(tmp_path):

@@ -31,12 +31,13 @@ from platekit.po_oracle import (
 from platekit.validate import random_scenario
 
 
-def _wave(theta_t_deg, phi_t_deg, pol_deg, wl, h0=1.0):
+def _wave(theta_t_deg, phi_t_deg, pol_deg, wl, h0=1.0, **kwargs):
     return IncidentWave.from_angles(
         SphericalAngles.from_degrees(theta_t_deg, phi_t_deg),
         PolarizationAngle.from_degrees(pol_deg),
         wl,
         h_magnitude=h0,
+        **kwargs,
     )
 
 
@@ -322,6 +323,23 @@ def test_distance_and_magnitude_independence(wl_3ghz, plate_5wl):
     assert near == pytest.approx(far, rel=1e-12)
     strong = IncidentWave(wave.direction, wave.e_dir, wave.h_dir, wl_3ghz, h_magnitude=10.0)
     assert po_rcs(plate_5wl, strong, a_obs, q) == pytest.approx(near, rel=1e-12)
+
+
+@pytest.mark.parametrize("h_magnitude, impedance_ohm", [(1e-150, 1e-150), (1e-100, 1e-100), (1e150, 1e150)])
+def test_incident_wave_rejects_a_field_product_whose_square_leaves_float64(wl_3ghz, h_magnitude, impedance_ohm):
+    """Each value alone is in range, but po_rcs divides by the square of
+    their product, which underflows or overflows: NaN before the check."""
+    with pytest.raises(ValueError, match=r"impedance_ohm \* h_magnitude must be positive and finite"):
+        _wave(25, 270, 90, wl_3ghz, h0=h_magnitude, impedance_ohm=impedance_ohm)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h_magnitude, impedance_ohm", [(1e-150, 1e150), (1e150, 1e-150)])
+def test_po_rcs_takes_extreme_fields_whose_product_is_in_range(wl_3ghz, plate_5wl, h_magnitude, impedance_ohm):
+    a_obs = np.array([0.0, math.sin(deg(25)), math.cos(deg(25))])
+    wave = _wave(25, 270, 90, wl_3ghz, h0=h_magnitude, impedance_ohm=impedance_ohm)
+    default = po_rcs(plate_5wl, _wave(25, 270, 90, wl_3ghz), a_obs)
+    assert po_rcs(plate_5wl, wave, a_obs) == pytest.approx(default, rel=1e-15)
 
 
 def test_quadrature_convergence(wl_3ghz, plate_5wl):
