@@ -4,17 +4,21 @@ Subcommands: rcs, sweep, validate, coverage, optimize, compare.  All angles
 on the command line and in files are degrees; CSV and JSON are the data
 contract, SVG plots are conveniences.  Exit codes: 0 success, 2 usage or
 input error, 3 validation failure, 4 I/O error.
+
+An argv takes one of two parse routes.  _read_argv reads a well-formed one (a
+command, its positionals and its exact option strings, each once) without
+building a parser.  Every argv it declines goes to build_parser's argparse
+parser: help, usage errors, abbreviations, --flag=value and "--".
+tests/data/parser_golden.json pins that route's help and error bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import re
-import shutil
 import sys
 from types import SimpleNamespace
 
@@ -604,34 +608,16 @@ _COMMANDS = {  # name: (help, flag adder, handler)
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that adds each argument through its own group, flags
-    to the options and positionals to the positionals, where it lands in the
-    same actions, option table and help section.  The parser's add_argument
-    also builds a HelpFormatter per argument, only to reject a metavar tuple
-    that does not fit nargs; a group skips that probe."""
-
-    def add_argument(self, *args, **kwargs):
-        group = self._optionals if args and args[0][:1] == "-" else self._positionals
-        return group.add_argument(*args, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full platekit parser, every subcommand under one subparsers action, for
     each argv that _read_argv declines: all help, usage errors and argparse's other
-    spellings.  Building it makes no HelpFormatter (_Parser; the subparsers action
-    is given its prog), and the formatters that help and errors make share one
-    terminal width query, at the width the default formatter would compute."""
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = _Parser(
-        prog="platekit",
-        description="Reflection modelling for rectangular metal plate reflectors",
-        formatter_class=formatter,
+    spellings."""
+    parser = argparse.ArgumentParser(
+        prog="platekit", description="Reflection modelling for rectangular metal plate reflectors"
     )
-    # The prog argparse would format from the parser's usage, which has no positionals.
-    sub = parser.add_subparsers(dest="command", required=True, prog="platekit")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_text, formatter_class=formatter))
+        add_flags(sub.add_parser(name, help=help_text))
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser

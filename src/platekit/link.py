@@ -12,6 +12,7 @@ file writers are responsible for serializing it as the string "-inf".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +40,27 @@ class LinkScenario:
     amp_gain_db: float = 0.0
 
     def __post_init__(self):
-        # Python and numpy floats are tested with math, anything else by numpy.
-        levels = (self.tx_power_dbm, self.tx_gain_dbi, self.rx_gain_dbi, self.amp_gain_db)
-        if all(isinstance(v, float) for v in levels):
-            finite = all(map(math.isfinite, levels))
-        else:
-            finite = np.all(np.isfinite(levels))
-        if not finite:
-            raise ValueError(f"link powers and gains must be finite, got {levels}")
-        for d in (self.tx_distance_m, self.rx_distance_m):
-            if not ((0.0 < d < math.inf) if isinstance(d, float) else np.all(np.greater(d, 0.0) & np.isfinite(d))):
-                raise ValueError("link distances must be positive and finite")
+        # Summed in Python floats in _received_dbm_from_dbsm's order: the sum is
+        # non-finite where a level is, and where finite levels sum past float64.
+        levels = (self.tx_power_dbm, self.amp_gain_db, self.tx_gain_dbi, self.rx_gain_dbi)
+        if not math.isfinite(sum(map(float, levels))):
+            raise ValueError(f"link powers and gains must be finite, with a finite sum "
+                             f"tx_power_dbm + amp_gain_db + tx_gain_dbi + rx_gain_dbi, got {levels}")
+        # Each distance's least and greatest value (an array's min and max, to
+        # which a NaN propagates), which bound 4*pi*d_t*d_r: exactly where at
+        # most one distance is an array, as in coverage.
+        (t_lo, t_hi), (r_lo, r_hi) = (
+            (d, d) if isinstance(d, float) else
+            (float(np.min(d, initial=math.inf)), float(np.max(d, initial=-math.inf)))
+            for d in (self.tx_distance_m, self.rx_distance_m)
+        )
+        if not (0.0 < t_lo and t_hi < math.inf and 0.0 < r_lo and r_hi < math.inf):
+            raise ValueError("link distances must be positive and finite")
+        # _received_dbm_from_dbsm takes log10(4*pi*d_t*d_r), rcs._check_square's rule.
+        for product in (4.0 * math.pi * t_lo * r_lo, 4.0 * math.pi * t_hi * r_hi):
+            if not sys.float_info.min <= product < math.inf:
+                raise ValueError(f"4*pi * tx_distance_m * rx_distance_m must neither underflow nor overflow float64, "
+                                 f"got {product}")
 
 
 def received_dbm(scenario: LinkScenario, sigma_m2):

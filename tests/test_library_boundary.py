@@ -10,6 +10,7 @@ they are given), and no f_js or f_af outside [0, 1].
 import dataclasses
 import functools
 import inspect
+import itertools
 import math
 import numbers
 
@@ -175,7 +176,7 @@ PASS_THROUGH = {
        for row, (_, base) in TABLE.items() for name in base if name in ANGLES},
     **{(row, name): (FINITE, "a power or gain in dB: any finite level")
        for row in ("LinkScenario", "Scene", "theoretical_curve(config)") for name in LEVELS},
-    **{(row, name): (POSITIVE, "a positive finite distance")
+    **{(row, name): (POSITIVE - {5e-324}, "a positive finite distance whose 4*pi*d_t*d_r is a normal float64")
        for row in ("LinkScenario", "theoretical_curve(config)") for name in ("tx_distance_m", "rx_distance_m")},
     **{(row, name): (POSITIVE, "a positive finite edge length; the closed form rejects what sigma_max cannot hold")
        for row in ("PlateGeometry", "PlateGeometry.xy_plane", "PlateGeometry.from_frame",
@@ -250,3 +251,38 @@ def test_table_covers_every_public_scalar():
     assert missing == []
     assert set(PASS_THROUGH) <= set(CELLS)
     assert all(reason for _, reason in PASS_THROUGH.values()) and set(RECORDS) <= set(TABLE)
+
+
+# Fields that meet in one expression, where two values each in range can sum
+# or multiply out of float64: LinkScenario's levels in the link budget's sum,
+# its distances in log10(4*pi*d_t*d_r), and IncidentWave's field product.  A
+# new expression over two or more scalars of a TABLE row gets rows here, one
+# per pair of its fields, and USES gets the call that evaluates it if the row
+# has none yet.
+PAIR_LADDER = [1e308, -1e308, 1e200, 1e-200, 5e-324]
+PAIRS = [
+    *(("LinkScenario", pair) for pair in itertools.combinations(
+        ("tx_power_dbm", "amp_gain_db", "tx_gain_dbi", "rx_gain_dbi"), 2)),
+    ("LinkScenario", ("tx_distance_m", "rx_distance_m")),
+    ("IncidentWave", ("h_magnitude", "impedance_ohm")),
+]
+# The call that evaluates each row's expressions on what the row returns.
+USES = {
+    "LinkScenario": lambda scenario: platekit.received_dbm(scenario, 1.0),
+    "IncidentWave": lambda wave: platekit.po_rcs(PLATE, wave, A_OBS, QuadratureSpec(8)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row, names", PAIRS, ids=[f"{row}-{'-'.join(names)}" for row, names in PAIRS])
+def test_every_field_pair_takes_every_pair_of_ladder_values(row, names):
+    """Each ordered pair of PAIR_LADDER values in place of two fields that
+    meet in one expression: ValueError, or a value that its use turns into
+    finite numbers (received_dbm of a nonzero RCS, po_rcs)."""
+    call, base = TABLE[row]
+    for values in itertools.product(PAIR_LADDER, repeat=2):
+        try:
+            result = call(**{**base, **dict(zip(names, values))})
+        except ValueError:
+            continue
+        assert np.isfinite(_numbers(USES[row](result))).all(), (row, names, values)

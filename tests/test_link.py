@@ -179,20 +179,29 @@ LEVELS = ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "amp_gain_db")
 
 def numpy_scenario_check(params: dict):
     """The message LinkScenario raises for ``params``, or None, as numpy states its tests."""
-    levels = tuple(params[field] for field in LEVELS)
-    if not np.all(np.isfinite(levels)):
-        return f"link powers and gains must be finite, got {levels}"
+    levels = tuple(params[field] for field in ("tx_power_dbm", "amp_gain_db", "tx_gain_dbi", "rx_gain_dbi"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.float64(levels[0]) + levels[1] + levels[2] + levels[3]
+    if not np.isfinite(total):
+        return ("link powers and gains must be finite, with a finite sum tx_power_dbm + amp_gain_db + tx_gain_dbi + "
+                f"rx_gain_dbi, got {levels}")
     for d in (params["tx_distance_m"], params["rx_distance_m"]):
         if not np.all(np.greater(d, 0.0) & np.isfinite(d)):
             return "link distances must be positive and finite"
+    with np.errstate(over="ignore"):
+        product = 4.0 * np.pi * np.asarray(params["tx_distance_m"], dtype=float) * params["rx_distance_m"]
+    for extreme in (product.min(), product.max()):
+        if not np.finfo(float).tiny <= extreme < np.inf:
+            return ("4*pi * tx_distance_m * rx_distance_m must neither underflow nor overflow float64, "
+                    f"got {float(extreme)}")
     return None
 
 
 @pytest.mark.parametrize("field", [*LEVELS, "tx_distance_m", "rx_distance_m"])
 def test_scenario_float_tests_match_numpy(field):
-    """Python and numpy floats are tested with math, other values by numpy:
-    nan, +-inf, 0 and negative values as floats, numpy scalars (float64 and
-    float32) and arrays give numpy's decision and message."""
+    """LinkScenario's checks, in Python floats, give numpy's decision and
+    message on nan, +-inf, 0, negative and subnormal values as floats, numpy
+    scalars (float64 and float32) and arrays."""
     decisions = set()
     for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, -2.5, 3.0, 5e-324):
         # Levels are scalars; a distance may be an array (one receiver per element).

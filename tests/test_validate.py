@@ -46,7 +46,7 @@ def test_stacked_rows_equal_scalar_queries():
     def check(seed, count, freq_hz, nodes):
         wl = Wavelength.from_frequency(freq_hz)
         block_rng = np.random.default_rng(seed)
-        closed, po = _evaluate_block(block_rng, count, wl, nodes)
+        closed, _, po = _evaluate_block(block_rng, count, wl, nodes)
         rng = np.random.default_rng(seed)
         for i in range(count):
             plate, wave, a_obs = random_scenario(rng, wl)
@@ -56,6 +56,16 @@ def test_stacked_rows_equal_scalar_queries():
         assert block_rng.bit_generator.state == rng.bit_generator.state
 
     check()
+
+
+def test_run_validation_measures_an_exact_null_against_sigma_max(monkeypatch):
+    """A row whose closed form is exactly 0 is reported relative to its
+    sigma_max, the others relative to the closed form, in trial order."""
+    closed, smax, po = np.array([1.0, 0.0, 4.0]), np.array([8.0, 1e20, 8.0]), np.array([1.0 + 2**-40, 1e6, 4.0])
+    monkeypatch.setattr(validate, "_evaluate_block", lambda rng, count, wl, nodes: (closed, smax, po))
+    report = run_validation(3, 1)
+    assert (report.max_rel_error, report.worst.index) == (2**-40, 0)
+    assert report.mean_rel_error == (2**-40 + 1e-14) / 3
 
 
 # 7 trials per block does not divide 40; one row per quadrature chunk; a
